@@ -46,13 +46,9 @@ from .models import (
     BuckBoostParams,
     CartSpringParams,
     WmrParams,
-    buck_boost_step,
     calibrate_buck_terminal_level,
-    cart_spring_step,
     make_benchmark,
-    terminal_control,
     terminal_set,
-    wmr_step,
 )
 from .bench import ExperimentConfig, RunArtifacts, run_experiment, sweep, validate_run
 from . import errors

@@ -3,8 +3,9 @@ sweeps, per-step CSV and summary JSON artifacts, and a post-hoc log validator.
 
 All simulation content in the per-step CSV (states, inputs, costs, counters)
 is reproducible byte for byte for a fixed seed, independent of the lane
-count; the elapsed_ms column is wall-clock measurement and is excluded from
-reproducibility comparisons.
+count (which only sets the p of the complexity bounds); the elapsed_ms
+column is wall-clock measurement and is excluded from reproducibility
+comparisons.
 """
 
 from __future__ import annotations

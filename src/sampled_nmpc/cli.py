@@ -44,7 +44,7 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="output root (default: config out_dir, then "
                              f"${bench.OUTPUT_ROOT_ENV}, then ./runs)")
     parser.add_argument("--seed", type=int, default=None, help="override the sampler seed")
-    parser.add_argument("--lanes", type=int, default=None, help="override the lane count")
+    parser.add_argument("--lanes", type=int, default=None, help="override the lane count p of the complexity bounds")
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="override the per-solve time budget in milliseconds")
     parser.add_argument("--no-prune", action="store_true",

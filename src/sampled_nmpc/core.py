@@ -8,7 +8,7 @@ closed inequalities with no floating tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,6 +65,19 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d_b' W_b d_b for each row b of a (B, k) array, where W is one (k, k)
+    weight shared by all rows or a (B, k, k) stack of per-row weights.
+
+    A row's value depends only on that row and on which of the two forms the
+    caller uses, not on the batch size or the row's position (an einsum
+    contraction does not have this property), so a one-row call gives the
+    same bits as the row of a batched call.
+    """
+    dw = d @ w if w.ndim == 2 else (d[:, np.newaxis] @ w)[:, 0]
+    return (dw * d).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -129,10 +142,12 @@ class Trajectory:
 class PlantModel:
     """A discrete-time plant x+ = step(x, u) with its dimensions and equilibrium.
 
-    ``batch_step``, when provided, maps stacked states (B, n) and inputs (B, m)
-    to stacked successors and must agree with ``step`` row by row; it is used to
-    vectorize feasibility searches.  ``terminal_law`` is the plant's local
-    stabilizing feedback, if one is published.
+    ``batch_step`` maps stacked states (B, n) and inputs (B, m) to stacked
+    successors.  Each of its rows must equal ``step`` on that row bit for bit,
+    whatever the batch size; the solver propagates candidates in batches while
+    ``rollout`` uses ``step``, and reported costs rely on the two agreeing.
+    When omitted it is filled with a row loop over ``step``.  ``terminal_law``
+    is the plant's local stabilizing feedback, if one is published.
     """
 
     n: int
@@ -155,6 +170,17 @@ class PlantModel:
             raise ContractViolationError(
                 "declared equilibrium is not a fixed point of step "
                 f"(max deviation {np.max(np.abs(x_next - x_eq)):.3e})")
+        if self.batch_step is None:
+            object.__setattr__(self, "batch_step", _row_loop(self.step, self.n))
+
+
+def _row_loop(step: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int):
+    def batch_step(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        out = np.empty((xs.shape[0], n), dtype=np.float64)
+        for b in range(xs.shape[0]):
+            out[b] = step(xs[b], us[b])
+        return out
+    return batch_step
 
 
 @dataclass(frozen=True)
@@ -213,15 +239,13 @@ class EllipsoidSet:
         object.__setattr__(self, "level", float(self.level))
 
     def value(self, x: np.ndarray) -> float:
-        d = x - self.center
-        return float(d @ self.shape @ d)
+        return float(_quadratic_rows(x[np.newaxis] - self.center, self.shape)[0])
 
     def contains(self, x: np.ndarray) -> bool:
         return self.value(x) <= self.level
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        d = rows - self.center
-        return np.einsum("ij,jk,ik->i", d, self.shape, d) <= self.level
+        return _quadratic_rows(rows - self.center, self.shape) <= self.level
 
     def bounding_box(self) -> "BoxSet":
         """Tight axis-aligned box around the set."""
@@ -325,6 +349,8 @@ class CostSpec:
     stage_input_weights: tuple[np.ndarray, ...]
     terminal_weight: np.ndarray
     reference: tuple[np.ndarray, np.ndarray]
+    # The stage weights stacked into (N, n, n) and (N, m, m) arrays.
+    _stacked: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qs = tuple(np.asarray(q, dtype=np.float64) for q in self.stage_state_weights)
@@ -353,6 +379,7 @@ class CostSpec:
         object.__setattr__(self, "stage_input_weights", tuple(_frozen(r.copy()) for r in rs))
         object.__setattr__(self, "terminal_weight", _frozen(p.copy()))
         object.__setattr__(self, "reference", (_frozen(x_ref), _frozen(u_ref)))
+        object.__setattr__(self, "_stacked", (_frozen(np.stack(qs)), _frozen(np.stack(rs))))
 
     @classmethod
     def constant(cls, q, r, p, horizon: int, reference=None) -> "CostSpec":
@@ -368,15 +395,28 @@ class CostSpec:
     def horizon(self) -> int:
         return len(self.stage_state_weights)
 
+    def stage_costs(self, j: int | np.ndarray, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Stage cost of each row of stacked states (B, n) and inputs (B, m).
+
+        ``j`` is the stage index of every row, or an array of one index per
+        row, so a single call can price a whole horizon.  A row's value is
+        the same either way; ``stage_cost`` is the one-row case, bit for bit.
+        """
+        j = np.full(xs.shape[0], j, dtype=np.intp)
+        q, r = self._stacked
+        return (_quadratic_rows(xs - self.reference[0], q[j])
+                + _quadratic_rows(us - self.reference[1], r[j]))
+
+    def terminal_costs(self, xs: np.ndarray) -> np.ndarray:
+        """Terminal cost of each row of stacked states (B, n); ``terminal_cost``
+        is its one-row case, bit for bit."""
+        return _quadratic_rows(xs - self.reference[0], self.terminal_weight)
+
     def stage_cost(self, j: int, x: np.ndarray, u: np.ndarray) -> float:
-        dx = x - self.reference[0]
-        du = u - self.reference[1]
-        return float(dx @ self.stage_state_weights[j] @ dx) + float(
-            du @ self.stage_input_weights[j] @ du)
+        return float(self.stage_costs(j, x[np.newaxis], u[np.newaxis])[0])
 
     def terminal_cost(self, x: np.ndarray) -> float:
-        dx = x - self.reference[0]
-        return float(dx @ self.terminal_weight @ dx)
+        return float(self.terminal_costs(x[np.newaxis])[0])
 
 
 @dataclass(frozen=True)
@@ -411,7 +451,7 @@ def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> Trajectory:
 
 def evaluate_cost(cost: CostSpec, traj: Trajectory, plan: Plan) -> float:
     """Total cost: sum of stage costs plus the terminal cost, accumulated in
-    horizon order (the solver reproduces this fold bit for bit)."""
+    horizon order (the solver folds its row costs in the same order)."""
     n_stages = cost.horizon
     if plan.horizon != n_stages:
         raise ContractViolationError(
@@ -419,33 +459,24 @@ def evaluate_cost(cost: CostSpec, traj: Trajectory, plan: Plan) -> float:
     if traj.horizon != plan.horizon:
         raise ContractViolationError(
             f"trajectory holds {traj.horizon} steps but plan holds {plan.horizon}")
+    stages = cost.stage_costs(np.arange(n_stages), traj.states[:n_stages], plan.inputs)
     total = 0.0
-    for j in range(n_stages):
-        total = total + cost.stage_cost(j, traj.states[j], plan.inputs[j])
+    for value in stages.tolist():
+        total = total + value
     return total + cost.terminal_cost(traj.states[n_stages])
 
 
-def check_feasible(constraints: ConstraintSpec, traj: Trajectory, plan: Plan,
-                   from_index: int = 0) -> FeasibilityReport:
-    """Sweep the horizon for the first constraint violation.
-
-    Positions before ``from_index`` are assumed already certified by the
-    caller (the backward solver re-checks only the suffix a candidate input
-    can affect): states are tested against the state set for indices in
-    [from_index, N-1], inputs against the input box for indices >=
-    max(from_index - 1, 0), and the end state against the terminal set.
-    """
+def check_feasible(constraints: ConstraintSpec, traj: Trajectory, plan: Plan) -> FeasibilityReport:
+    """Sweep the horizon for the first constraint violation: states 0..N-1
+    against the state set, every input against the input box, and the end
+    state against the terminal set."""
     big_n = plan.horizon
     if traj.horizon != big_n:
         raise ContractViolationError("trajectory and plan horizons disagree")
-    if not (0 <= from_index <= big_n):
-        raise ContractViolationError(f"from_index must lie in [0, {big_n}]")
-    first_input = max(from_index - 1, 0)
-    for i in range(first_input, big_n):
-        if from_index <= i <= big_n - 1:
-            kind = constraints.state_violation_kind(traj.states[i])
-            if kind is not None:
-                return FeasibilityReport(False, i, kind)
+    for i in range(big_n):
+        kind = constraints.state_violation_kind(traj.states[i])
+        if kind is not None:
+            return FeasibilityReport(False, i, kind)
         if not constraints.input_ok(plan.inputs[i]):
             return FeasibilityReport(False, i, "input-bound")
     if not constraints.terminal_ok(traj.states[big_n]):

@@ -13,19 +13,15 @@ from typing import Optional
 import numpy as np
 
 from .core import BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel
-from .errors import ConfigError, NoTerminalLawError
+from .errors import ConfigError
 
 __all__ = [
     "CartSpringParams",
     "BuckBoostParams",
     "WmrParams",
-    "cart_spring_step",
-    "buck_boost_step",
-    "wmr_step",
     "cart_spring_model",
     "buck_boost_model",
     "wmr_model",
-    "terminal_control",
     "terminal_set",
     "calibrate_buck_terminal_level",
     "Benchmark",
@@ -118,18 +114,12 @@ class WmrParams:
 # ---------------------------------------------------------------------------
 
 def _cart_drift(x: np.ndarray, p: CartSpringParams) -> np.ndarray:
-    """Autonomous part of the cart map (also feeds the terminal feedback)."""
+    """Autonomous part of the cart map, on which the terminal feedback acts."""
     x1, x2 = x
     return np.array([
         x1 + p.ts * x2,
         x2 - p.ts * (p.rho0 / p.mass) * math.exp(-x1) * x1 - p.ts * (p.damping / p.mass) * x2,
     ])
-
-
-def cart_spring_step(x: np.ndarray, u: np.ndarray, p: CartSpringParams = CartSpringParams()) -> np.ndarray:
-    drift = _cart_drift(x, p)
-    drift[1] += (p.ts / p.mass) * u[0]
-    return drift
 
 
 def _buck_matrices(p: BuckBoostParams):
@@ -140,31 +130,17 @@ def _buck_matrices(p: BuckBoostParams):
     return a, b, c1, c2
 
 
-def buck_boost_step(x: np.ndarray, u: np.ndarray, p: BuckBoostParams = BuckBoostParams()) -> np.ndarray:
-    a, b, c1, c2 = _buck_matrices(p)
-    bilinear = np.array([x @ c1 @ u, x @ c2 @ u])
-    return a @ x + b @ u + bilinear
-
-
-def wmr_step(x: np.ndarray, u: np.ndarray, p: WmrParams = WmrParams()) -> np.ndarray:
-    x1, x2, x3 = x
-    return np.array([
-        x1 + u[0] * math.cos(x3) * p.ts,
-        x2 + u[0] * math.sin(x3) * p.ts,
-        x3 + u[1] * p.ts,
-    ])
-
-
 # ---------------------------------------------------------------------------
 # plant bundles
 # ---------------------------------------------------------------------------
 
 def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
+    # np.exp, not math.exp, so that step equals each batch_step row bit for bit.
     def step(x, u):
         x1, x2 = x
         return np.array([
             x1 + p.ts * x2,
-            x2 - p.ts * (p.rho0 / p.mass) * math.exp(-x1) * x1
+            x2 - p.ts * (p.rho0 / p.mass) * np.exp(-x1) * x1
             - p.ts * (p.damping / p.mass) * x2 + (p.ts / p.mass) * u[0],
         ])
 
@@ -234,17 +210,6 @@ def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
     return PlantModel(n=3, m=2, step=step, batch_step=batch_step,
                       equilibrium=(np.zeros(3), np.zeros(2)),
                       terminal_law=None, name="wmr")
-
-
-def terminal_control(plant: str, x: np.ndarray) -> np.ndarray:
-    """Published terminal feedback law of the named plant, if one exists."""
-    if plant == "cart-spring":
-        return cart_spring_model().terminal_law(np.asarray(x, dtype=np.float64))
-    if plant == "buck-boost":
-        return buck_boost_model().terminal_law(np.asarray(x, dtype=np.float64))
-    if plant == "wmr":
-        raise NoTerminalLawError("the wheeled mobile robot has no terminal feedback law")
-    raise ConfigError(f"unknown plant {plant!r}")
 
 
 def terminal_set(plant: str, level: Optional[float] = None) -> Optional[EllipsoidSet]:

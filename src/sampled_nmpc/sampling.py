@@ -138,12 +138,20 @@ def _grid_unit(count: int, dim: int) -> np.ndarray:
 
 
 def _halton_unit(start_index: int, count: int, dim: int) -> np.ndarray:
-    bases = first_primes(dim)
+    """Halton points ``start_index .. start_index+count-1``: ``radical_inverse``
+    run over an index array, one digit per pass and the same arithmetic, so
+    every entry equals the scalar value bit for bit (exhausted indices only
+    add exact zeros)."""
     out = np.empty((count, dim), dtype=np.float64)
-    for row in range(count):
-        idx = start_index + row
-        for d in range(dim):
-            out[row, d] = radical_inverse(idx, bases[d])
+    for d, base in enumerate(first_primes(dim)):
+        value = np.zeros(count, dtype=np.float64)
+        scale = 1.0 / base
+        i = np.arange(start_index, start_index + count, dtype=np.int64)
+        while i.any():
+            value += scale * (i % base)
+            i //= base
+            scale /= base
+        out[:, d] = value
     return out
 
 

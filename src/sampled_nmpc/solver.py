@@ -3,26 +3,31 @@ plus warm-start construction (oracle search, receding-horizon shift) and the
 closed-loop simulation driver.
 
 One solve walks the horizon positions from the last to the first.  At each
-position it draws samples from the input box, forms one candidate plan per
-sample by swapping that single position in the current reference plan, and
-evaluates all candidates against the reference snapshot taken at entry to the
-position: the cheapest strictly-improving feasible candidate (lowest sample
-index on ties; the reference survives ties) becomes the reference for the next
-position.  Because candidates within a position differ from the snapshot only
-at that position, this snapshot-then-reduce rule selects exactly the plan the
-sequential accept-if-cheaper loop would, while making results independent of
-how candidate evaluations are distributed over parallel lanes.
+position j it draws n_j samples from the input box and forms one candidate
+plan per sample by swapping that single position in the current reference
+plan.  The candidates are independent, so they are evaluated together: their
+states move forward as one (n_j, n) array through ``batch_step``, each batched
+step is followed by a row-wise feasibility mask, and the surviving rows are
+priced by the row cost kernels.  The cheapest strictly-improving feasible
+candidate (lowest sample index on ties; the reference survives ties) becomes
+the reference for the next position, which is the plan the sequential
+accept-if-cheaper loop would select.
 
-States and running stage-cost sums of the reference prefix are cached and
-reused; a candidate at position j only propagates states j+1..N.  Reported
-costs continue the cached left-to-right stage fold, so they equal a fresh
-``evaluate_cost`` of the returned plan bit for bit.
+Walking backwards never changes the reference before position j, so its
+states and stage-cost prefix come from the warm start once; a candidate at
+position j only propagates states j+1..N.  Each row's cost continues the
+prefix in the left-to-right order of ``evaluate_cost``, and every kernel
+gives a row the same bits as its scalar form, so the reported cost equals a
+fresh ``evaluate_cost`` of the returned plan bit for bit.
+
+The time budget is polled before each position and after each batched step.
+A position cut short keeps its reference, so an interrupted solve still
+returns a feasible plan no worse than the warm start.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -69,9 +74,11 @@ _ORACLE_BATCH = 1024
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve-time knobs: horizon, per-position sample counts (a scalar
-    broadcasts), the sampling scheme, parallel lane count, optional wall-clock
-    budget in seconds, infeasible-suffix pruning, the random-search budget for
-    oracle and append searches, and how warm starts are built."""
+    broadcasts), the sampling scheme, optional wall-clock budget in seconds,
+    infeasible-suffix pruning, the random-search budget for oracle and append
+    searches, and how warm starts are built.  ``lanes`` is only the p of the
+    complexity bounds: every solve evaluates a position's samples as one
+    batch, so the lane count never changes the computation."""
 
     horizon: int
     samples_per_step: int | Sequence[int] = 10
@@ -152,57 +159,6 @@ class RunLog:
     termination: str
 
 
-@dataclass
-class _Candidate:
-    index: int
-    feasible: bool
-    j_new: float
-    states_suffix: Optional[np.ndarray]  # states j+1..N when fully propagated
-    stage_suffix: Optional[np.ndarray]  # stage costs j..N-1 when evaluated
-    f_used: int
-    cost_used: int
-
-
-def _evaluate_candidate(index: int, j: int, sample: np.ndarray,
-                        ref_states: np.ndarray, ref_inputs: np.ndarray,
-                        model: PlantModel, constraints: ConstraintSpec,
-                        cost: CostSpec, prefix_j: float, pruning: bool,
-                        big_n: int) -> _Candidate:
-    """Propagate and price one single-position replacement at position j."""
-    f_used = 0
-    feasible = constraints.input_ok(sample)  # redundant for in-box samples
-    if pruning and not feasible:
-        return _Candidate(index, False, np.nan, None, None, 0, 0)
-    states_suffix = np.empty((big_n - j, model.n), dtype=np.float64)
-    stage_suffix = np.empty(big_n - j, dtype=np.float64)
-    stage_suffix[0] = cost.stage_cost(j, ref_states[j], sample)
-    x = ref_states[j]
-    u = sample
-    for i in range(j + 1, big_n + 1):
-        x = model.step(x, u)
-        f_used += 1
-        states_suffix[i - j - 1] = x
-        if i <= big_n - 1:
-            if feasible and not constraints.state_ok(x):
-                feasible = False
-                if pruning:
-                    return _Candidate(index, False, np.nan, None, None, f_used, 0)
-            u = ref_inputs[i]
-            stage_suffix[i - j] = cost.stage_cost(i, x, u)
-        else:
-            if feasible and not constraints.terminal_ok(x):
-                feasible = False
-    if pruning and not feasible:
-        return _Candidate(index, False, np.nan, None, None, f_used, 0)
-    # Continue the reference's left-to-right cost fold so the total matches
-    # evaluate_cost on the full candidate plan exactly.
-    total = prefix_j
-    for s in stage_suffix:
-        total = total + s
-    total = total + cost.terminal_cost(states_suffix[-1])
-    return _Candidate(index, feasible, total, states_suffix, stage_suffix, f_used, 1)
-
-
 def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  constraints: ConstraintSpec, cost: CostSpec, cfg: SolverConfig,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
@@ -224,83 +180,79 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         sampler_state = SamplerState(cfg.sampler)
 
     warm_traj = rollout(model, x, warm)
-    report = check_feasible(constraints, warm_traj, warm, 0)
+    report = check_feasible(constraints, warm_traj, warm)
     if not report.feasible:
         raise InfeasibleWarmStartError(
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
 
     ref_inputs = warm.inputs.copy()
-    ref_states = warm_traj.states.copy()
-    # stage_vals[i] is the stage cost at position i of the current reference;
-    # prefix[i] folds stage_vals[0..i-1] left to right.
-    stage_vals = np.empty(big_n, dtype=np.float64)
+    ref_states = warm_traj.states
+    # prefix[i] folds the warm start's stage costs 0..i-1 left to right.
+    warm_stages = cost.stage_costs(np.arange(big_n), ref_states[:big_n], ref_inputs)
     prefix = np.empty(big_n + 1, dtype=np.float64)
     prefix[0] = 0.0
     for i in range(big_n):
-        stage_vals[i] = cost.stage_cost(i, ref_states[i], ref_inputs[i])
-        prefix[i + 1] = prefix[i] + stage_vals[i]
+        prefix[i + 1] = prefix[i] + warm_stages[i]
     j_ref = prefix[big_n] + cost.terminal_cost(ref_states[big_n])
 
-    counts = cfg.sample_counts
     f_evals = 0
     cost_evals = 0
     improvements = 0
     budget_hit = False
-    executor = ThreadPoolExecutor(max_workers=cfg.lanes) if cfg.lanes > 1 else None
-    try:
-        for j in range(big_n - 1, -1, -1):
+    for j in range(big_n - 1, -1, -1):
+        if deadline is not None and time.perf_counter() >= deadline:
+            budget_hit = True
+            break
+        n_j = cfg.sample_counts[j]
+        if n_j == 0:
+            continue
+        samples = draw_samples(sampler_state, constraints.input_box, n_j)
+        steps = big_n - j
+        # Row b's input sequence from position j: its sample, then the reference.
+        inputs = np.empty((n_j, steps, model.m), dtype=np.float64)
+        inputs[:, 0] = samples
+        inputs[:, 1:] = ref_inputs[j + 1:]
+        states = np.empty((n_j, steps + 1, model.n), dtype=np.float64)
+        states[:, 0] = ref_states[j]
+        feasible = constraints.input_box.contains_rows(samples)  # in-box by construction
+        live = np.flatnonzero(feasible) if cfg.pruning else np.arange(n_j)
+        xs = states[live, 0]
+        for k in range(1, steps + 1):
+            if live.size == 0:
+                break
+            xs = model.batch_step(xs, inputs[live, k - 1])
+            f_evals += live.size
+            states[live, k] = xs
+            ok = (constraints.states_ok_rows(xs) if k < steps
+                  else constraints.terminal_ok_rows(xs))
+            if cfg.pruning:
+                live = live[ok]
+                xs = xs[ok]
+            else:
+                feasible &= ok
             if deadline is not None and time.perf_counter() >= deadline:
                 budget_hit = True
                 break
-            n_j = counts[j]
-            if n_j == 0:
-                continue
-            samples = draw_samples(sampler_state, constraints.input_box, n_j)
-
-            interrupted = [False]
-
-            def eval_range(lo: int, hi: int) -> list[_Candidate]:
-                out = []
-                for q in range(lo, hi):
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        interrupted[0] = True
-                        break
-                    out.append(_evaluate_candidate(
-                        q, j, samples[q], ref_states, ref_inputs, model,
-                        constraints, cost, prefix[j], cfg.pruning, big_n))
-                return out
-
-            if executor is None:
-                evaluated = eval_range(0, n_j)
-            else:
-                chunk = -(-n_j // cfg.lanes)
-                bounds = [(lo, min(lo + chunk, n_j)) for lo in range(0, n_j, chunk)]
-                evaluated = []
-                for part in executor.map(lambda b: eval_range(*b), bounds):
-                    evaluated.extend(part)
-                evaluated.sort(key=lambda c: c.index)
-
-            winner = None
-            for cand in evaluated:
-                f_evals += cand.f_used
-                cost_evals += cand.cost_used
-                if cand.feasible and cand.j_new < j_ref:
-                    if winner is None or cand.j_new < winner.j_new:
-                        winner = cand
-            if winner is not None:
-                ref_inputs[j] = samples[winner.index]
-                ref_states[j + 1:] = winner.states_suffix
-                stage_vals[j:] = winner.stage_suffix
-                for i in range(j, big_n):
-                    prefix[i + 1] = prefix[i] + stage_vals[i]
-                j_ref = winner.j_new
-                improvements += 1
-            if interrupted[0]:
-                budget_hit = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        if budget_hit:
+            break
+        if live.size == 0:
+            continue
+        # Price the rows still live (with pruning, exactly the feasible ones)
+        # in one call, then continue the prefix fold in evaluate_cost's order.
+        stages = cost.stage_costs(np.tile(np.arange(j, big_n), live.size),
+                                  states[live, :steps].reshape(-1, model.n),
+                                  inputs[live].reshape(-1, model.m)).reshape(live.size, steps)
+        totals = np.full(live.size, prefix[j])
+        for k in range(steps):
+            totals = totals + stages[:, k]
+        totals = totals + cost.terminal_costs(states[live, steps])
+        cost_evals += live.size
+        better = np.flatnonzero(feasible[live] & (totals < j_ref))
+        if better.size:
+            win = better[np.argmin(totals[better])]  # first minimum: lowest sample index
+            ref_inputs[j] = samples[live[win]]
+            j_ref = totals[win]
+            improvements += 1
 
     return SolveResult(plan=Plan(ref_inputs), j_sub=float(j_ref), f_evals=f_evals,
                        cost_evals=cost_evals, improvements=improvements,
@@ -340,7 +292,7 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         if hit is not None:
             plan = Plan(sequences[hit])
             traj = rollout(model, x, plan)
-            report = check_feasible(constraints, traj, plan, 0)
+            report = check_feasible(constraints, traj, plan)
             if not report.feasible:  # membership certificate re-checked
                 raise NoOracleError("oracle candidate failed re-certification")
             return plan
@@ -351,13 +303,6 @@ def _first_feasible_sequence(x: np.ndarray, sequences: np.ndarray,
                              model: PlantModel, constraints: ConstraintSpec) -> Optional[int]:
     """Index of the first row of (B, N, m) sequences feasible from x, else None."""
     batch, big_n, _ = sequences.shape
-    if model.batch_step is None:
-        for b in range(batch):
-            plan = Plan(sequences[b])
-            traj = rollout(model, x, plan)
-            if check_feasible(constraints, traj, plan, 0).feasible:
-                return b
-        return None
     alive = np.ones(batch, dtype=bool)
     states = np.broadcast_to(x, (batch, x.shape[0])).copy()
     # Dead rows keep stepping (cheaper than compaction); silence any overflow
@@ -404,7 +349,7 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
         appended = as_vector(model.terminal_law(prefix_states[-1]), model.m, "terminal input")
         candidate = shift_plan(plan_prev, appended)
         traj = rollout(model, x_new, candidate)
-        report = check_feasible(constraints, traj, candidate, 0)
+        report = check_feasible(constraints, traj, candidate)
         if not report.feasible:
             raise WarmStartFailureError(
                 f"terminal-controller warm start violates {report.violation_kind} "
@@ -419,21 +364,12 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
         batch = min(remaining, 256)
         remaining -= batch
         appends = draw_samples(sampler_state, constraints.input_box, batch)
-        if model.batch_step is not None:
-            finals = model.batch_step(np.broadcast_to(end_state, (batch, model.n)).copy(), appends)
-            ok = constraints.terminal_ok_rows(finals)
-            hits = np.nonzero(ok)[0]
-            pick = int(hits[0]) if hits.size else None
-        else:
-            pick = None
-            for b in range(batch):
-                if constraints.terminal_ok(model.step(end_state, appends[b])):
-                    pick = b
-                    break
-        if pick is not None:
-            candidate = shift_plan(plan_prev, appends[pick])
+        finals = model.batch_step(np.broadcast_to(end_state, (batch, model.n)).copy(), appends)
+        hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
+        if hits.size:
+            candidate = shift_plan(plan_prev, appends[hits[0]])
             traj = rollout(model, x_new, candidate)
-            report = check_feasible(constraints, traj, candidate, 0)
+            report = check_feasible(constraints, traj, candidate)
             if not report.feasible:
                 raise WarmStartFailureError(
                     f"shifted plan violates {report.violation_kind} at index "
@@ -473,7 +409,7 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
                 result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
             else:
                 traj = rollout(model, x, warm)
-                report = check_feasible(constraints, traj, warm, 0)
+                report = check_feasible(constraints, traj, warm)
                 if not report.feasible:
                     raise InfeasibleWarmStartError(
                         f"initial plan violates {report.violation_kind} at index "

@@ -122,7 +122,7 @@ class TestCheckFeasible:
         bench = make_benchmark("cart-spring", 4, None)
         plan = Plan(np.zeros((4, 1)))
         traj = rollout(bench.model, np.zeros(2), plan)
-        report = check_feasible(bench.constraints, traj, plan, 0)
+        report = check_feasible(bench.constraints, traj, plan)
         assert report.feasible and report.violation_index is None
 
     def test_oversized_input_flagged(self):
@@ -131,7 +131,7 @@ class TestCheckFeasible:
         inputs[2, 0] = 5.0  # |u| <= 4.5
         plan = Plan(inputs)
         traj = rollout(bench.model, np.zeros(2), plan)
-        report = check_feasible(bench.constraints, traj, plan, 0)
+        report = check_feasible(bench.constraints, traj, plan)
         assert not report.feasible
         assert report.violation_kind == "input-bound"
         assert report.violation_index == 2
@@ -141,31 +141,22 @@ class TestCheckFeasible:
         plan = Plan(np.zeros((4, 1)))
         traj = rollout(bench.model, np.array([2.6, 3.0]), plan)
         assert traj.states[1][0] == pytest.approx(2.6 + 0.4 * 3.0)
-        report = check_feasible(bench.constraints, traj, plan, 0)
+        report = check_feasible(bench.constraints, traj, plan)
         assert (report.feasible, report.violation_index, report.violation_kind) == \
             (False, 1, "state-box")
-
-    def test_from_index_skips_certified_prefix(self):
-        bench = make_benchmark("cart-spring", 4, None)
-        plan = Plan(np.zeros((4, 1)))
-        traj = rollout(bench.model, np.array([2.6, 3.0]), plan)
-        # pretend positions before 2 were certified: the index-1 violation is skipped,
-        # but the trajectory drifts far outside the box so index 2 still fails
-        report = check_feasible(bench.constraints, traj, plan, 2)
-        assert not report.feasible and report.violation_index == 2
 
     def test_terminal_violation_reported_at_horizon(self):
         bench = make_benchmark("cart-spring", 1, None)
         plan = Plan([[0.0]])
         traj = rollout(bench.model, np.array([1.0, 0.0]), plan)
-        report = check_feasible(bench.constraints, traj, plan, 0)
+        report = check_feasible(bench.constraints, traj, plan)
         assert (report.violation_index, report.violation_kind) == (1, "terminal")
 
     def test_obstacle_violation_kind(self, wmr5):
         plan = Plan(np.zeros((5, 2)))
         inside = np.array([0.0, 3.2, 0.0])  # inside the unit disc at (0, 3)
         traj = rollout(wmr5.model, inside, plan)
-        report = check_feasible(wmr5.constraints, traj, plan, 0)
+        report = check_feasible(wmr5.constraints, traj, plan)
         assert (report.violation_index, report.violation_kind) == (0, "obstacle")
 
     @given(st.integers(0, 4))
@@ -174,10 +165,10 @@ class TestCheckFeasible:
         bench = make_benchmark("cart-spring", 4, None)
         plan = Plan(np.zeros((4, 1)))
         traj = rollout(bench.model, np.zeros(2), plan)
-        assert check_feasible(bench.constraints, traj, plan, 0).feasible
+        assert check_feasible(bench.constraints, traj, plan).feasible
         states = traj.states.copy()
         states[idx] = [3.0, 0.0]  # outside |x1| <= 2.65 and outside the terminal set
-        report = check_feasible(bench.constraints, Trajectory(states), plan, 0)
+        report = check_feasible(bench.constraints, Trajectory(states), plan)
         assert not report.feasible
         assert report.violation_index == idx
         assert report.violation_kind == ("terminal" if idx == 4 else "state-box")

@@ -2,30 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampled_nmpc import (
     SamplerConfig,
     SamplerState,
-    buck_boost_step,
     calibrate_buck_terminal_level,
-    cart_spring_step,
     draw_samples,
     make_benchmark,
-    terminal_control,
     terminal_set,
-    wmr_step,
 )
-from sampled_nmpc.errors import ConfigError, NoTerminalLawError
+from sampled_nmpc.errors import ConfigError
 from sampled_nmpc.models import (
     BUCK_TERMINAL_LEVEL,
     BUCK_U_EQ,
     BUCK_X_EQ,
+    PLANT_IDS,
     BuckBoostParams,
     CART_P,
     CART_TERMINAL_LEVEL,
     CartSpringParams,
     WmrParams,
 )
+
+CART = make_benchmark("cart-spring", 1).model
+BUCK = make_benchmark("buck-boost", 1).model
+WMR = make_benchmark("wmr", 1).model
+
+# Where random rows are drawn: each plant's state box where it is bounded,
+# else a window wide enough to wrap the robot's heading more than once.
+STATE_WINDOWS = {
+    "cart-spring": ([-3.0, -6.0], [3.0, 6.0]),
+    "buck-boost": ([-0.1, 0.0], [22.5, 3.0]),
+    "wmr": ([-8.0, -8.0, -7.0], [8.0, 8.0, 7.0]),
+}
+
+
+def random_rows(bench, seed, count):
+    rng = np.random.default_rng(seed)
+    lo, hi = STATE_WINDOWS[bench.plant_id]
+    box = bench.constraints.input_box
+    return (rng.uniform(lo, hi, (count, bench.model.n)),
+            rng.uniform(box.lower, box.upper, (count, bench.model.m)))
 
 
 def halton_points_in_ellipsoid(ellipsoid, count):
@@ -44,22 +63,22 @@ def halton_points_in_ellipsoid(ellipsoid, count):
 
 class TestCartSpring:
     def test_origin_is_equilibrium(self):
-        assert np.array_equal(cart_spring_step(np.zeros(2), np.zeros(1)), np.zeros(2))
+        assert np.array_equal(CART.step(np.zeros(2), np.zeros(1)), np.zeros(2))
 
     def test_spring_term_only(self):
-        nxt = cart_spring_step(np.array([1.0, 0.0]), np.zeros(1))
+        nxt = CART.step(np.array([1.0, 0.0]), np.zeros(1))
         assert nxt[0] == 1.0
         assert nxt[1] == -0.4 * 0.33 * math.exp(-1.0)
 
     def test_force_term_only(self):
-        nxt = cart_spring_step(np.zeros(2), np.array([1.0]))
+        nxt = CART.step(np.zeros(2), np.array([1.0]))
         assert np.array_equal(nxt, np.array([0.0, 0.4]))
 
     def test_terminal_control_values(self):
-        assert terminal_control("cart-spring", np.zeros(2)) == pytest.approx([0.0])
+        assert CART.terminal_law(np.zeros(2)) == pytest.approx([0.0])
         drift = np.array([1.0, -0.4 * 0.33 * math.exp(-1.0)])
         expected = -(0.8783 * drift[0] + 1.1204 * drift[1])
-        assert terminal_control("cart-spring", np.array([1.0, 0.0]))[0] == pytest.approx(expected)
+        assert CART.terminal_law(np.array([1.0, 0.0]))[0] == pytest.approx(expected)
         assert expected == pytest.approx(-0.8239, abs=5e-4)
 
     def test_terminal_set_membership(self):
@@ -94,21 +113,21 @@ class TestCartSpring:
 
 class TestBuckBoost:
     def test_equilibrium_is_exact_fixed_point(self):
-        nxt = buck_boost_step(BUCK_X_EQ, BUCK_U_EQ)
+        nxt = BUCK.step(BUCK_X_EQ, BUCK_U_EQ)
         assert np.max(np.abs(nxt - BUCK_X_EQ)) < 1e-9
 
     def test_origin_maps_to_origin(self):
-        assert np.array_equal(buck_boost_step(np.zeros(2), np.zeros(2)), np.zeros(2))
+        assert np.array_equal(BUCK.step(np.zeros(2), np.zeros(2)), np.zeros(2))
 
     def test_linear_decay_of_inductor_current(self):
         p = BuckBoostParams()
-        nxt = buck_boost_step(np.array([0.0, 1.0]), np.zeros(2))
+        nxt = BUCK.step(np.array([0.0, 1.0]), np.zeros(2))
         assert nxt[0] == 0.0
         assert nxt[1] == pytest.approx(1.0 - p.ts * p.r_l / p.l_f, rel=1e-15)
         assert nxt[1] == pytest.approx(0.990909090909, rel=1e-9)
 
     def test_terminal_control_at_equilibrium(self):
-        assert np.array_equal(terminal_control("buck-boost", BUCK_X_EQ), BUCK_U_EQ)
+        assert np.array_equal(BUCK.terminal_law(BUCK_X_EQ), BUCK_U_EQ)
 
     def test_terminal_set_centered_at_equilibrium(self):
         ell = terminal_set("buck-boost")
@@ -139,20 +158,19 @@ class TestBuckBoost:
 
 class TestWmr:
     def test_straight_drive(self):
-        nxt = wmr_step(np.zeros(3), np.array([0.47, 0.0]))
+        nxt = WMR.step(np.zeros(3), np.array([0.47, 0.0]))
         np.testing.assert_allclose(nxt, [0.047, 0.0, 0.0], atol=1e-15)
 
     def test_zero_velocity_is_fixed_point(self):
         x = np.array([1.2, -3.4, 0.7])
-        assert np.array_equal(wmr_step(x, np.zeros(2)), x)
+        assert np.array_equal(WMR.step(x, np.zeros(2)), x)
 
     def test_sideways_drive(self):
-        nxt = wmr_step(np.array([0.0, 0.0, math.pi / 2]), np.array([1.0, 0.0]))
+        nxt = WMR.step(np.array([0.0, 0.0, math.pi / 2]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(nxt, [0.0, 0.1, math.pi / 2], atol=1e-15)
 
     def test_no_terminal_law(self):
-        with pytest.raises(NoTerminalLawError):
-            terminal_control("wmr", np.zeros(3))
+        assert WMR.terminal_law is None
         assert terminal_set("wmr") is None
 
     def test_params_validate(self):
@@ -208,12 +226,40 @@ class TestBenchmarkAssembly:
         bench = make_benchmark("wmr", 5, {"obstacle": None})
         assert bench.constraints.obstacles == ()
 
-    def test_batch_step_agrees_with_step(self):
-        rng = np.random.Generator(np.random.Philox(key=2))
-        for plant, n, m in (("cart-spring", 2, 1), ("buck-boost", 2, 2), ("wmr", 3, 2)):
-            bench = make_benchmark(plant, 3, None)
-            xs = rng.uniform(-1.0, 1.0, (16, n))
-            us = rng.uniform(0.0, 0.5, (16, m))
-            batch = bench.model.batch_step(xs, us)
-            rows = np.array([bench.model.step(x, u) for x, u in zip(xs, us)])
-            np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-15)
+    @given(st.sampled_from(PLANT_IDS), st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_step_agrees_with_step(self, plant, seed, count):
+        # bit for bit: the solver steps candidates in batches, rollout row by row
+        bench = make_benchmark(plant, 3, None)
+        xs, us = random_rows(bench, seed, count)
+        rows = np.array([bench.model.step(x, u) for x, u in zip(xs, us)])
+        assert np.array_equal(bench.model.batch_step(xs, us), rows)
+
+    @given(st.sampled_from(PLANT_IDS), st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_row_kernels_do_not_depend_on_the_batch(self, plant, seed, count, j):
+        bench = make_benchmark(plant, 3, None)
+        model, cost, cons = bench.model, bench.cost, bench.constraints
+        xs, us = random_rows(bench, seed, count)
+        kernels = {
+            "batch_step": model.batch_step,
+            "stage_costs": lambda x, u: cost.stage_costs(j, x, u),
+            "terminal_costs": lambda x, u: cost.terminal_costs(x),
+            "states_ok_rows": lambda x, u: cons.states_ok_rows(x),
+            "terminal_ok_rows": lambda x, u: cons.terminal_ok_rows(x),
+        }
+        order = np.random.default_rng(seed).permutation(count)
+        for name, kernel in kernels.items():
+            whole = kernel(xs, us)
+            assert np.array_equal(kernel(xs[order], us[order]), whole[order]), name
+            for i in range(count):
+                assert np.array_equal(kernel(xs[i:i + 1], us[i:i + 1])[0], whole[i]), name
+        assert cost.stage_cost(j, xs[0], us[0]) == cost.stage_costs(j, xs, us)[0]
+        assert cost.terminal_cost(xs[0]) == cost.terminal_costs(xs)[0]
+        # one stage index per row prices each row as its own stage would
+        stage_of_row = np.arange(count) % 3
+        mixed = cost.stage_costs(stage_of_row, xs, us)
+        for s in range(3):
+            rows = stage_of_row == s
+            assert np.array_equal(mixed[rows], cost.stage_costs(s, xs[rows], us[rows]))

@@ -102,6 +102,22 @@ class TestHaltonScheme:
         assert cells == list(range(2 ** k))
 
 
+    @given(st.integers(0, 2 ** 40), st.integers(1, 300), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_vectorized_points_equal_the_scalar_radical_inverse(self, skip, count, dim):
+        state = SamplerState(SamplerConfig(scheme="halton", skip=skip))
+        points = draw_samples(state, unit_box(dim), count)
+        bases = first_primes(dim)
+        expected = [[radical_inverse(skip + 1 + row, b) for b in bases] for row in range(count)]
+        assert np.array_equal(points, np.array(expected))
+
+    def test_matches_scipy_unscrambled_halton(self):
+        # scipy's sequence starts at index 0 (the origin); ours at index 1
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        points = draw_samples(SamplerState(SamplerConfig(scheme="halton")), unit_box(3), 5000)
+        assert np.array_equal(points, qmc.Halton(d=3, scramble=False).random(5001)[1:])
+
+
 class TestRandomScheme:
     def test_equal_seed_and_counter_reproduce(self):
         box = BoxSet(np.array([-4.5]), np.array([4.5]))

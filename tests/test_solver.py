@@ -1,5 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sampled_nmpc import (
     Plan,
@@ -23,6 +28,7 @@ from sampled_nmpc.errors import (
     NoTerminalLawError,
     WarmStartFailureError,
 )
+from sampled_nmpc import solver
 from sampled_nmpc.solver import SolveResult
 
 
@@ -30,11 +36,15 @@ def warm_cost(bench, x0, plan):
     return evaluate_cost(bench.cost, rollout(bench.model, x0, plan), plan)
 
 
-def brute_force_backward_sweep(bench, x0, warm, counts, sampler_cfg):
+def brute_force_backward_sweep(bench, x0, warm, counts, sampler_cfg, tally=None):
     """Independent reference for the improvement operation: exhaustive
     single-position replacements evaluated with fresh rollouts, walking the
     horizon backwards, accepting the cheapest strictly-improving feasible
-    candidate at each position (lowest sample index on ties)."""
+    candidate at each position (lowest sample index on ties).
+
+    A ``tally`` dict, when given, accumulates the counters of a pruned sweep:
+    a candidate at position j costs the steps up to its first violating state,
+    and a feasible one all N - j steps plus one cost evaluation."""
     state = SamplerState(sampler_cfg)
     reference = warm
     best = warm_cost(bench, x0, reference)
@@ -47,7 +57,11 @@ def brute_force_backward_sweep(bench, x0, warm, counts, sampler_cfg):
             inputs[j] = sample
             candidate = Plan(inputs)
             traj = rollout(bench.model, x0, candidate)
-            if not check_feasible(bench.constraints, traj, candidate, 0).feasible:
+            report = check_feasible(bench.constraints, traj, candidate)
+            if tally is not None:
+                tally["f_evals"] += (big_n if report.feasible else report.violation_index) - j
+                tally["cost_evals"] += int(report.feasible)
+            if not report.feasible:
                 continue
             value = evaluate_cost(bench.cost, traj, candidate)
             if value < best:
@@ -56,6 +70,30 @@ def brute_force_backward_sweep(bench, x0, warm, counts, sampler_cfg):
         if chosen is not None:
             reference = chosen
     return reference, best
+
+
+# Start states from which short horizons (N <= 4) usually admit a feasible
+# plan: near the cart's terminal set, near the converter's equilibrium, and
+# around the robot's benchmark start above the obstacle.
+START_WINDOWS = {
+    "cart-spring": ([-0.8, -0.8], [0.8, 0.8]),
+    "buck-boost": ([19.0, 0.2], [21.0, 0.8]),
+    "wmr": ([-1.0, 5.0, -1.0], [1.0, 7.0, 1.0]),
+}
+
+
+def solve_from_random_start(plant, horizon, seed, counts, scheme, pruning):
+    bench = make_benchmark(plant, horizon, None)
+    lo, hi = START_WINDOWS[plant]
+    x0 = np.random.default_rng(seed).uniform(lo, hi)
+    cfg = SolverConfig(horizon=horizon, samples_per_step=counts, pruning=pruning,
+                       sampler=SamplerConfig(scheme=scheme, seed=seed), oracle_budget=2048)
+    try:
+        warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+    except NoOracleError:
+        assume(False)
+    result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
+    return bench, x0, warm, cfg, result
 
 
 def cart_solver_cfg(**kw):
@@ -94,7 +132,7 @@ class TestImprovePlan:
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
         result = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost, cfg)
         traj = rollout(cart10.model, cart_x0, result.plan)
-        assert check_feasible(cart10.constraints, traj, result.plan, 0).feasible
+        assert check_feasible(cart10.constraints, traj, result.plan).feasible
 
     def test_matches_brute_force_small_instance(self):
         # short horizons need a start near the terminal set to admit any plan
@@ -150,7 +188,27 @@ class TestImprovePlan:
         assert result.budget_hit
         assert result.j_sub <= warm_cost(cart10, cart_x0, warm)
         traj = rollout(cart10.model, cart_x0, result.plan)
-        assert check_feasible(cart10.constraints, traj, result.plan, 0).feasible
+        assert check_feasible(cart10.constraints, traj, result.plan).feasible
+
+    def test_position_cut_short_keeps_its_reference(self, cart10, cart_x0, monkeypatch):
+        # A clock that ticks once per reading.  Readings: solve start, before
+        # position 9, after its one step, before position 8, after its first
+        # step; a 3.5-tick budget expires at that last reading.
+        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
+                           cart_solver_cfg())
+        last_only = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                                 cart_solver_cfg(samples_per_step=[0] * 8 + [10, 10],
+                                                 pruning=False))
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        cut = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                           cart_solver_cfg(time_budget=3.5, pruning=False))
+        assert last_only.improvements == 2  # position 8 would have improved the plan
+        assert cut.budget_hit
+        assert (cut.f_evals, cut.cost_evals, cut.improvements) == (20, 10, 1)
+        assert not np.array_equal(cut.plan.inputs, last_only.plan.inputs)
+        assert np.array_equal(cut.plan.inputs[:9], warm.inputs[:9])
+        assert cut.j_sub == warm_cost(cart10, cart_x0, cut.plan) < warm_cost(cart10, cart_x0, warm)
 
     def test_lanes_do_not_change_the_result(self, cart10, cart_x0):
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
@@ -163,6 +221,46 @@ class TestImprovePlan:
             assert results[0].j_sub == other.j_sub
             assert results[0].f_evals == other.f_evals
             assert results[0].cost_evals == other.cost_evals
+
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=4, max_size=4),
+           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_sweep(self, plant, horizon, seed, counts, scheme, pruning):
+        counts = counts[:horizon]
+        bench, x0, warm, cfg, result = solve_from_random_start(
+            plant, horizon, seed, counts, scheme, pruning)
+        tally = {"f_evals": 0, "cost_evals": 0}
+        expected_plan, expected = brute_force_backward_sweep(bench, x0, warm, counts,
+                                                             cfg.sampler, tally)
+        assert np.array_equal(result.plan.inputs, expected_plan.inputs)
+        assert result.j_sub == expected
+        assert result.j_sub == warm_cost(bench, x0, result.plan)
+        if pruning:
+            assert (result.f_evals, result.cost_evals) == (tally["f_evals"],
+                                                           tally["cost_evals"])
+
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=4, max_size=4),
+           st.sampled_from(["grid", "random", "halton"]))
+    @settings(max_examples=40, deadline=None)
+    def test_counters_match_closed_form_without_pruning(self, plant, horizon, seed, counts,
+                                                        scheme):
+        counts = counts[:horizon]
+        *_, result = solve_from_random_start(plant, horizon, seed, counts, scheme, False)
+        assert result.f_evals == sum((horizon - j) * n for j, n in enumerate(counts))
+        assert result.cost_evals == sum(counts)
+
+    def test_ties_keep_the_reference_then_the_lowest_sample_index(self):
+        # From the origin with N = 1 the cart's cost is even in u, so the grid
+        # samples -1.5 and +1.5 tie exactly (and tie the warm start +1.5).
+        bench = make_benchmark("cart-spring", 1, None)
+        cfg = SolverConfig(horizon=1, samples_per_step=4, sampler=SamplerConfig(scheme="grid"))
+        for warm, expected in (([[2.0]], [[-1.5]]), ([[1.5]], [[1.5]])):
+            result = improve_plan(np.zeros(2), Plan(warm), bench.model, bench.constraints,
+                                  bench.cost, cfg)
+            assert np.array_equal(result.plan.inputs, expected)
+            assert result.improvements == (warm != expected)
 
     def test_cost_monotone_over_positions(self, cart10, cart_x0):
         # sweeping one position at a time can only lower the reference cost
@@ -187,7 +285,7 @@ class TestFindOracle:
         cfg = cart_solver_cfg()
         plan = find_oracle(np.zeros(2), cart10.model, cart10.constraints, cart10.cost, cfg)
         traj = rollout(cart10.model, np.zeros(2), plan)
-        assert check_feasible(cart10.constraints, traj, plan, 0).feasible
+        assert check_feasible(cart10.constraints, traj, plan).feasible
 
     def test_zero_budget_raises(self, cart10, cart_x0):
         cfg = cart_solver_cfg(oracle_budget=0)
@@ -245,7 +343,7 @@ class TestMakeWarmStart:
         prev_end = rollout(cart10.model, cart_x0, prev.plan).states[-1]
         assert np.array_equal(warm.inputs[-1], cart10.model.terminal_law(prev_end))
         traj = rollout(cart10.model, x_new, warm)
-        assert check_feasible(cart10.constraints, traj, warm, 0).feasible
+        assert check_feasible(cart10.constraints, traj, warm).feasible
 
     def test_origin_appends_zero(self, cart10):
         cfg = cart_solver_cfg(samples_per_step=0)
@@ -263,7 +361,7 @@ class TestMakeWarmStart:
         x_new = wmr5.model.step(x0, prev.plan.inputs[0])
         warm = make_warm_start(prev, x_new, wmr5.model, wmr5.constraints, cfg)
         traj = rollout(wmr5.model, x_new, warm)
-        assert check_feasible(wmr5.constraints, traj, warm, 0).feasible
+        assert check_feasible(wmr5.constraints, traj, warm).feasible
 
     def test_terminal_controller_unavailable_for_wmr(self, wmr5):
         cfg = SolverConfig(horizon=5, samples_per_step=5,
