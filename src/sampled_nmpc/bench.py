@@ -391,25 +391,40 @@ def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -
 
 
 def validate_run(run_dir: str | os.PathLike) -> list[dict]:
-    """Re-check a finished run's CSV against the plant's constraint sets.
+    """Re-check a finished run's log against the plant and its constraint sets.
 
-    Returns one record per violation (empty when the log is clean).
+    Every logged state must lie in the state set and every logged input in
+    the input box.  Then the log is re-simulated: each row's state stepped
+    with its input must give the next row's state bit for bit (the CSV's
+    floats round-trip doubles), and the last row's must give summary.json's
+    final state, which must lie in the state set too.  Returns one record per
+    violation (empty when the log is clean).
     """
     run_dir = Path(run_dir)
     resolved = json.loads((run_dir / "config.resolved.json").read_text())
     resolved.pop("resolved", None)
     config = ExperimentConfig.from_dict(resolved)
     bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
-    n, m = bench.model.n, bench.model.m
-    violations = []
+    model, constraints = bench.model, bench.constraints
+    rows = []
     with (run_dir / "steps.csv").open(newline="") as fh:
         for row in csv.DictReader(fh):
-            k = int(row["k"])
-            x = np.array([float(row[f"x{i}"]) for i in range(n)])
-            u = np.array([float(row[f"u{i}"]) for i in range(m)])
-            kind = bench.constraints.state_violation_kind(x)
-            if kind is not None:
-                violations.append({"k": k, "kind": kind, "state": x.tolist()})
-            if not bench.constraints.input_ok(u):
-                violations.append({"k": k, "kind": "input-bound", "input": u.tolist()})
+            rows.append((int(row["k"]),
+                         np.array([float(row[f"x{i}"]) for i in range(model.n)]),
+                         np.array([float(row[f"u{i}"]) for i in range(model.m)])))
+    summary = json.loads((run_dir / "summary.json").read_text())
+    final = np.array(summary["final_state"], dtype=np.float64)
+    violations = []
+    for k, x, u in rows:
+        kind = constraints.state_violation_kind(x)
+        if kind is not None:
+            violations.append({"k": k, "kind": kind, "state": x.tolist()})
+        if not constraints.input_ok(u):
+            violations.append({"k": k, "kind": "input-bound", "input": u.tolist()})
+    successors = [x for _, x, _ in rows[1:]] + [final]
+    for (k, x, u), logged in zip(rows, successors):
+        if not np.array_equal(model.step(x, u), logged):
+            violations.append({"k": k, "kind": "resimulation", "state": logged.tolist()})
+    if not constraints.state_ok(final):
+        violations.append({"k": len(rows), "kind": "final-state-set", "state": final.tolist()})
     return violations

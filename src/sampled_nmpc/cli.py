@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="re-check a run log against the constraints")
+    p_val = sub.add_parser("validate", help="re-simulate a run log and re-check it against the constraints")
     p_val.add_argument("run_dir", help="directory holding steps.csv and config.resolved.json")
     p_val.set_defaults(func=_cmd_validate)
 

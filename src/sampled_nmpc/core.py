@@ -140,25 +140,37 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """A discrete-time plant x+ = step(x, u) with its dimensions and equilibrium.
+    """A discrete-time plant x+ = f(x, u) with its dimensions and equilibrium.
 
-    ``batch_step`` maps stacked states (B, n) and inputs (B, m) to stacked
-    successors.  Each of its rows must equal ``step`` on that row bit for bit,
-    whatever the batch size; the solver propagates candidates in batches while
-    ``rollout`` uses ``step``, and reported costs rely on the two agreeing.
-    When omitted it is filled with a row loop over ``step``.  ``terminal_law``
-    is the plant's local stabilizing feedback, if one is published.
+    ``batch_step`` is the plant map, written once: it maps stacked states
+    (B, n) and inputs (B, m) to stacked successors, and a row's result must
+    not depend on the batch size or on the other rows.  ``step`` maps one
+    state and input and is that map's one-row case, so the solver's batched
+    candidates, ``rollout`` and the closed loop all step the plant through
+    the same arithmetic.  ``terminal_law`` is the plant's local stabilizing
+    feedback, if one is published.
     """
 
     n: int
     m: int
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    batch_step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     equilibrium: tuple[np.ndarray, np.ndarray]
-    batch_step: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # Derived from batch_step when omitted; a wrapped copy may be passed in
+    # to instrument single steps.  dataclasses.replace copies the derived
+    # step too, so a copy with a new batch_step passes step=None to derive it
+    # again.
+    step: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     terminal_law: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def __post_init__(self):
+        if self.step is None:
+            batch_step = self.batch_step
+
+            def step(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+                return batch_step(x[np.newaxis], u[np.newaxis])[0]
+
+            object.__setattr__(self, "step", step)
         x_eq = as_vector(self.equilibrium[0], self.n, "equilibrium state")
         u_eq = as_vector(self.equilibrium[1], self.m, "equilibrium input")
         object.__setattr__(self, "equilibrium", (_frozen(x_eq), _frozen(u_eq)))
@@ -170,17 +182,6 @@ class PlantModel:
             raise ContractViolationError(
                 "declared equilibrium is not a fixed point of step "
                 f"(max deviation {np.max(np.abs(x_next - x_eq)):.3e})")
-        if self.batch_step is None:
-            object.__setattr__(self, "batch_step", _row_loop(self.step, self.n))
-
-
-def _row_loop(step: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int):
-    def batch_step(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        out = np.empty((xs.shape[0], n), dtype=np.float64)
-        for b in range(xs.shape[0]):
-            out[b] = step(xs[b], us[b])
-        return out
-    return batch_step
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ class BoxSet:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
     def contains(self, v: np.ndarray) -> bool:
-        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
+        return bool(self.contains_rows(v[np.newaxis])[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized membership over stacked rows."""
@@ -242,7 +243,7 @@ class EllipsoidSet:
         return float(_quadratic_rows(x[np.newaxis] - self.center, self.shape)[0])
 
     def contains(self, x: np.ndarray) -> bool:
-        return self.value(x) <= self.level
+        return bool(self.contains_rows(x[np.newaxis])[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         return _quadratic_rows(rows - self.center, self.shape) <= self.level
@@ -271,10 +272,7 @@ class ObstacleSet:
         object.__setattr__(self, "axes", (int(self.axes[0]), int(self.axes[1])))
 
     def admits(self, x: np.ndarray) -> bool:
-        a, b = self.axes
-        da = x[a] - self.center[0]
-        db = x[b] - self.center[1]
-        return da * da + db * db >= self.radius * self.radius
+        return bool(self.admits_rows(x[np.newaxis])[0])
 
     def admits_rows(self, rows: np.ndarray) -> np.ndarray:
         a, b = self.axes
@@ -307,12 +305,7 @@ class ConstraintSpec:
         return self.input_box.contains(u)
 
     def state_ok(self, x: np.ndarray) -> bool:
-        if not self.state_box.contains(x):
-            return False
-        for obs in self.obstacles:
-            if not obs.admits(x):
-                return False
-        return True
+        return bool(self.states_ok_rows(x[np.newaxis])[0])
 
     def state_violation_kind(self, x: np.ndarray) -> Optional[str]:
         """None when admissible, else which part of the state set failed."""
@@ -324,9 +317,7 @@ class ConstraintSpec:
         return None
 
     def terminal_ok(self, x: np.ndarray) -> bool:
-        if self.terminal is not None:
-            return self.terminal.contains(x)
-        return self.state_ok(x)
+        return bool(self.terminal_ok_rows(x[np.newaxis])[0])
 
     def states_ok_rows(self, rows: np.ndarray) -> np.ndarray:
         ok = self.state_box.contains_rows(rows)
@@ -467,19 +458,21 @@ def evaluate_cost(cost: CostSpec, traj: Trajectory, plan: Plan) -> float:
 
 
 def check_feasible(constraints: ConstraintSpec, traj: Trajectory, plan: Plan) -> FeasibilityReport:
-    """Sweep the horizon for the first constraint violation: states 0..N-1
+    """Find the first constraint violation along the horizon: states 0..N-1
     against the state set, every input against the input box, and the end
-    state against the terminal set."""
+    state against the terminal set.  At an index where both the state and
+    the input fail, the state's violation is reported."""
     big_n = plan.horizon
     if traj.horizon != big_n:
         raise ContractViolationError("trajectory and plan horizons disagree")
-    for i in range(big_n):
-        kind = constraints.state_violation_kind(traj.states[i])
-        if kind is not None:
-            return FeasibilityReport(False, i, kind)
-        if not constraints.input_ok(plan.inputs[i]):
-            return FeasibilityReport(False, i, "input-bound")
-    if not constraints.terminal_ok(traj.states[big_n]):
+    ok = (constraints.states_ok_rows(traj.states[:big_n])
+          & constraints.input_box.contains_rows(plan.inputs))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        kind = constraints.state_violation_kind(traj.states[i]) or "input-bound"
+        return FeasibilityReport(False, i, kind)
+    if not constraints.terminal_ok_rows(traj.states[big_n:])[0]:
         return FeasibilityReport(False, big_n, "terminal")
     return FeasibilityReport(True)
 

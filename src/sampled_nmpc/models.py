@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel
+from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
+                   _quadratic_rows)
 from .errors import ConfigError
 
 __all__ = [
@@ -113,15 +114,6 @@ class WmrParams:
 # plant step maps
 # ---------------------------------------------------------------------------
 
-def _cart_drift(x: np.ndarray, p: CartSpringParams) -> np.ndarray:
-    """Autonomous part of the cart map, on which the terminal feedback acts."""
-    x1, x2 = x
-    return np.array([
-        x1 + p.ts * x2,
-        x2 - p.ts * (p.rho0 / p.mass) * math.exp(-x1) * x1 - p.ts * (p.damping / p.mass) * x2,
-    ])
-
-
 def _buck_matrices(p: BuckBoostParams):
     a = np.eye(2) + p.ts * np.array([[-1.0 / (p.r_h * p.c_f), 0.0], [0.0, -p.r_l / p.l_f]])
     b = p.ts * np.array([[0.0, 0.0], [p.v_s / p.l_f, 0.0]])
@@ -135,15 +127,6 @@ def _buck_matrices(p: BuckBoostParams):
 # ---------------------------------------------------------------------------
 
 def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
-    # np.exp, not math.exp, so that step equals each batch_step row bit for bit.
-    def step(x, u):
-        x1, x2 = x
-        return np.array([
-            x1 + p.ts * x2,
-            x2 - p.ts * (p.rho0 / p.mass) * np.exp(-x1) * x1
-            - p.ts * (p.damping / p.mass) * x2 + (p.ts / p.mass) * u[0],
-        ])
-
     def batch_step(xs, us):
         x1, x2 = xs[:, 0], xs[:, 1]
         return np.stack([
@@ -152,10 +135,14 @@ def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
             - p.ts * (p.damping / p.mass) * x2 + (p.ts / p.mass) * us[:, 0],
         ], axis=1)
 
-    def terminal_law(x):
-        return np.array([-float(CART_KF_GAIN @ _cart_drift(x, p))])
+    zero_input = np.zeros((1, 1))
 
-    return PlantModel(n=2, m=1, step=step, batch_step=batch_step,
+    def terminal_law(x):
+        # The feedback acts on the autonomous part of the map: its row at u = 0.
+        drift = batch_step(x[np.newaxis], zero_input)[0]
+        return np.array([-float(CART_KF_GAIN @ drift)])
+
+    return PlantModel(n=2, m=1, batch_step=batch_step,
                       equilibrium=(np.zeros(2), np.zeros(1)),
                       terminal_law=terminal_law, name="cart-spring")
 
@@ -176,9 +163,6 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
     a, b, c1, c2 = _buck_matrices(p)
     x_eq, u_eq = buck_equilibrium(p)
 
-    def step(x, u):
-        return a @ x + b @ u + np.array([x @ c1 @ u, x @ c2 @ u])
-
     def batch_step(xs, us):
         bilinear = np.stack([xs @ c1, xs @ c2], axis=1)  # rows x'C1, x'C2 per item
         return xs @ a.T + us @ b.T + np.einsum("bij,bj->bi", bilinear, us)
@@ -186,20 +170,12 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
     def terminal_law(x):
         return u_eq + BUCK_K @ (x - x_eq)
 
-    return PlantModel(n=2, m=2, step=step, batch_step=batch_step,
+    return PlantModel(n=2, m=2, batch_step=batch_step,
                       equilibrium=(x_eq, u_eq),
                       terminal_law=terminal_law, name="buck-boost")
 
 
 def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
-    def step(x, u):
-        x1, x2, x3 = x
-        return np.array([
-            x1 + u[0] * math.cos(x3) * p.ts,
-            x2 + u[0] * math.sin(x3) * p.ts,
-            x3 + u[1] * p.ts,
-        ])
-
     def batch_step(xs, us):
         return np.stack([
             xs[:, 0] + us[:, 0] * np.cos(xs[:, 2]) * p.ts,
@@ -207,7 +183,7 @@ def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
             xs[:, 2] + us[:, 1] * p.ts,
         ], axis=1)
 
-    return PlantModel(n=3, m=2, step=step, batch_step=batch_step,
+    return PlantModel(n=3, m=2, batch_step=batch_step,
                       equilibrium=(np.zeros(3), np.zeros(2)),
                       terminal_law=None, name="wmr")
 
@@ -247,10 +223,8 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         if not (np.all(us >= 0.0) and np.all(us <= 1.0)):
             return False
         nxt = model.batch_step(xs, us)
-        d_now = xs - BUCK_X_EQ
-        d_nxt = nxt - BUCK_X_EQ
-        v_now = np.einsum("ij,jk,ik->i", d_now, BUCK_P, d_now)
-        v_nxt = np.einsum("ij,jk,ik->i", d_nxt, BUCK_P, d_nxt)
+        v_now = _quadratic_rows(xs - BUCK_X_EQ, BUCK_P)
+        v_nxt = _quadratic_rows(nxt - BUCK_X_EQ, BUCK_P)
         return bool(np.all(v_nxt <= level) and np.all(v_nxt <= v_now))
 
     lo = None

@@ -20,15 +20,22 @@ prefix in the left-to-right order of ``evaluate_cost``, and every kernel
 gives a row the same bits as its scalar form, so the reported cost equals a
 fresh ``evaluate_cost`` of the returned plan bit for bit.
 
-The time budget is polled before each position and after each batched step.
-A position cut short keeps its reference, so an interrupted solve still
-returns a feasible plan no worse than the warm start.
+Each plan is certified once, where it is built, with the row kernels that
+``check_feasible`` applies.  ``find_oracle`` returns the first row of its
+batched search that passes them; ``make_warm_start`` steps the shifted plan
+once and checks that trajectory; a candidate the sweep accepts has passed
+them on its own rows.  ``improve_plan`` also rolls out and checks the plan
+it is given on entry, because it accepts plans from callers.
+
+The time budget is polled before each position that draws samples and after
+each batched step.  A position cut short keeps its reference, so an
+interrupted solve still returns a feasible plan no worse than the warm start.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,9 +45,10 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
+    Trajectory,
     as_vector,
     check_feasible,
-    evaluate_cost,
+    evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
     rollout,
     shift_plan,
 )
@@ -200,12 +208,12 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     improvements = 0
     budget_hit = False
     for j in range(big_n - 1, -1, -1):
-        if deadline is not None and time.perf_counter() >= deadline:
-            budget_hit = True
-            break
         n_j = cfg.sample_counts[j]
         if n_j == 0:
             continue
+        if deadline is not None and time.perf_counter() >= deadline:
+            budget_hit = True
+            break
         samples = draw_samples(sampler_state, constraints.input_box, n_j)
         steps = big_n - j
         # Row b's input sequence from position j: its sample, then the reference.
@@ -271,8 +279,13 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
                 cost: CostSpec, cfg: SolverConfig) -> Plan:
     """Draw random full input sequences until one is feasible from x.
 
-    Deterministic for a given seed; raises NoOracleError when the budget is
-    exhausted (including a budget of zero).
+    Sequences are searched in batches; the first row whose states pass the
+    state set and whose end state passes the terminal set is returned.  That
+    search is the plan's certificate: it runs ``check_feasible``'s row
+    kernels on the bits a rollout of the plan gives, and the sampled inputs
+    lie in the input box by construction.  Deterministic for a given seed;
+    raises NoOracleError when the budget is exhausted (including a budget of
+    zero).
     """
     del cost  # the oracle only needs feasibility
     x = as_vector(x, model.n, "state")
@@ -290,12 +303,7 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         sequences = flat.reshape(batch, big_n, model.m)
         hit = _first_feasible_sequence(x, sequences, model, constraints)
         if hit is not None:
-            plan = Plan(sequences[hit])
-            traj = rollout(model, x, plan)
-            report = check_feasible(constraints, traj, plan)
-            if not report.feasible:  # membership certificate re-checked
-                raise NoOracleError("oracle candidate failed re-certification")
-            return plan
+            return Plan(sequences[hit])
     raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
 
 
@@ -324,10 +332,12 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     """Shift the previous plan and append a new last input.
 
     Mode 'terminal-controller' appends the terminal law evaluated at the
-    previous predicted end state; 'feasible-sample' tries sampled appends
-    until the shifted plan re-certifies; 'provided' (which only affects the
-    initial step) falls back to the terminal law when the plant has one.  The
-    returned plan is always re-certified end to end.
+    previous predicted end state; 'feasible-sample' appends the first sampled
+    input that steps that end state into the terminal set; 'provided' (which
+    only affects the initial step) falls back to the terminal law when the
+    plant has one.  The shifted prefix is stepped once from x_new and the
+    appended input's successor ends the trajectory; that trajectory is
+    checked once, and a violation raises WarmStartFailureError.
     """
     x_new = as_vector(x_new, model.n, "state")
     plan_prev = prev.plan
@@ -336,47 +346,44 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     if mode == "provided":
         mode = "terminal-controller" if model.terminal_law is not None else "feasible-sample"
 
-    # States of the shifted prefix from the new state; the last one equals the
-    # previous solve's predicted end state.
-    prefix_states = np.empty((big_n, model.n), dtype=np.float64)
-    prefix_states[0] = x_new
+    # Row i is the state i steps along the shifted plan from x_new; row N-1
+    # equals the previous solve's predicted end state.
+    states = np.empty((big_n + 1, model.n), dtype=np.float64)
+    states[0] = x_new
     for i in range(1, big_n):
-        prefix_states[i] = model.step(prefix_states[i - 1], plan_prev.inputs[i])
+        states[i] = model.step(states[i - 1], plan_prev.inputs[i])
+    end_state = states[big_n - 1]
 
     if mode == "terminal-controller":
         if model.terminal_law is None:
             raise NoTerminalLawError(f"plant {model.name or '?'} has no terminal law")
-        appended = as_vector(model.terminal_law(prefix_states[-1]), model.m, "terminal input")
-        candidate = shift_plan(plan_prev, appended)
-        traj = rollout(model, x_new, candidate)
-        report = check_feasible(constraints, traj, candidate)
-        if not report.feasible:
+        appended = as_vector(model.terminal_law(end_state), model.m, "terminal input")
+        states[big_n] = model.step(end_state, appended)
+    else:
+        if sampler_state is None:
+            sampler_state = SamplerState(cfg.sampler)
+        remaining = max(cfg.oracle_budget, 1)
+        while remaining > 0:
+            batch = min(remaining, 256)
+            remaining -= batch
+            appends = draw_samples(sampler_state, constraints.input_box, batch)
+            finals = model.batch_step(np.broadcast_to(end_state, (batch, model.n)).copy(), appends)
+            hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
+            if hits.size:
+                break
+        else:
             raise WarmStartFailureError(
-                f"terminal-controller warm start violates {report.violation_kind} "
-                f"at index {report.violation_index}")
-        return candidate
+                f"no feasible appended input within {cfg.oracle_budget} samples")
+        appended = appends[hits[0]]
+        states[big_n] = finals[hits[0]]
 
-    if sampler_state is None:
-        sampler_state = SamplerState(cfg.sampler)
-    end_state = prefix_states[-1]
-    remaining = max(cfg.oracle_budget, 1)
-    while remaining > 0:
-        batch = min(remaining, 256)
-        remaining -= batch
-        appends = draw_samples(sampler_state, constraints.input_box, batch)
-        finals = model.batch_step(np.broadcast_to(end_state, (batch, model.n)).copy(), appends)
-        hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
-        if hits.size:
-            candidate = shift_plan(plan_prev, appends[hits[0]])
-            traj = rollout(model, x_new, candidate)
-            report = check_feasible(constraints, traj, candidate)
-            if not report.feasible:
-                raise WarmStartFailureError(
-                    f"shifted plan violates {report.violation_kind} at index "
-                    f"{report.violation_index}; no appended input can repair it")
-            return candidate
-    raise WarmStartFailureError(
-        f"no feasible appended input within {cfg.oracle_budget} samples")
+    candidate = shift_plan(plan_prev, appended)
+    report = check_feasible(constraints, Trajectory(states), candidate)
+    if not report.feasible:
+        raise WarmStartFailureError(
+            f"{mode} warm start violates {report.violation_kind} "
+            f"at index {report.violation_index}")
+    return candidate
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
@@ -384,9 +391,10 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     """Simulate the receding-horizon loop for ``steps`` applied inputs.
 
     The first step seeds the solver with the provided plan (mode 'provided')
-    or a random oracle, optionally improving it; every later step shifts the
-    previous solution into a warm start and improves that.  Per-step elapsed
-    times include warm-start (and oracle) construction.
+    or a random oracle, optionally improving it (without improvement, a
+    solve with no samples certifies and prices it); every later step shifts
+    the previous solution into a warm start and improves that.  Per-step
+    elapsed times include warm-start (and oracle) construction.
     """
     x = as_vector(x0, model.n, "initial state")
     if steps < 0:
@@ -405,21 +413,11 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
                 warm = cfg.initial_plan
             else:
                 warm = find_oracle(x, model, constraints, cost, cfg)
-            if cfg.improve_initial:
-                result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
-            else:
-                traj = rollout(model, x, warm)
-                report = check_feasible(constraints, traj, warm)
-                if not report.feasible:
-                    raise InfeasibleWarmStartError(
-                        f"initial plan violates {report.violation_kind} at index "
-                        f"{report.violation_index}")
-                result = SolveResult(plan=warm, j_sub=evaluate_cost(cost, traj, warm),
-                                     f_evals=0, cost_evals=0, improvements=0,
-                                     elapsed=time.perf_counter() - t0, budget_hit=False)
+            solve_cfg = cfg if cfg.improve_initial else replace(cfg, samples_per_step=0)
         else:
             warm = make_warm_start(prev, x, model, constraints, cfg, sampler_state)
-            result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
+            solve_cfg = cfg
+        result = improve_plan(x, warm, model, constraints, cost, solve_cfg, sampler_state)
         elapsed = time.perf_counter() - t0
         u = result.plan.inputs[0].copy()
         records.append(StepRecord(k=k, state=x.copy(), applied_input=u,

@@ -212,6 +212,27 @@ class TestValidate:
         violations = validate_run(artifacts.run_dir)
         assert violations and violations[0]["kind"] == "state-box"
 
+    def test_corrupted_input_detected(self, tmp_path):
+        # an admissible but different input breaks the state chain after it
+        artifacts = run_experiment(cart_config(), str(tmp_path))
+        text = artifacts.csv_path.read_text().splitlines()
+        parts = text[2].split(",")
+        u = float(parts[3])
+        parts[3] = format(u - 1e-3 if u > 0 else u + 1e-3, ".17g")
+        text[2] = ",".join(parts)
+        artifacts.csv_path.write_text("\n".join(text) + "\n")
+        violations = validate_run(artifacts.run_dir)
+        assert [(v["k"], v["kind"]) for v in violations] == [(1, "resimulation")]
+
+    def test_corrupted_final_state_detected(self, tmp_path):
+        artifacts = run_experiment(cart_config(), str(tmp_path))
+        summary = json.loads(artifacts.summary_path.read_text())
+        summary["final_state"] = [3.0, 0.0]  # outside |x1| <= 2.65
+        artifacts.summary_path.write_text(json.dumps(summary))
+        violations = validate_run(artifacts.run_dir)
+        assert [(v["k"], v["kind"]) for v in violations] == [(3, "resimulation"),
+                                                               (4, "final-state-set")]
+
 
 class TestCli:
     def write_config(self, tmp_path, **kw):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,67 @@ from sampled_nmpc import (
     shift_plan,
 )
 from sampled_nmpc.errors import ContractViolationError
+from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_IDS
 
 TS, RHO0, MASS, DAMPING = 0.4, 0.33, 1.0, 1.1
+
+
+def scalar_sweep(constraints, traj, plan):
+    """Reference for check_feasible: a per-index scalar sweep with its own
+    scalar set tests (state then input at each index, then the end state)."""
+    def in_box(box, v):
+        return bool(np.all(v >= box.lower) and np.all(v <= box.upper))
+
+    def state_kind(x):
+        if not in_box(constraints.state_box, x):
+            return "state-box"
+        for obs in constraints.obstacles:
+            a, b = obs.axes
+            da = x[a] - obs.center[0]
+            db = x[b] - obs.center[1]
+            if not da * da + db * db >= obs.radius * obs.radius:
+                return "obstacle"
+        return None
+
+    big_n = plan.horizon
+    for i in range(big_n):
+        kind = state_kind(traj.states[i])
+        if kind is not None:
+            return (False, i, kind)
+        if not in_box(constraints.input_box, plan.inputs[i]):
+            return (False, i, "input-bound")
+    end = traj.states[big_n]
+    if constraints.terminal is None:
+        end_ok = state_kind(end) is None
+    else:
+        end_ok = constraints.terminal.value(end) <= constraints.terminal.level
+    return (True, None, None) if end_ok else (False, big_n, "terminal")
+
+
+# Windows a little wider than each plant's sets, so that a random row fails
+# now and then: states (the robot's around its obstacle disc), inputs, and
+# the end state around the terminal set's center.
+CHECK_WINDOWS = {
+    "cart-spring": (([-2.8, -4.0], [2.8, 4.0]), ([-0.8, -0.8], [0.8, 0.8])),
+    "buck-boost": (([-0.4, -0.1], [22.8, 3.1]), ([19.0, 0.0], [21.0, 1.0])),
+    "wmr": (([-2.0, 1.0, -3.0], [2.0, 5.0, 3.0]), ([-2.0, 1.0, -3.0], [2.0, 5.0, 3.0])),
+}
+
+
+def random_check_case(plant, horizon, seed, with_terminal):
+    overrides = None
+    if plant != "wmr":
+        level = BUCK_TERMINAL_LEVEL if plant == "buck-boost" else CART_TERMINAL_LEVEL
+        overrides = {"terminal_level": level if with_terminal else None}
+    bench = make_benchmark(plant, horizon, overrides)
+    rng = np.random.default_rng(seed)
+    (lo, hi), (end_lo, end_hi) = CHECK_WINDOWS[plant]
+    box = bench.constraints.input_box
+    margin = 0.05 * (box.upper - box.lower)
+    states = rng.uniform(lo, hi, (horizon + 1, bench.model.n))
+    states[horizon] = rng.uniform(end_lo, end_hi)
+    inputs = rng.uniform(box.lower - margin, box.upper + margin, (horizon, bench.model.m))
+    return bench.constraints, Trajectory(states), Plan(inputs)
 
 
 def cart_step_by_hand(x, u):
@@ -174,6 +234,27 @@ class TestCheckFeasible:
         assert report.violation_kind == ("terminal" if idx == 4 else "state-box")
 
 
+    @given(st.sampled_from(PLANT_IDS), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_sweep(self, plant, horizon, seed, with_terminal):
+        constraints, traj, plan = random_check_case(plant, horizon, seed, with_terminal)
+        report = check_feasible(constraints, traj, plan)
+        assert (report.feasible, report.violation_index, report.violation_kind) == \
+            scalar_sweep(constraints, traj, plan)
+
+    def test_reference_cases_reach_every_outcome(self):
+        outcomes = set()
+        for plant in PLANT_IDS:
+            for seed in range(60):
+                case = random_check_case(plant, 1 + seed % 8, seed, seed % 2 == 0)
+                report = check_feasible(*case)
+                assert (report.feasible, report.violation_index, report.violation_kind) == \
+                    scalar_sweep(*case)
+                outcomes.add(report.violation_kind)
+        assert outcomes == {None, "state-box", "obstacle", "input-bound", "terminal"}
+
+
 class TestShiftPlan:
     def test_shift_drops_head_appends_tail(self):
         plan = Plan(np.array([[1.0], [2.0], [3.0]]))
@@ -216,8 +297,15 @@ class TestTypeInvariants:
 
     def test_plant_model_rejects_wrong_equilibrium(self):
         with pytest.raises(ContractViolationError):
-            PlantModel(n=1, m=1, step=lambda x, u: x + 1.0,
+            PlantModel(n=1, m=1, batch_step=lambda xs, us: xs + 1.0,
                        equilibrium=(np.zeros(1), np.zeros(1)))
+
+    def test_step_is_the_one_row_case_of_batch_step(self):
+        model = PlantModel(n=1, m=1, batch_step=lambda xs, us: 0.5 * xs + us,
+                           equilibrium=(np.zeros(1), np.zeros(1)))
+        assert np.array_equal(model.step(np.array([2.0]), np.array([1.0])), [2.0])
+        rescaled = replace(model, batch_step=lambda xs, us: 0.25 * xs + 2.0 * us, step=None)
+        assert np.array_equal(rescaled.step(np.array([2.0]), np.array([1.0])), [2.5])
 
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ContractViolationError):

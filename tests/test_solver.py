@@ -319,14 +319,6 @@ class TestFindOracle:
         b = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, halton)
         assert np.array_equal(a.inputs, b.inputs)
 
-    def test_scalar_fallback_matches_batched_search(self, cart10, cart_x0):
-        from dataclasses import replace
-        cfg = cart_solver_cfg()
-        batched = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
-        scalar_model = replace(cart10.model, batch_step=None)
-        scalar = find_oracle(cart_x0, scalar_model, cart10.constraints, cart10.cost, cfg)
-        assert np.array_equal(batched.inputs, scalar.inputs)
-
 
 class TestMakeWarmStart:
     def _solve(self, bench, x0, cfg):
@@ -387,6 +379,58 @@ class TestMakeWarmStart:
         x_new = wmr5.model.step(x0, inputs[0])
         with pytest.raises(WarmStartFailureError):
             make_warm_start(prev, x_new, wmr5.model, wmr5.constraints, cfg)
+
+
+def passes_a_fresh_certificate(bench, x, plan):
+    return check_feasible(bench.constraints, rollout(bench.model, x, plan), plan).feasible
+
+
+class TestCertificates:
+    """Plans are certified once where they are built; a fresh rollout and
+    check_feasible of every returned plan must agree."""
+
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["terminal-controller", "feasible-sample"]))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_and_warm_start_plans_are_feasible(self, plant, horizon, seed, mode):
+        bench = make_benchmark(plant, horizon, None)
+        model = bench.model
+        assume(mode == "feasible-sample" or model.terminal_law is not None)
+        lo, hi = START_WINDOWS[plant]
+        x = np.random.default_rng(seed).uniform(lo, hi)
+        cfg = SolverConfig(horizon=horizon, samples_per_step=3, oracle_budget=2048,
+                           sampler=SamplerConfig(scheme="random", seed=seed),
+                           warm_start_mode=mode)
+        try:
+            plan = find_oracle(x, model, bench.constraints, bench.cost, cfg)
+        except NoOracleError:
+            assume(False)
+        assert passes_a_fresh_certificate(bench, x, plan)
+        sampler_state = SamplerState(cfg.sampler)
+        for _ in range(4):
+            prev = improve_plan(x, plan, model, bench.constraints, bench.cost, cfg,
+                                sampler_state)
+            x = model.step(x, prev.plan.inputs[0])
+            try:
+                plan = make_warm_start(prev, x, model, bench.constraints, cfg, sampler_state)
+            except WarmStartFailureError:
+                break
+            assert np.array_equal(plan.inputs[:-1], prev.plan.inputs[1:])
+            assert passes_a_fresh_certificate(bench, x, plan)
+
+    def test_failed_terminal_law_append_raises(self):
+        # From (2, 0) one step of the terminal law cannot reach the cart's
+        # terminal set, so the shifted one-step plan fails its certificate.
+        bench = make_benchmark("cart-spring", 1, None)
+        cfg = SolverConfig(horizon=1, samples_per_step=0)
+        x = np.array([2.0, 0.0])
+        prev = SolveResult(plan=Plan([[0.0]]), j_sub=0.0, f_evals=0, cost_evals=0,
+                           improvements=0, elapsed=0.0, budget_hit=False)
+        append = bench.model.terminal_law(x)
+        assert not passes_a_fresh_certificate(bench, x, Plan(append[np.newaxis]))
+        with pytest.raises(WarmStartFailureError, match="terminal at index 1"):
+            make_warm_start(prev, x, bench.model, bench.constraints, cfg)
 
 
 class TestClosedLoop:
@@ -456,6 +500,15 @@ class TestClosedLoop:
         oracle = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
         assert log.records[0].j_sub == warm_cost(cart10, cart_x0, oracle)
         assert log.records[0].f_evals == 0
+
+    def test_improve_initial_off_never_reports_budget_hit(self, cart10, cart_x0):
+        # the first period runs a sweep with no samples, which never polls
+        # the deadline, so an expired budget is reported only from period 1
+        cfg = cart_solver_cfg(improve_initial=False, time_budget=1e-12)
+        log = closed_loop(cart10.model, cart10.constraints, cart10.cost, cfg, cart_x0, 2)
+        first, second = log.records
+        assert not first.budget_hit and first.improvements == 0
+        assert second.budget_hit
 
 
 class TestSolverConfigValidation:
