@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,18 +38,10 @@ __all__ = [
     "resolve_output_root",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_ROOT_ENV = "SAMPLED_NMPC_OUT"
 
 CSV_FLOAT_FORMAT = ".17g"  # enough digits to round-trip doubles exactly
-
-_CONFIG_KEYS = {
-    "schema_version", "config_id", "plant", "horizon", "samples_per_step",
-    "sampler", "lanes", "steps", "initial_state", "time_budget_ms", "pruning",
-    "oracle_budget", "warm_start_mode", "improve_initial", "initial_plan",
-    "model_overrides", "repeats", "out_dir",
-}
-_SAMPLER_KEYS = {"scheme", "seed", "skip", "warp_power", "warp_anchor"}
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,6 @@ class ExperimentConfig:
     improve_initial: bool = True
     initial_plan: Optional[tuple[tuple[float, ...], ...]] = None
     model_overrides: dict = field(default_factory=dict)
-    repeats: int = 1
     out_dir: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
 
@@ -84,8 +75,6 @@ class ExperimentConfig:
             raise ConfigError(f"plant must be one of {PLANT_IDS}, got {self.plant!r}")
         if self.steps < 0:
             raise ConfigError("steps must be nonnegative")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
         if not isinstance(self.samples_per_step, int):
             object.__setattr__(self, "samples_per_step",
                                tuple(int(c) for c in self.samples_per_step))
@@ -100,7 +89,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"config_id", "plant", "horizon", "steps"} - set(raw)
@@ -108,11 +97,9 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         data = dict(raw)
         sampler_raw = data.pop("sampler", {})
-        unknown = set(sampler_raw) - _SAMPLER_KEYS
+        unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
         if unknown:
             raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
-        if sampler_raw.get("warp_anchor") is not None:
-            sampler_raw["warp_anchor"] = tuple(sampler_raw["warp_anchor"])
         try:
             sampler = SamplerConfig(**sampler_raw)
             return cls(sampler=sampler, **data)
@@ -131,10 +118,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        sampler = data.pop("sampler")
-        if sampler["warp_anchor"] is not None:
-            sampler["warp_anchor"] = list(sampler["warp_anchor"])
-        data["sampler"] = sampler
         if not isinstance(self.samples_per_step, int):
             data["samples_per_step"] = list(self.samples_per_step)
         if self.initial_state is not None:
@@ -149,22 +132,14 @@ class ExperimentConfig:
         """Apply command-line overrides, returning a new config."""
         updates: dict = {}
         if seed is not None:
-            sampler = asdict(self.sampler)
-            sampler["seed"] = seed
-            if sampler["warp_anchor"] is not None:
-                sampler["warp_anchor"] = tuple(sampler["warp_anchor"])
-            updates["sampler"] = SamplerConfig(**sampler)
+            updates["sampler"] = replace(self.sampler, seed=seed)
         if lanes is not None:
             updates["lanes"] = lanes
         if budget_ms is not None:
             updates["time_budget_ms"] = budget_ms
         if pruning is not None:
             updates["pruning"] = pruning
-        if not updates:
-            return self
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(updates)
-        return ExperimentConfig(**current)
+        return replace(self, **updates) if updates else self
 
 
 @dataclass(frozen=True)
@@ -235,7 +210,7 @@ def _write_step_csv(path: Path, log: RunLog, n: int, m: int) -> None:
 
 
 def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverConfig,
-               log: RunLog, elapsed_ms_runs: list[float]) -> dict:
+               log: RunLog) -> dict:
     n_list = list(solver_cfg.sample_counts)
     unit_model = complexity.CostModel()
     report = complexity.complexity_report(n_list, config.horizon, unit_model,
@@ -261,7 +236,7 @@ def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverCon
             "f_evals": sum(r.f_evals for r in recs),
             "cost_evals": sum(r.cost_evals for r in recs),
             "improvements": sum(r.improvements for r in recs),
-            "elapsed_ms": statistics.median(elapsed_ms_runs),
+            "elapsed_ms": sum(r.elapsed for r in recs) * 1e3,
         },
         "per_solve": per_solve,
         "complexity": {
@@ -275,7 +250,6 @@ def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverCon
             "predicted_f_evals_per_solve": report.predicted_f_evals,
             "predicted_cost_evals_per_solve": report.predicted_cost_evals,
         },
-        "timing_repeats": config.repeats,
     }
 
 
@@ -303,11 +277,6 @@ def run_experiment(config: ExperimentConfig, out_root: Optional[str] = None) -> 
     try:
         log = closed_loop(bench.model, bench.constraints, bench.cost,
                           solver_cfg, x0, config.steps)
-        elapsed_ms_runs = [sum(r.elapsed for r in log.records) * 1e3]
-        for _ in range(config.repeats - 1):
-            extra = closed_loop(bench.model, bench.constraints, bench.cost,
-                                solver_cfg, x0, config.steps)
-            elapsed_ms_runs.append(sum(r.elapsed for r in extra.records) * 1e3)
     except SampledNmpcError as exc:
         (run_dir / "error.json").write_text(json.dumps({
             "error": type(exc).__name__,
@@ -320,7 +289,7 @@ def run_experiment(config: ExperimentConfig, out_root: Optional[str] = None) -> 
     _write_step_csv(csv_path, log, bench.model.n, bench.model.m)
     summary_path = run_dir / "summary.json"
     summary_path.write_text(json.dumps(
-        _summarize(config, bench, solver_cfg, log, elapsed_ms_runs), indent=2) + "\n")
+        _summarize(config, bench, solver_cfg, log), indent=2) + "\n")
     return RunArtifacts(run_dir=run_dir, csv_path=csv_path,
                         summary_path=summary_path, resolved_config_path=resolved_path)
 

@@ -1,9 +1,9 @@
 """Command-line harness for the benchmark experiments.
 
-Subcommands: run one experiment, sweep several, validate a finished run log,
-calibrate per-operation unit costs, and dump Halton samples for audit.  Exit
-codes: 0 success, 2 configuration problem, 3 infeasibility or failed oracle
-search, 4 unexpected runtime error.
+Subcommands: run one experiment, sweep several, validate a finished run log
+and calibrate per-operation unit costs.  Exit codes: 0 success, 2
+configuration problem, 3 infeasibility or failed oracle search, 4 unexpected
+runtime error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, complexity
-from .core import BoxSet, Plan, evaluate_cost, rollout
+from .core import Plan, evaluate_cost, rollout
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -27,7 +27,6 @@ from .errors import (
     WarmStartFailureError,
 )
 from .models import PLANT_IDS, make_benchmark
-from .sampling import SamplerConfig, SamplerState, draw_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,35 +126,6 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _parse_box(spec: str) -> BoxSet:
-    """Parse 'lo,hi;lo,hi;...' into a box."""
-    lows, highs = [], []
-    for part in spec.split(";"):
-        pieces = part.split(",")
-        if len(pieces) != 2:
-            raise ConfigError(f"bad box coordinate {part!r}; expected 'lo,hi'")
-        lows.append(float(pieces[0]))
-        highs.append(float(pieces[1]))
-    return BoxSet(np.array(lows), np.array(highs))
-
-
-def _cmd_halton_dump(args) -> int:
-    if args.box:
-        box = _parse_box(args.box)
-    else:
-        box = BoxSet(np.zeros(args.dims), np.ones(args.dims))
-    state = SamplerState(SamplerConfig(scheme="halton", skip=args.skip))
-    points = draw_samples(state, box, args.count)
-    lines = [",".join(f"d{i}" for i in range(box.dim))]
-    lines += [",".join(format(v, bench.CSV_FLOAT_FORMAT) for v in row) for row in points]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sampled-nmpc",
                                      description="sampling-based suboptimal NMPC benchmarks")
@@ -181,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--repeats", type=int, default=1000)
     p_cal.add_argument("--out", default=None, help="also write the JSON report here")
     p_cal.set_defaults(func=_cmd_calibrate)
-
-    p_hd = sub.add_parser("halton-dump", help="emit leading Halton samples for audit")
-    p_hd.add_argument("--count", type=int, required=True)
-    p_hd.add_argument("--dims", type=int, default=1)
-    p_hd.add_argument("--skip", type=int, default=0)
-    p_hd.add_argument("--box", default=None, help="'lo,hi;lo,hi;...' (default: unit cube)")
-    p_hd.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p_hd.set_defaults(func=_cmd_halton_dump)
     return parser
 
 

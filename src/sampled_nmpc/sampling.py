@@ -1,6 +1,5 @@
 """Input-space sample generation: endpoint-inclusive grids, seeded random
-draws and Halton low-discrepancy points, with an optional density warp that
-concentrates samples around an anchor input.
+draws and Halton low-discrepancy points, each mapped affinely onto the box.
 """
 
 from __future__ import annotations
@@ -60,45 +59,29 @@ def derive_seed(seed: int, tag: int) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Which sampling scheme to use and its reproducibility knobs.
-
-    ``seed`` feeds the random scheme; ``skip`` discards that many initial
-    Halton points.  Setting ``warp_power`` > 1 (with an anchor input) warps the
-    unit samples so density piles up near the anchor; by default samples map
-    affinely onto the box.
-    """
+    """Which sampling scheme to use, and the seed of the random scheme."""
 
     scheme: str = "halton"
     seed: int = 0
-    skip: int = 0
-    warp_power: Optional[float] = None
-    warp_anchor: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ContractViolationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ContractViolationError("seed must fit in 64 unsigned bits")
-        if int(self.skip) < 0:
-            raise ContractViolationError("skip must be nonnegative")
-        if self.warp_power is not None:
-            if not (self.warp_power > 0.0):
-                raise ContractViolationError("warp_power must be positive")
-            if self.warp_anchor is None:
-                raise ContractViolationError("warp_power requires warp_anchor")
-            object.__setattr__(self, "warp_anchor", tuple(float(a) for a in self.warp_anchor))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "skip", int(self.skip))
 
 
 @dataclass
 class SamplerState:
     """A sampler plus its position in the sample stream.
 
-    ``counter`` counts samples emitted so far; two states with equal config and
-    counter produce identical output.  The random scheme binds to the first
-    input dimension it draws for and fast-forwards its generator to the
-    counter position on first use.
+    ``counter`` counts samples emitted so far and is the stream position: two
+    states with equal config and counter produce identical output, and a
+    state built with ``counter=c`` continues the stream at sample c.  Halton
+    point c is radical-inverse index c + 1.  The random scheme binds to the
+    first input dimension it draws for and, on first use, jumps its
+    counter-based generator to the counter position in O(1).
     """
 
     config: SamplerConfig
@@ -111,11 +94,11 @@ class SamplerState:
             key = np.random.SeedSequence((self.config.seed, 0)).generate_state(2, np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
             self._dim = dim
-            burn = self.counter * dim
-            while burn > 0:  # chunked fast-forward to the recorded position
-                take = min(burn, 1 << 16)
-                self._gen.random(take)
-                burn -= take
+            # Each double takes one 64-bit Philox output and one block holds
+            # four: jump whole blocks, then discard the rest of a partial one.
+            done = self.counter * dim
+            self._gen.bit_generator.advance(done // 4)
+            self._gen.random(done % 4)
         elif self._dim != dim:
             raise ContractViolationError(
                 f"sampler state already bound to dimension {self._dim}, asked for {dim}")
@@ -155,20 +138,9 @@ def _halton_unit(start_index: int, count: int, dim: int) -> np.ndarray:
     return out
 
 
-def _map_to_box(unit: np.ndarray, box: BoxSet, config: SamplerConfig) -> np.ndarray:
+def _map_to_box(unit: np.ndarray, box: BoxSet) -> np.ndarray:
     lo, hi = box.lower, box.upper
-    if config.warp_power is None:
-        vals = lo + unit * (hi - lo)
-    else:
-        anchor = np.asarray(config.warp_anchor, dtype=np.float64)
-        if anchor.shape != lo.shape:
-            raise ContractViolationError("warp_anchor dimension must match the box")
-        if not (np.all(anchor >= lo) and np.all(anchor <= hi)):
-            raise ContractViolationError("warp_anchor must lie inside the box")
-        signed = 2.0 * unit - 1.0
-        warped = np.sign(signed) * np.abs(signed) ** config.warp_power
-        vals = anchor + np.where(warped >= 0.0, warped * (hi - anchor), warped * (anchor - lo))
-    return np.clip(vals, lo, hi)
+    return np.clip(lo + unit * (hi - lo), lo, hi)
 
 
 def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:
@@ -190,9 +162,8 @@ def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:
     if scheme == "grid":
         unit = _grid_unit(count, dim)
     elif scheme == "halton":
-        start = state.config.skip + state.counter + 1  # radical inverse is 1-based
-        unit = _halton_unit(start, count, dim)
+        unit = _halton_unit(state.counter + 1, count, dim)  # radical inverse is 1-based
     else:
         unit = state._generator_for(dim).random((count, dim))
     state.counter += count
-    return _map_to_box(unit, box, state.config)
+    return _map_to_box(unit, box)

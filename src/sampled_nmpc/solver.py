@@ -73,7 +73,7 @@ __all__ = [
     "closed_loop",
 ]
 
-WARM_START_MODES = ("terminal-controller", "feasible-sample", "provided")
+WARM_START_MODES = ("terminal-controller", "feasible-sample")
 
 _ORACLE_STREAM_TAG = 1
 _ORACLE_BATCH = 1024
@@ -84,9 +84,12 @@ class SolverConfig:
     """Solve-time knobs: horizon, per-position sample counts (a scalar
     broadcasts), the sampling scheme, optional wall-clock budget in seconds,
     infeasible-suffix pruning, the random-search budget for oracle and append
-    searches, and how warm starts are built.  ``lanes`` is only the p of the
-    complexity bounds: every solve evaluates a position's samples as one
-    batch, so the lane count never changes the computation."""
+    searches, and how warm starts are built: ``initial_plan``, when given, is
+    the first period's warm start in place of the oracle search, and
+    ``warm_start_mode`` picks how each later one appends its last input.
+    ``lanes`` is only the p of the complexity bounds: every solve evaluates a
+    position's samples as one batch, so the lane count never changes the
+    computation."""
 
     horizon: int
     samples_per_step: int | Sequence[int] = 10
@@ -333,9 +336,8 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
 
     Mode 'terminal-controller' appends the terminal law evaluated at the
     previous predicted end state; 'feasible-sample' appends the first sampled
-    input that steps that end state into the terminal set; 'provided' (which
-    only affects the initial step) falls back to the terminal law when the
-    plant has one.  The shifted prefix is stepped once from x_new and the
+    input that steps that end state into the terminal set.  The shifted
+    prefix is stepped once from x_new and the
     appended input's successor ends the trajectory; that trajectory is
     checked once, and a violation raises WarmStartFailureError.
     """
@@ -343,8 +345,6 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     plan_prev = prev.plan
     big_n = plan_prev.horizon
     mode = cfg.warm_start_mode
-    if mode == "provided":
-        mode = "terminal-controller" if model.terminal_law is not None else "feasible-sample"
 
     # Row i is the state i steps along the shifted plan from x_new; row N-1
     # equals the previous solve's predicted end state.
@@ -390,8 +390,8 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
                 cfg: SolverConfig, x0: np.ndarray, steps: int) -> RunLog:
     """Simulate the receding-horizon loop for ``steps`` applied inputs.
 
-    The first step seeds the solver with the provided plan (mode 'provided')
-    or a random oracle, optionally improving it (without improvement, a
+    The first step starts from ``cfg.initial_plan`` when one is given, else
+    from a random oracle, optionally improving it (without improvement, a
     solve with no samples certifies and prices it); every later step shifts
     the previous solution into a warm start and improves that.  Per-step
     elapsed times include warm-start (and oracle) construction.
@@ -407,12 +407,8 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     for k in range(steps):
         t0 = time.perf_counter()
         if k == 0:
-            if cfg.warm_start_mode == "provided":
-                if cfg.initial_plan is None:
-                    raise ConfigError("warm_start_mode 'provided' requires initial_plan")
-                warm = cfg.initial_plan
-            else:
-                warm = find_oracle(x, model, constraints, cost, cfg)
+            warm = (cfg.initial_plan if cfg.initial_plan is not None
+                    else find_oracle(x, model, constraints, cost, cfg))
             solve_cfg = cfg if cfg.improve_initial else replace(cfg, samples_per_step=0)
         else:
             warm = make_warm_start(prev, x, model, constraints, cfg, sampler_state)

@@ -1,12 +1,14 @@
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from sampled_nmpc import ExperimentConfig, run_experiment, sweep, validate_run
 from sampled_nmpc.bench import OUTPUT_ROOT_ENV, resolve_output_root
-from sampled_nmpc.cli import main as cli_main
+from sampled_nmpc.cli import build_parser, main as cli_main
 from sampled_nmpc.errors import ConfigError
 from sampled_nmpc.sampling import SamplerConfig
 
@@ -51,6 +53,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"config_id": "x", "plant": "cart-spring",
                                         "horizon": 2, "steps": 1,
                                         "sampler": {"schema": "halton"}})
+
+    @pytest.mark.parametrize("removed", [{"repeats": 3}, {"sampler": {"skip": 2}},
+                                         {"sampler": {"warp_power": 2.0}}])
+    def test_removed_settings_rejected(self, removed):
+        raw = {"config_id": "x", "plant": "cart-spring", "horizon": 2, "steps": 1, **removed}
+        with pytest.raises(ConfigError, match="unknown"):
+            ExperimentConfig.from_dict(raw)
 
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):
@@ -137,6 +146,17 @@ class TestRunExperiment:
             run_experiment(config, str(tmp_path))
         error = json.loads((tmp_path / "doomed" / "error.json").read_text())
         assert error["error"] == "NoOracleError"
+
+    def test_initial_plan_is_applied_without_a_mode(self, tmp_path):
+        # from the equilibrium the zero plan costs nothing, so the first row
+        # applies its input; the oracle alone would apply a nonzero one
+        raw = cart_config(initial_state=(0.0, 0.0)).to_dict()
+        raw["initial_plan"] = [[0.0]] * 10
+        assert raw["warm_start_mode"] is None
+        artifacts = run_experiment(ExperimentConfig.from_dict(raw), str(tmp_path))
+        with artifacts.csv_path.open(newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["u0"]) == 0.0 and float(first["J_sub"]) == 0.0
 
     def test_summary_reports_complexity_predictions(self, tmp_path):
         config = cart_config(config_id="counters", samples_per_step=10, steps=2,
@@ -276,17 +296,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
 
-    def test_halton_dump(self, capsys):
-        assert cli_main(["halton-dump", "--count", "2", "--dims", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "d0,d1"
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.5, 1.0 / 3.0]
+    def test_provided_mode_exits_2(self, tmp_path):
+        path = self.write_config(tmp_path, warm_start_mode="provided")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
-    def test_halton_dump_with_box(self, capsys):
-        assert cli_main(["halton-dump", "--count", "1", "--box=-4.5,4.5"]) == 0
-        value = float(capsys.readouterr().out.splitlines()[1])
-        assert value == 0.0  # midpoint of the box at the first point
+    def test_validate_refuses_an_older_schema(self, tmp_path):
+        resolved = cart_config().to_dict()
+        resolved["schema_version"] = 1
+        (tmp_path / "config.resolved.json").write_text(json.dumps(resolved))
+        assert cli_main(["validate", str(tmp_path)]) == 2
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("sampled-nmpc ")]
+        assert len(commands) >= 4
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
 
     def test_calibrate_reports_unit_costs(self, tmp_path, capsys):
         out = tmp_path / "cal.json"

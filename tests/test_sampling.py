@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampled_nmpc import BoxSet, SamplerConfig, SamplerState, draw_samples, radical_inverse
@@ -87,12 +87,6 @@ class TestHaltonScheme:
         whole = draw_samples(SamplerState(SamplerConfig(scheme="halton")), unit_box(2), 6)
         assert np.array_equal(np.vstack([a, b]), whole)
 
-    def test_skip_discards_leading_points(self):
-        skipped = draw_samples(SamplerState(SamplerConfig(scheme="halton", skip=2)),
-                               unit_box(1), 2)
-        plain = draw_samples(SamplerState(SamplerConfig(scheme="halton")), unit_box(1), 4)
-        assert np.array_equal(skipped, plain[2:])
-
     @given(st.integers(1, 6))
     @settings(max_examples=6, deadline=None)
     def test_dyadic_coverage_through_box_mapping(self, k):
@@ -101,14 +95,14 @@ class TestHaltonScheme:
         cells = sorted(int(v * 2 ** k) for v in samples)
         assert cells == list(range(2 ** k))
 
-
     @given(st.integers(0, 2 ** 40), st.integers(1, 300), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_vectorized_points_equal_the_scalar_radical_inverse(self, skip, count, dim):
-        state = SamplerState(SamplerConfig(scheme="halton", skip=skip))
+    def test_vectorized_points_equal_the_scalar_radical_inverse(self, counter, count, dim):
+        state = SamplerState(SamplerConfig(scheme="halton"), counter=counter)
         points = draw_samples(state, unit_box(dim), count)
         bases = first_primes(dim)
-        expected = [[radical_inverse(skip + 1 + row, b) for b in bases] for row in range(count)]
+        expected = [[radical_inverse(counter + 1 + row, b) for b in bases]
+                    for row in range(count)]
         assert np.array_equal(points, np.array(expected))
 
     def test_matches_scipy_unscrambled_halton(self):
@@ -132,6 +126,25 @@ class TestRandomScheme:
         tail_live = draw_samples(live, box, 4)
         resumed = SamplerState(SamplerConfig(scheme="random", seed=5), counter=7)
         assert np.array_equal(draw_samples(resumed, box, 4), tail_live)
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3), st.integers(0, 20_000),
+           st.integers(1, 9))
+    @example(seed=0, dim=1, counter=5_000_003, count=5)
+    @example(seed=1, dim=3, counter=1001, count=7)
+    @settings(max_examples=60, deadline=None)
+    def test_resume_equals_burning_the_stream(self, seed, dim, counter, count):
+        # reference: a fresh generator that draws and discards counter * dim
+        # doubles, the samples a live stream would have emitted before
+        key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        burn = counter * dim
+        while burn > 0:
+            take = min(burn, 1 << 16)
+            gen.random(take)
+            burn -= take
+        expected = gen.random((count, dim))
+        resumed = SamplerState(SamplerConfig(scheme="random", seed=seed), counter=counter)
+        assert np.array_equal(draw_samples(resumed, unit_box(dim), count), expected)
 
     def test_different_seeds_differ(self):
         box = unit_box(1)
@@ -192,30 +205,3 @@ class TestDrawSamplesContract:
         assert samples.shape == (count, dim)
         assert np.all(samples >= box.lower) and np.all(samples <= box.upper)
         assert state.counter == count
-
-
-class TestDensityWarp:
-    def test_warp_requires_anchor(self):
-        with pytest.raises(ContractViolationError):
-            SamplerConfig(scheme="random", warp_power=2.0)
-
-    def test_anchor_must_sit_inside_box(self):
-        config = SamplerConfig(scheme="random", warp_power=2.0, warp_anchor=(5.0,))
-        with pytest.raises(ContractViolationError):
-            draw_samples(SamplerState(config), unit_box(1), 1)
-
-    def test_warp_concentrates_mass_near_anchor(self):
-        box = BoxSet(np.array([-1.0]), np.array([1.0]))
-        plain = draw_samples(SamplerState(SamplerConfig(scheme="random", seed=3)), box, 4000)
-        warped = draw_samples(SamplerState(SamplerConfig(
-            scheme="random", seed=3, warp_power=3.0, warp_anchor=(0.0,))), box, 4000)
-        assert np.median(np.abs(warped)) < 0.5 * np.median(np.abs(plain))
-        assert np.all(warped >= -1.0) and np.all(warped <= 1.0)
-
-    def test_warp_keeps_membership_and_determinism(self):
-        box = BoxSet(np.array([-0.47, -3.77]), np.array([0.47, 3.77]))
-        config = SamplerConfig(scheme="halton", warp_power=1.5, warp_anchor=(0.0, 0.0))
-        a = draw_samples(SamplerState(config), box, 64)
-        b = draw_samples(SamplerState(config), box, 64)
-        assert np.array_equal(a, b)
-        assert np.all(a >= box.lower) and np.all(a <= box.upper)

@@ -483,16 +483,26 @@ class TestClosedLoop:
 
     def test_provided_initial_plan(self, cart10):
         x0 = np.zeros(2)
-        cfg = cart_solver_cfg(warm_start_mode="provided",
-                              initial_plan=Plan(np.zeros((10, 1))),
-                              samples_per_step=0)
+        cfg = cart_solver_cfg(initial_plan=Plan(np.zeros((10, 1))), samples_per_step=0)
         log = closed_loop(cart10.model, cart10.constraints, cart10.cost, cfg, x0, 3)
         assert np.array_equal(log.states, np.zeros((4, 2)))
 
-    def test_provided_mode_requires_a_plan(self, cart10, cart_x0):
-        cfg = cart_solver_cfg(warm_start_mode="provided")
+    @pytest.mark.parametrize("mode", solver.WARM_START_MODES)
+    def test_initial_plan_replaces_the_oracle_in_every_mode(self, cart10, mode):
+        x0 = np.zeros(2)
+        given_plan = Plan(np.zeros((10, 1)))
+        cfg = cart_solver_cfg(warm_start_mode=mode, initial_plan=given_plan,
+                              improve_initial=False)
+        oracle = find_oracle(x0, cart10.model, cart10.constraints, cart10.cost, cfg)
+        assert oracle.inputs[0, 0] != 0.0  # the oracle alone would apply another input
+        log = closed_loop(cart10.model, cart10.constraints, cart10.cost, cfg, x0, 2)
+        first = log.records[0]
+        assert np.array_equal(first.applied_input, given_plan.inputs[0])
+        assert first.j_sub == warm_cost(cart10, x0, given_plan)
+
+    def test_provided_mode_is_rejected(self):
         with pytest.raises(ConfigError):
-            closed_loop(cart10.model, cart10.constraints, cart10.cost, cfg, cart_x0, 1)
+            cart_solver_cfg(warm_start_mode="provided")
 
     def test_improve_initial_off_keeps_oracle_cost(self, cart10, cart_x0):
         cfg = cart_solver_cfg(improve_initial=False)
