@@ -96,6 +96,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         data = dict(raw)
+        for key in ("sampler", "model_overrides"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(f"{key} must be a JSON object")
         sampler_raw = data.pop("sampler", {})
         unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
         if unknown:
@@ -164,12 +167,13 @@ def resolve_output_root(cli_out: Optional[str], config: ExperimentConfig) -> Pat
 
 
 def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.ndarray]:
-    bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
-    mode = config.warm_start_mode or bench.default_warm_start_mode
-    initial_plan = None
-    if config.initial_plan is not None:
-        initial_plan = Plan(np.asarray(config.initial_plan, dtype=np.float64))
     try:
+        # A malformed override value fails inside the plant's arithmetic.
+        bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
+        mode = config.warm_start_mode or bench.default_warm_start_mode
+        initial_plan = None
+        if config.initial_plan is not None:
+            initial_plan = Plan(np.asarray(config.initial_plan, dtype=np.float64))
         solver_cfg = SolverConfig(
             horizon=config.horizon,
             samples_per_step=config.samples_per_step,
@@ -182,7 +186,7 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
             improve_initial=config.improve_initial,
             initial_plan=initial_plan,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     x0 = np.asarray(config.initial_state if config.initial_state is not None
                     else bench.default_x0, dtype=np.float64)

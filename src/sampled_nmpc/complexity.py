@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractViolationError
 
@@ -51,7 +51,7 @@ class BoundSet(NamedTuple):
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Predictions for one solve next to its measured counters."""
+    """Predicted work of one solve; ``compare`` sets measured counters against it."""
 
     serial_exact: float
     serial_bound: float
@@ -59,8 +59,6 @@ class ComplexityReport:
     p_parallel: float
     predicted_f_evals: int
     predicted_cost_evals: int
-    measured_f_evals: Optional[int] = None
-    measured_cost_evals: Optional[int] = None
 
 
 def predicted_serial(n_list: Sequence[int], big_n: int, model: CostModel) -> float:
@@ -85,11 +83,10 @@ def predicted_bounds(n_bar: int, big_n: int, model: CostModel, p: int) -> BoundS
     return BoundSet(serial_bound, full_parallel, p_parallel)
 
 
-def complexity_report(n_list: Sequence[int], big_n: int, model: CostModel, p: int,
-                      measured_f_evals: Optional[int] = None,
-                      measured_cost_evals: Optional[int] = None) -> ComplexityReport:
-    """Bundle the exact prediction, the bounds at n_bar = max(n_j) and any
-    measured counters into one report."""
+def complexity_report(n_list: Sequence[int], big_n: int, model: CostModel,
+                      p: int) -> ComplexityReport:
+    """Bundle the exact prediction, the exact counters and the bounds at
+    n_bar = max(n_j) into one report."""
     n_list = [int(n) for n in n_list]
     n_bar = max(n_list) if n_list else 0
     bounds = predicted_bounds(n_bar, big_n, model, p)
@@ -100,8 +97,6 @@ def complexity_report(n_list: Sequence[int], big_n: int, model: CostModel, p: in
         p_parallel=bounds.p_parallel,
         predicted_f_evals=sum((big_n - j) * n for j, n in enumerate(n_list)),
         predicted_cost_evals=sum(n_list),
-        measured_f_evals=measured_f_evals,
-        measured_cost_evals=measured_cost_evals,
     )
 
 

@@ -127,10 +127,6 @@ class Trajectory:
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
-    @property
-    def state_dim(self) -> int:
-        return self.states.shape[1]
-
     def __len__(self) -> int:
         return self.states.shape[0]
 

@@ -18,7 +18,7 @@ class NoOracleError(SampledNmpcError):
 
 
 class WarmStartFailureError(SampledNmpcError):
-    """No feasible shifted-and-appended plan could be constructed for the next step."""
+    """The append search found no input stepping the predicted end state into the terminal set."""
 
 
 class NoTerminalLawError(SampledNmpcError):

@@ -303,8 +303,6 @@ class Benchmark:
     cost: CostSpec
     default_x0: np.ndarray
     default_warm_start_mode: str
-    default_samples: int
-    default_steps: int
 
 
 def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None) -> Benchmark:
@@ -325,8 +323,7 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
         level = pop_terminal(CART_TERMINAL_LEVEL)
         params = _apply_params(CartSpringParams(), overrides)
         return Benchmark(plant_id, cart_spring_model(params), _cart_constraints(level),
-                         _cart_cost(horizon), np.array([-2.5, 3.0]),
-                         "terminal-controller", 10, 20)
+                         _cart_cost(horizon), np.array([-2.5, 3.0]), "terminal-controller")
     if plant_id == "buck-boost":
         # Default runs without the terminal constraint: the calibrated
         # stand-in ellipsoid is too small to be reachable within the
@@ -337,7 +334,7 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
         x_eq, _ = buck_equilibrium(params)
         return Benchmark(plant_id, buck_boost_model(params), _buck_constraints(level),
                          _buck_cost(horizon, params), x_eq + np.array([1.0, 2.0]),
-                         "feasible-sample", 10, 100)
+                         "feasible-sample")
     if plant_id == "wmr":
         if "obstacle" in overrides:
             spec = overrides.pop("obstacle")
@@ -349,8 +346,7 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
             obstacle = _default_wmr_obstacle()
         params = _apply_params(WmrParams(obstacle=obstacle), overrides)
         return Benchmark(plant_id, wmr_model(params), _wmr_constraints(params.obstacle),
-                         _wmr_cost(horizon), np.array([0.0, 6.0, 0.0]),
-                         "feasible-sample", 30, 400)
+                         _wmr_cost(horizon), np.array([0.0, 6.0, 0.0]), "feasible-sample")
     raise ConfigError(f"unknown plant {plant_id!r}")
 
 

@@ -20,12 +20,13 @@ prefix in the left-to-right order of ``evaluate_cost``, and every kernel
 gives a row the same bits as its scalar form, so the reported cost equals a
 fresh ``evaluate_cost`` of the returned plan bit for bit.
 
-Each plan is certified once, where it is built, with the row kernels that
-``check_feasible`` applies.  ``find_oracle`` returns the first row of its
-batched search that passes them; ``make_warm_start`` steps the shifted plan
-once and checks that trajectory; a candidate the sweep accepts has passed
-them on its own rows.  ``improve_plan`` also rolls out and checks the plan
-it is given on entry, because it accepts plans from callers.
+Each plan is certified once, with the row kernels that ``check_feasible``
+applies.  ``find_oracle`` returns the first row of its batched search that
+passes them, and a candidate the sweep accepts has passed them on its own
+rows.  Every warm start (oracle, ``initial_plan`` or shift) is certified by
+``improve_plan``'s entry rollout and check.  A solve returns the predicted
+trajectory of its plan, so ``make_warm_start`` shifts the previous
+prediction instead of re-simulating it.
 
 The time budget is polled before each position that draws samples and after
 each batched step.  A position cut short keeps its reference, so an
@@ -45,7 +46,6 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
-    Trajectory,
     as_vector,
     check_feasible,
     evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
@@ -132,11 +132,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """One solve's outcome: the improved plan, its cost, exact work counters
-    (plant steps and full-cost evaluations spent on candidates), the number of
-    accepted replacements, wall time and whether the budget cut the sweep."""
+    """One solve's outcome: the improved plan, its predicted (N+1, n)
+    trajectory from the solve's state (read-only), its cost, exact work
+    counters (plant steps and full-cost evaluations spent on candidates), the
+    number of accepted replacements, wall time and whether the budget cut
+    the sweep."""
 
     plan: Plan
+    states: np.ndarray
     j_sub: float
     f_evals: int
     cost_evals: int
@@ -175,9 +178,10 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
     """Run one backward sweep of single-position sample replacements.
 
-    The warm start is re-verified on entry and rejected if infeasible.  The
-    returned cost never exceeds the warm start's cost, and the returned plan
-    is feasible even when the time budget interrupts the sweep.
+    The warm start is rolled out from x and checked on entry, its one
+    certificate, and rejected with InfeasibleWarmStartError if infeasible.
+    The returned cost never exceeds the warm start's cost, and the returned
+    plan is feasible even when the time budget interrupts the sweep.
     """
     t_start = time.perf_counter()
     deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
@@ -197,7 +201,7 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
 
     ref_inputs = warm.inputs.copy()
-    ref_states = warm_traj.states
+    ref_states = warm_traj.states.copy()
     # prefix[i] folds the warm start's stage costs 0..i-1 left to right.
     warm_stages = cost.stage_costs(np.arange(big_n), ref_states[:big_n], ref_inputs)
     prefix = np.empty(big_n + 1, dtype=np.float64)
@@ -262,11 +266,13 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         if better.size:
             win = better[np.argmin(totals[better])]  # first minimum: lowest sample index
             ref_inputs[j] = samples[live[win]]
+            ref_states[j + 1:] = states[live[win], 1:]
             j_ref = totals[win]
             improvements += 1
 
-    return SolveResult(plan=Plan(ref_inputs), j_sub=float(j_ref), f_evals=f_evals,
-                       cost_evals=cost_evals, improvements=improvements,
+    ref_states.setflags(write=False)
+    return SolveResult(plan=Plan(ref_inputs), states=ref_states, j_sub=float(j_ref),
+                       f_evals=f_evals, cost_evals=cost_evals, improvements=improvements,
                        elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
 
 
@@ -332,58 +338,34 @@ def _first_feasible_sequence(x: np.ndarray, sequences: np.ndarray,
 def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
                     constraints: ConstraintSpec, cfg: SolverConfig,
                     sampler_state: Optional[SamplerState] = None) -> Plan:
-    """Shift the previous plan and append a new last input.
+    """Shift the previous plan and append a new last input at the previous
+    predicted end state ``prev.states[-1]``.
 
-    Mode 'terminal-controller' appends the terminal law evaluated at the
-    previous predicted end state; 'feasible-sample' appends the first sampled
-    input that steps that end state into the terminal set.  The shifted
-    prefix is stepped once from x_new and the
-    appended input's successor ends the trajectory; that trajectory is
-    checked once, and a violation raises WarmStartFailureError.
+    Mode 'terminal-controller' appends the terminal law there;
+    'feasible-sample' appends the first sampled input that steps it into the
+    terminal set, raising WarmStartFailureError when the search budget runs
+    out.  x_new is the state the plan will be certified from: ``improve_plan``
+    rolls the shift out from x_new and raises InfeasibleWarmStartError if it
+    is infeasible.
     """
-    x_new = as_vector(x_new, model.n, "state")
-    plan_prev = prev.plan
-    big_n = plan_prev.horizon
-    mode = cfg.warm_start_mode
-
-    # Row i is the state i steps along the shifted plan from x_new; row N-1
-    # equals the previous solve's predicted end state.
-    states = np.empty((big_n + 1, model.n), dtype=np.float64)
-    states[0] = x_new
-    for i in range(1, big_n):
-        states[i] = model.step(states[i - 1], plan_prev.inputs[i])
-    end_state = states[big_n - 1]
-
-    if mode == "terminal-controller":
+    as_vector(x_new, model.n, "state")
+    end = prev.states[-1]
+    if cfg.warm_start_mode == "terminal-controller":
         if model.terminal_law is None:
             raise NoTerminalLawError(f"plant {model.name or '?'} has no terminal law")
-        appended = as_vector(model.terminal_law(end_state), model.m, "terminal input")
-        states[big_n] = model.step(end_state, appended)
-    else:
-        if sampler_state is None:
-            sampler_state = SamplerState(cfg.sampler)
-        remaining = max(cfg.oracle_budget, 1)
-        while remaining > 0:
-            batch = min(remaining, 256)
-            remaining -= batch
-            appends = draw_samples(sampler_state, constraints.input_box, batch)
-            finals = model.batch_step(np.broadcast_to(end_state, (batch, model.n)).copy(), appends)
-            hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
-            if hits.size:
-                break
-        else:
-            raise WarmStartFailureError(
-                f"no feasible appended input within {cfg.oracle_budget} samples")
-        appended = appends[hits[0]]
-        states[big_n] = finals[hits[0]]
-
-    candidate = shift_plan(plan_prev, appended)
-    report = check_feasible(constraints, Trajectory(states), candidate)
-    if not report.feasible:
-        raise WarmStartFailureError(
-            f"{mode} warm start violates {report.violation_kind} "
-            f"at index {report.violation_index}")
-    return candidate
+        return shift_plan(prev.plan, model.terminal_law(end))
+    if sampler_state is None:
+        sampler_state = SamplerState(cfg.sampler)
+    remaining = max(cfg.oracle_budget, 1)
+    while remaining > 0:
+        batch = min(remaining, 256)
+        remaining -= batch
+        appends = draw_samples(sampler_state, constraints.input_box, batch)
+        finals = model.batch_step(np.broadcast_to(end, (batch, model.n)).copy(), appends)
+        hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
+        if hits.size:
+            return shift_plan(prev.plan, appends[hits[0]])
+    raise WarmStartFailureError(f"no feasible appended input within {cfg.oracle_budget} samples")
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,

@@ -300,6 +300,17 @@ class TestCli:
         path = self.write_config(tmp_path, warm_start_mode="provided")
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("sampler", 5), ("sampler", "halton"), ("model_overrides", 5),
+        ("model_overrides", {"ts": "x"}), ("model_overrides", {"terminal_level": "x"})])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
+        raw = cart_config().to_dict()
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_validate_refuses_an_older_schema(self, tmp_path):
         resolved = cart_config().to_dict()
         resolved["schema_version"] = 1

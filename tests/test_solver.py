@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -209,6 +210,7 @@ class TestImprovePlan:
         assert not np.array_equal(cut.plan.inputs, last_only.plan.inputs)
         assert np.array_equal(cut.plan.inputs[:9], warm.inputs[:9])
         assert cut.j_sub == warm_cost(cart10, cart_x0, cut.plan) < warm_cost(cart10, cart_x0, warm)
+        assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan).states)
 
     def test_lanes_do_not_change_the_result(self, cart10, cart_x0):
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
@@ -236,6 +238,7 @@ class TestImprovePlan:
         assert np.array_equal(result.plan.inputs, expected_plan.inputs)
         assert result.j_sub == expected
         assert result.j_sub == warm_cost(bench, x0, result.plan)
+        assert np.array_equal(result.states, rollout(bench.model, x0, result.plan).states)
         if pruning:
             assert (result.f_evals, result.cost_evals) == (tally["f_evals"],
                                                            tally["cost_evals"])
@@ -339,8 +342,9 @@ class TestMakeWarmStart:
 
     def test_origin_appends_zero(self, cart10):
         cfg = cart_solver_cfg(samples_per_step=0)
-        prev = SolveResult(plan=Plan(np.zeros((10, 1))), j_sub=0.0, f_evals=0,
-                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+        prev = SolveResult(plan=Plan(np.zeros((10, 1))), states=np.zeros((11, 2)), j_sub=0.0,
+                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           budget_hit=False)
         warm = make_warm_start(prev, np.zeros(2), cart10.model, cart10.constraints, cfg)
         assert np.array_equal(warm.inputs, np.zeros((10, 1)))
 
@@ -359,26 +363,83 @@ class TestMakeWarmStart:
         cfg = SolverConfig(horizon=5, samples_per_step=5,
                            sampler=SamplerConfig(scheme="halton", seed=1),
                            warm_start_mode="terminal-controller")
-        prev = SolveResult(plan=Plan(np.zeros((5, 2))), j_sub=0.0, f_evals=0,
-                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+        prev = SolveResult(plan=Plan(np.zeros((5, 2))), states=np.zeros((6, 3)), j_sub=0.0,
+                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           budget_hit=False)
         with pytest.raises(NoTerminalLawError):
             make_warm_start(prev, np.zeros(3), wmr5.model, wmr5.constraints, cfg)
 
-    def test_unrepairable_shift_raises(self, wmr5):
+    def test_unrepairable_shift_raises(self):
         # previous plan parks the robot against the obstacle disc with its
         # certified prefix, then the shift exposes an inadmissible state
+        wmr2 = make_benchmark("wmr", 2, None)
         cfg = SolverConfig(horizon=2, samples_per_step=5,
                            sampler=SamplerConfig(scheme="halton", seed=1),
                            warm_start_mode="feasible-sample", oracle_budget=64)
         inputs = np.array([[0.47, 0.0], [0.47, 0.0]])
-        prev = SolveResult(plan=Plan(inputs), j_sub=0.0, f_evals=0, cost_evals=0,
-                           improvements=0, elapsed=0.0, budget_hit=False)
         # from (0, 4.05, -pi/2) driving straight down 0.047 per step: the first
         # two states are outside the disc, the third is inside
         x0 = np.array([0.0, 4.05, -np.pi / 2])
-        x_new = wmr5.model.step(x0, inputs[0])
+        prev = SolveResult(plan=Plan(inputs), states=rollout(wmr2.model, x0, Plan(inputs)).states,
+                           j_sub=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           budget_hit=False)
+        x_new = wmr2.model.step(x0, inputs[0])
+        warm = make_warm_start(prev, x_new, wmr2.model, wmr2.constraints, cfg)
+        assert np.array_equal(warm.inputs[0], inputs[1])
+        with pytest.raises(InfeasibleWarmStartError, match="obstacle at index 1"):
+            improve_plan(x_new, warm, wmr2.model, wmr2.constraints, wmr2.cost, cfg)
+
+    @staticmethod
+    def _counted(model):
+        calls = {"step": 0, "batch_step": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        counted = dataclasses.replace(model, step=counting("step", model.step),
+                                      batch_step=counting("batch_step", model.batch_step))
+        calls.update(step=0, batch_step=0)  # construction checks the equilibrium once
+        return counted, calls
+
+    def test_terminal_controller_steps_no_state(self, cart10, cart_x0):
+        cfg = cart_solver_cfg()
+        prev = self._solve(cart10, cart_x0, cfg)
+        x_new = cart10.model.step(cart_x0, prev.plan.inputs[0])
+        model, calls = self._counted(cart10.model)
+        make_warm_start(prev, x_new, model, cart10.constraints, cfg)
+        assert calls == {"step": 0, "batch_step": 0}
+
+    def test_feasible_sample_steps_one_batch_per_search_batch(self, cart10, cart_x0):
+        cfg = cart_solver_cfg(warm_start_mode="feasible-sample", oracle_budget=600)
+        prev = self._solve(cart10, cart_x0, cfg)
+        x_new = cart10.model.step(cart_x0, prev.plan.inputs[0])
+        model, calls = self._counted(cart10.model)
+        make_warm_start(prev, x_new, model, cart10.constraints, cfg)
+        assert calls == {"step": 0, "batch_step": 1}
+        # An end state far outside the terminal set exhausts the search: 600
+        # samples are drawn in batches of 256, 256 and 88.
+        far = dataclasses.replace(prev, states=np.vstack([prev.states[:-1], [[2.6, 3.0]]]))
         with pytest.raises(WarmStartFailureError):
-            make_warm_start(prev, x_new, wmr5.model, wmr5.constraints, cfg)
+            make_warm_start(far, x_new, model, cart10.constraints, cfg)
+        assert calls == {"step": 0, "batch_step": 4}
+
+    def test_measured_state_off_the_prediction(self, cart10, cart_x0):
+        # The appended input is taken at the predicted end state whatever the
+        # measured state; improve_plan certifies the shift from that state.
+        cfg = cart_solver_cfg()
+        prev = self._solve(cart10, cart_x0, cfg)
+        x_new = np.array([2.0, 2.0])
+        assert not np.array_equal(x_new, prev.states[1])
+        warm = make_warm_start(prev, x_new, cart10.model, cart10.constraints, cfg)
+        assert np.array_equal(warm.inputs[:-1], prev.plan.inputs[1:])
+        assert np.array_equal(warm.inputs[-1], cart10.model.terminal_law(prev.states[-1]))
+        report = check_feasible(cart10.constraints, rollout(cart10.model, x_new, warm), warm)
+        assert (report.violation_kind, report.violation_index) == ("state-box", 1)
+        with pytest.raises(InfeasibleWarmStartError, match="state-box at index 1"):
+            improve_plan(x_new, warm, cart10.model, cart10.constraints, cart10.cost, cfg)
 
 
 def passes_a_fresh_certificate(bench, x, plan):
@@ -386,8 +447,9 @@ def passes_a_fresh_certificate(bench, x, plan):
 
 
 class TestCertificates:
-    """Plans are certified once where they are built; a fresh rollout and
-    check_feasible of every returned plan must agree."""
+    """Oracle plans are certified where they are built and warm starts by
+    improve_plan's entry check; a fresh rollout and check_feasible of every
+    plan must agree."""
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1),
@@ -417,20 +479,26 @@ class TestCertificates:
             except WarmStartFailureError:
                 break
             assert np.array_equal(plan.inputs[:-1], prev.plan.inputs[1:])
-            assert passes_a_fresh_certificate(bench, x, plan)
+            if not passes_a_fresh_certificate(bench, x, plan):
+                with pytest.raises(InfeasibleWarmStartError):
+                    improve_plan(x, plan, model, bench.constraints, bench.cost, cfg,
+                                 sampler_state)
+                break
 
     def test_failed_terminal_law_append_raises(self):
-        # From (2, 0) one step of the terminal law cannot reach the cart's
+        # Near (2, 0) one step of the terminal law cannot reach the cart's
         # terminal set, so the shifted one-step plan fails its certificate.
         bench = make_benchmark("cart-spring", 1, None)
         cfg = SolverConfig(horizon=1, samples_per_step=0)
-        x = np.array([2.0, 0.0])
-        prev = SolveResult(plan=Plan([[0.0]]), j_sub=0.0, f_evals=0, cost_evals=0,
-                           improvements=0, elapsed=0.0, budget_hit=False)
-        append = bench.model.terminal_law(x)
-        assert not passes_a_fresh_certificate(bench, x, Plan(append[np.newaxis]))
-        with pytest.raises(WarmStartFailureError, match="terminal at index 1"):
-            make_warm_start(prev, x, bench.model, bench.constraints, cfg)
+        states = rollout(bench.model, np.array([2.0, 0.0]), Plan([[0.0]])).states
+        prev = SolveResult(plan=Plan([[0.0]]), states=states, j_sub=0.0, f_evals=0,
+                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+        x = states[-1]
+        warm = make_warm_start(prev, x, bench.model, bench.constraints, cfg)
+        assert np.array_equal(warm.inputs[0], bench.model.terminal_law(x))
+        assert not passes_a_fresh_certificate(bench, x, warm)
+        with pytest.raises(InfeasibleWarmStartError, match="terminal at index 1"):
+            improve_plan(x, warm, bench.model, bench.constraints, bench.cost, cfg)
 
 
 class TestClosedLoop:
