@@ -363,6 +363,23 @@ def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -
     return results
 
 
+def _read_run_file(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read run file {path}: {exc}") from exc
+
+
+def _read_run_json(path: Path) -> dict:
+    try:
+        data = json.loads(_read_run_file(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"run file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"run file {path} must hold a JSON object")
+    return data
+
+
 def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     """Re-check a finished run's log against the plant and its constraint sets.
 
@@ -371,21 +388,27 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     with its input must give the next row's state bit for bit (the CSV's
     floats round-trip doubles), and the last row's must give summary.json's
     final state, which must lie in the state set too.  Returns one record per
-    violation (empty when the log is clean).
+    violation (empty when the log is clean).  A missing or unreadable
+    ``config.resolved.json``, ``steps.csv`` or ``summary.json``, a JSON file
+    that does not parse to an object, or a CSV row with a missing or
+    malformed field raises ConfigError naming the file.
     """
     run_dir = Path(run_dir)
-    resolved = json.loads((run_dir / "config.resolved.json").read_text())
+    resolved = _read_run_json(run_dir / "config.resolved.json")
     resolved.pop("resolved", None)
     config = ExperimentConfig.from_dict(resolved)
     bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
     model, constraints = bench.model, bench.constraints
     rows = []
-    with (run_dir / "steps.csv").open(newline="") as fh:
-        for row in csv.DictReader(fh):
+    steps_path = run_dir / "steps.csv"
+    try:
+        for row in csv.DictReader(_read_run_file(steps_path).splitlines()):
             rows.append((int(row["k"]),
                          np.array([float(row[f"x{i}"]) for i in range(model.n)]),
                          np.array([float(row[f"u{i}"]) for i in range(model.m)])))
-    summary = json.loads((run_dir / "summary.json").read_text())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
+    summary = _read_run_json(run_dir / "summary.json")
     final = np.array(summary["final_state"], dtype=np.float64)
     violations = []
     for k, x, u in rows:

@@ -5,20 +5,37 @@ closed-loop simulation driver.
 One solve walks the horizon positions from the last to the first.  At each
 position j it draws n_j samples from the input box and forms one candidate
 plan per sample by swapping that single position in the current reference
-plan.  The candidates are independent, so they are evaluated together: their
-states move forward as one (n_j, n) array through ``batch_step``, each batched
-step is followed by a row-wise feasibility mask, and the surviving rows are
-priced by the row cost kernels.  The cheapest strictly-improving feasible
-candidate (lowest sample index on ties; the reference survives ties) becomes
-the reference for the next position, which is the plan the sequential
-accept-if-cheaper loop would select.
+plan.  The cheapest strictly-improving feasible candidate (lowest sample
+index on ties; the reference survives ties) becomes the reference for the
+next position.
 
-Walking backwards never changes the reference before position j, so its
-states and stage-cost prefix come from the warm start once; a candidate at
-position j only propagates states j+1..N.  Each row's cost continues the
-prefix in the left-to-right order of ``evaluate_cost``, and every kernel
-gives a row the same bits as its scalar form, so the reported cost equals a
-fresh ``evaluate_cost`` of the returned plan bit for bit.
+That sequential sweep is computed a window of positions at a time.  Every
+position's samples are drawn up front, in the sweep's order.  A window of
+consecutive pending positions is evaluated against the current reference:
+all its candidate rows move forward together through ``batch_step``, one
+call and one row-wise feasibility mask per time index, each row joining the
+batch at the last time index up to which its states are known.  A
+position that accepts no sample leaves the reference unchanged, so the
+highest position in the window with a cheaper row decides it and every
+window position above it exactly as the sequential sweep would.  The rows
+below keep their states up to that position and step again from there in
+the next round, against the new reference.  The window size comes from the
+solve's own acceptance rate (``_window_size``); any size gives the same
+result, and a size of one is the sequential sweep.
+
+Walking backwards never changes the reference before the accepted position,
+so the stage-cost prefix of the warm start serves every row.  Each row's cost
+continues the prefix in the left-to-right order of ``evaluate_cost``, and
+every kernel gives a row the same bits whatever the batch around it, so the
+reported cost equals a fresh ``evaluate_cost`` of the returned plan bit for
+bit.  ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential
+sweep's counts: with pruning, a candidate at position j costs the steps up
+to its first violating state; without, N - j steps and one cost evaluation.
+The plant steps actually made are at most K_max times the unpruned count
+sum_j (N - j) n_j, for the largest window K_max used: a row steps at most
+N - j times per round, and it is carried into another round only by an
+acceptance above it in its window, which decides at least one of the at
+most K_max - 1 positions there.
 
 Each plan is certified once, with the row kernels that ``check_feasible``
 applies.  ``find_oracle`` returns the first row of its batched search that
@@ -28,13 +45,16 @@ rows.  Every warm start (oracle, ``initial_plan`` or shift) is certified by
 trajectory of its plan, so ``make_warm_start`` shifts the previous
 prediction instead of re-simulating it.
 
-The time budget is polled before each position that draws samples and after
-each batched step.  A position cut short keeps its reference, so an
-interrupted solve still returns a feasible plan no worse than the warm start.
+The time budget is polled before each draw and after each batched step.
+A window cut short keeps the reference for every position it has not
+decided, and a budget that expires during the draws returns the warm start,
+so an interrupted solve still returns a feasible plan no worse than the warm
+start; its counters cover the decided positions only.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -87,8 +107,8 @@ class SolverConfig:
     searches, and how warm starts are built: ``initial_plan``, when given, is
     the first period's warm start in place of the oracle search, and
     ``warm_start_mode`` picks how each later one appends its last input.
-    ``lanes`` is only the p of the complexity bounds: every solve evaluates a
-    position's samples as one batch, so the lane count never changes the
+    ``lanes`` is only the p of the complexity bounds: every solve evaluates
+    its samples in batches, so the lane count never changes the
     computation."""
 
     horizon: int
@@ -133,10 +153,11 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """One solve's outcome: the improved plan, its predicted (N+1, n)
-    trajectory from the solve's state (read-only), its cost, exact work
-    counters (plant steps and full-cost evaluations spent on candidates), the
-    number of accepted replacements, wall time and whether the budget cut
-    the sweep."""
+    trajectory from the solve's state (read-only), its cost, the work
+    counters of the sequential sweep (plant steps and full-cost evaluations
+    it spends on candidates, whatever window sizes computed it), the number
+    of accepted replacements, wall time and whether the budget cut the
+    sweep."""
 
     plan: Plan
     states: np.ndarray
@@ -176,7 +197,8 @@ class RunLog:
 def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  constraints: ConstraintSpec, cost: CostSpec, cfg: SolverConfig,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
-    """Run one backward sweep of single-position sample replacements.
+    """Run one backward sweep of single-position sample replacements,
+    evaluated a window of positions at a time (see the module docstring).
 
     The warm start is rolled out from x and checked on entry, its one
     certificate, and rejected with InfeasibleWarmStartError if infeasible.
@@ -210,70 +232,157 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         prefix[i + 1] = prefix[i] + warm_stages[i]
     j_ref = prefix[big_n] + cost.terminal_cost(ref_states[big_n])
 
-    f_evals = 0
-    cost_evals = 0
-    improvements = 0
+    counts = cfg.sample_counts
+    positions = [j for j in range(big_n - 1, -1, -1) if counts[j]]
+    drawn = []
     budget_hit = False
-    for j in range(big_n - 1, -1, -1):
-        n_j = cfg.sample_counts[j]
-        if n_j == 0:
-            continue
+    for j in positions:
         if deadline is not None and time.perf_counter() >= deadline:
             budget_hit = True
             break
-        samples = draw_samples(sampler_state, constraints.input_box, n_j)
-        steps = big_n - j
-        # Row b's input sequence from position j: its sample, then the reference.
-        inputs = np.empty((n_j, steps, model.m), dtype=np.float64)
-        inputs[:, 0] = samples
-        inputs[:, 1:] = ref_inputs[j + 1:]
-        states = np.empty((n_j, steps + 1, model.n), dtype=np.float64)
-        states[:, 0] = ref_states[j]
-        feasible = constraints.input_box.contains_rows(samples)  # in-box by construction
-        live = np.flatnonzero(feasible) if cfg.pruning else np.arange(n_j)
-        xs = states[live, 0]
-        for k in range(1, steps + 1):
-            if live.size == 0:
+        drawn.append(draw_samples(sampler_state, constraints.input_box, counts[j]))
+
+    f_evals = 0
+    cost_evals = 0
+    improvements = 0
+    if drawn and not budget_hit:
+        samples = np.concatenate(drawn)
+        if not constraints.input_box.contains_rows(samples).all():
+            raise ContractViolationError("draw_samples returned an input outside the input box")
+        # One row per sample, highest position first; block[i] is the first
+        # row of positions[i].  Time-major arrays: row b's input at time t is
+        # its sample at pos[b] and the reference elsewhere, and its states
+        # before pos[b] are never written (zero), so pricing can read whole
+        # rectangles.  viol[b] is the index of the row's first violating
+        # state, N + 1 while it has none.
+        sizes = [counts[j] for j in positions]
+        block = [0, *itertools.accumulate(sizes)]
+        pos = np.repeat(positions, sizes)
+        inputs = np.empty((big_n, pos.size, model.m), dtype=np.float64)
+        inputs[:] = ref_inputs[:, np.newaxis]
+        inputs[pos, np.arange(pos.size)] = samples
+        states = np.zeros((big_n + 1, pos.size, model.n), dtype=np.float64)
+        viol = np.full(pos.size, big_n + 1)
+
+        lo = 0  # positions[:lo] are decided
+        hi = 0
+        carried = None  # (j_a, rows of positions[lo:hi] valid through time j_a)
+        while lo < len(positions):
+            fresh = hi if carried else lo
+            hi = min(len(positions), max(fresh, lo + _window_size(lo, improvements)))
+            # Groups in the order they join the batch: each fresh position at
+            # its own time, lowest first, then the carried rows at j_a.
+            groups = []
+            for i in range(hi - 1, fresh - 1, -1):
+                j = positions[i]
+                states[j, block[i]:block[i + 1]] = ref_states[j]
+                groups.append((j, np.arange(block[i], block[i + 1])))
+            if carried:
+                groups.append(carried)
+
+            live = np.empty(0, dtype=np.intp)
+            g = 0
+            for t in range(groups[0][0], big_n):
+                if g < len(groups) and groups[g][0] == t:
+                    live = np.concatenate((groups[g][1], live))
+                    g += 1
+                if live.size == 0:
+                    continue
+                # take() and a basic index first: much cheaper than fancy
+                # indexing for these small gathers.
+                xs = model.batch_step(states[t].take(live, 0), inputs[t].take(live, 0))
+                states[t + 1][live] = xs
+                ok = (constraints.states_ok_rows(xs) if t + 1 < big_n
+                      else constraints.terminal_ok_rows(xs))
+                if not ok.all():
+                    bad = live[~ok]
+                    if cfg.pruning:
+                        viol[bad] = t + 1
+                        live = live[ok]
+                    else:
+                        viol[bad] = np.minimum(viol[bad], t + 1)
+                if deadline is not None and time.perf_counter() >= deadline:
+                    budget_hit = True
+                    break
+            if budget_hit:
                 break
-            xs = model.batch_step(xs, inputs[live, k - 1])
-            f_evals += live.size
-            states[live, k] = xs
-            ok = (constraints.states_ok_rows(xs) if k < steps
-                  else constraints.terminal_ok_rows(xs))
-            if cfg.pruning:
-                live = live[ok]
-                xs = xs[ok]
-            else:
-                feasible &= ok
-            if deadline is not None and time.perf_counter() >= deadline:
-                budget_hit = True
-                break
-        if budget_hit:
-            break
-        if live.size == 0:
-            continue
-        # Price the rows still live (with pruning, exactly the feasible ones)
-        # in one call, then continue the prefix fold in evaluate_cost's order.
-        stages = cost.stage_costs(np.tile(np.arange(j, big_n), live.size),
-                                  states[live, :steps].reshape(-1, model.n),
-                                  inputs[live].reshape(-1, model.m)).reshape(live.size, steps)
-        totals = np.full(live.size, prefix[j])
-        for k in range(steps):
-            totals = totals + stages[:, k]
-        totals = totals + cost.terminal_costs(states[live, steps])
-        cost_evals += live.size
-        better = np.flatnonzero(feasible[live] & (totals < j_ref))
-        if better.size:
-            win = better[np.argmin(totals[better])]  # first minimum: lowest sample index
-            ref_inputs[j] = samples[live[win]]
-            ref_states[j + 1:] = states[live[win], 1:]
+
+            # With pruning every row still live is feasible; without, some
+            # stepped on past a violation.
+            done = live[viol[live] > big_n]
+            win = None
+            if done.size:
+                done_pos = pos[done]
+                totals = _price_rows(cost, prefix, done_pos, states.take(done, 1),
+                                     inputs.take(done, 1))
+                better = np.flatnonzero(totals < j_ref)
+                if better.size:
+                    # The highest position with a cheaper row accepts its
+                    # first minimum: lowest sample index on ties.
+                    j_a = done_pos[better[0]]
+                    better = better[done_pos[better] == j_a]
+                    win = better[np.argmin(totals[better])]
+
+            carried = None
+            if win is None:
+                lo = hi
+                continue
+            lo = positions.index(j_a, lo) + 1
+            ref_inputs[j_a] = samples[done[win]]
+            ref_states[j_a + 1:] = states[j_a + 1:, done[win]]
             j_ref = totals[win]
             improvements += 1
+            # Rows below j_a keep their states through time j_a and take the
+            # accepted input there.  Carried rows that failed by then stay
+            # failed; the others step again from j_a.
+            inputs[j_a, block[lo]:] = ref_inputs[j_a]
+            if lo < hi:
+                rows = np.arange(block[lo], block[hi])
+                rows = rows[viol[rows] > j_a]
+                viol[rows] = big_n + 1
+                carried = (j_a, rows)
+
+        # The counters are the sequential sweep's, over the decided positions.
+        swept = slice(0, block[lo])
+        if cfg.pruning:
+            f_evals = int(np.sum(np.minimum(viol[swept], big_n) - pos[swept]))
+            cost_evals = int(np.count_nonzero(viol[swept] > big_n))
+        else:
+            f_evals = int(np.sum(big_n - pos[swept]))
+            cost_evals = block[lo]
 
     ref_states.setflags(write=False)
     return SolveResult(plan=Plan(ref_inputs), states=ref_states, j_sub=float(j_ref),
                        f_evals=f_evals, cost_evals=cost_evals, improvements=improvements,
                        elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
+
+
+def _price_rows(cost: CostSpec, prefix: np.ndarray, starts: np.ndarray,
+                states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Total cost of each row of time-major (N+1, B, n) states and (N, B, m)
+    inputs whose stages before ``starts[b]`` are the reference's.
+
+    Each row continues ``prefix[starts[b]]`` in ``evaluate_cost``'s order,
+    with one call per cost kernel for all rows.  ``starts`` is nonincreasing,
+    so the rows with a stage at time t are a suffix; the stages priced before
+    a row's start are never read.
+    """
+    big_n, _, m = inputs.shape
+    times = np.arange(starts[-1], big_n)
+    stages = cost.stage_costs(np.repeat(times, starts.size),
+                              states[times[0]:big_n].reshape(-1, states.shape[2]),
+                              inputs[times[0]:].reshape(-1, m)).reshape(times.size, -1)
+    totals = prefix[starts]
+    for k, first in enumerate(np.searchsorted(-starts, -times)):
+        totals[first:] += stages[k, first:]
+    return totals + cost.terminal_costs(states[big_n])
+
+
+def _window_size(decided: int, accepted: int) -> int:
+    """Positions to evaluate in the next round: the positions decided per
+    acceptance so far, smoothed, so that a round usually spans about one
+    acceptance.  Any value of at least 1 gives the same result."""
+    return -(-(decided + 2) // (accepted + 1))
 
 
 def _oracle_stream(cfg: SolverConfig) -> SamplerState:

@@ -266,6 +266,20 @@ class TestCli:
         run_dir = json.loads(capsys.readouterr().out)["run_dir"]
         assert cli_main(["validate", run_dir]) == 0
 
+    @pytest.mark.parametrize("name, damage", [
+        ("config.resolved.json", None), ("steps.csv", None), ("summary.json", None),
+        ("summary.json", "{not json"), ("steps.csv", "k,x0\n0,1.0\n")])
+    def test_validate_of_an_incomplete_run_exits_2(self, tmp_path, capsys, name, damage):
+        path = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+        if damage is None:
+            (run_dir / name).unlink()
+        else:
+            (run_dir / name).write_text(damage)
+        assert cli_main(["validate", str(run_dir)]) == 2
+        assert name in json.loads(capsys.readouterr().err)["message"]
+
     def test_unreadable_config_exits_2(self, tmp_path):
         incomplete = tmp_path / "incomplete.json"
         incomplete.write_text("{}")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,10 @@ from sampled_nmpc.errors import (
     WarmStartFailureError,
 )
 from sampled_nmpc import solver
+from sampled_nmpc.bench import ExperimentConfig, _assemble
 from sampled_nmpc.solver import SolveResult
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def warm_cost(bench, x0, plan):
@@ -192,25 +196,88 @@ class TestImprovePlan:
         assert check_feasible(cart10.constraints, traj, result.plan).feasible
 
     def test_position_cut_short_keeps_its_reference(self, cart10, cart_x0, monkeypatch):
-        # A clock that ticks once per reading.  Readings: solve start, before
-        # position 9, after its one step, before position 8, after its first
-        # step; a 3.5-tick budget expires at that last reading.
+        # A clock that ticks once per reading.  An unlimited run counts the
+        # readings a whole solve takes; a budget of half of them expires in
+        # the middle of the sweep, after some positions have been decided.
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
                            cart_solver_cfg())
-        last_only = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                                 cart_solver_cfg(samples_per_step=[0] * 8 + [10, 10],
-                                                 pruning=False))
+        full = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                            cart_solver_cfg(pruning=False))
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                     cart_solver_cfg(time_budget=1e9, pruning=False))
+        readings = next(ticks)
+        ticks = itertools.count()
+        cut = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                           cart_solver_cfg(time_budget=readings // 2, pruning=False))
+        assert full.improvements >= 3
+        assert cut.budget_hit
+        assert 0 < cut.improvements < full.improvements
+        # Positions decided before the cut hold the inputs the whole sweep
+        # accepted there; every position below them keeps the warm input.
+        split = [d for d in range(1, 10)
+                 if np.array_equal(cut.plan.inputs[:d], warm.inputs[:d])
+                 and np.array_equal(cut.plan.inputs[d:], full.plan.inputs[d:])]
+        assert split
+        assert not np.array_equal(cut.plan.inputs, full.plan.inputs)
+        assert cut.j_sub == warm_cost(cart10, cart_x0, cut.plan) < warm_cost(cart10, cart_x0, warm)
+        assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan).states)
+
+    def test_budget_spent_on_draws_returns_the_warm_start(self, cart10, cart_x0, monkeypatch):
+        # Readings: solve start, then one before each of the ten draws; a
+        # 3.5-tick budget expires before the fourth draw.
+        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
+                           cart_solver_cfg())
         ticks = itertools.count()
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
         cut = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg(time_budget=3.5, pruning=False))
-        assert last_only.improvements == 2  # position 8 would have improved the plan
+                           cart_solver_cfg(time_budget=3.5))
         assert cut.budget_hit
-        assert (cut.f_evals, cut.cost_evals, cut.improvements) == (20, 10, 1)
-        assert not np.array_equal(cut.plan.inputs, last_only.plan.inputs)
-        assert np.array_equal(cut.plan.inputs[:9], warm.inputs[:9])
-        assert cut.j_sub == warm_cost(cart10, cart_x0, cut.plan) < warm_cost(cart10, cart_x0, warm)
-        assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan).states)
+        assert np.array_equal(cut.plan.inputs, warm.inputs)
+        assert (cut.f_evals, cut.cost_evals, cut.improvements) == (0, 0, 0)
+        assert cut.j_sub == warm_cost(cart10, cart_x0, warm)
+
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
+           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_window_size_never_changes_the_result(self, plant, horizon, seed, counts, scheme,
+                                                  pruning):
+        counts = counts[:horizon]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_window_size", lambda decided, accepted: 1)
+            bench, x0, warm, cfg, sequential = solve_from_random_start(
+                plant, horizon, seed, counts, scheme, pruning)
+            for k in (2, 3, horizon):
+                mp.setattr(solver, "_window_size", lambda decided, accepted: k)
+                result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
+                assert np.array_equal(result.plan.inputs, sequential.plan.inputs)
+                assert np.array_equal(result.states, sequential.states)
+                assert (result.j_sub, result.f_evals, result.cost_evals, result.improvements,
+                        result.budget_hit) == (sequential.j_sub, sequential.f_evals,
+                                               sequential.cost_evals, sequential.improvements,
+                                               sequential.budget_hit)
+
+    def test_window_size_follows_the_acceptance_rate(self):
+        # About the positions decided per acceptance, smoothed: two positions
+        # before anything is known, more while nothing is accepted.
+        assert [solver._window_size(d, a) for d, a in ((0, 0), (2, 0), (8, 0), (4, 1),
+                                                       (10, 5), (9, 9))] == [2, 4, 10, 3, 2, 2]
+
+    def test_windows_make_fewer_batched_calls_than_the_sequential_sweep(self):
+        # The sequential sweep at N = 50, ten samples everywhere, makes one
+        # batched step per position and time index its rows reach: 1275
+        # calls from this start, where no position's rows all fail.
+        config = ExperimentConfig.load(CONFIG_DIR / "cart_horizon_050.json")
+        bench, cfg, x0 = _assemble(config)
+        warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+        calls = []
+        counted = dataclasses.replace(
+            bench.model, batch_step=lambda xs, us: calls.append(xs.shape[0])
+            or bench.model.batch_step(xs, us))
+        improve_plan(x0, warm, counted, bench.constraints, bench.cost, cfg)
+        assert len(calls) < sum(50 - j for j in range(50))
 
     def test_lanes_do_not_change_the_result(self, cart10, cart_x0):
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
