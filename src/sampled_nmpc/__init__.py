@@ -36,7 +36,6 @@ from .complexity import (
     ComplexityReport,
     CostModel,
     calibrate_cost_model,
-    compare,
     complexity_report,
     predicted_bounds,
     predicted_serial,

@@ -103,6 +103,16 @@ class ExperimentConfig:
         unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
         if unknown:
             raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
+        # JSON integers only: a float or a string would be truncated or split.
+        counts = data.get("samples_per_step", 0)
+        integers = [(key, data.get(key, 0))
+                    for key in ("horizon", "steps", "lanes", "oracle_budget")]
+        integers += [("samples_per_step", c) for c in (counts if isinstance(counts, list)
+                                                       else [counts])]
+        integers.append(("sampler.seed", sampler_raw.get("seed", 0)))
+        for key, value in integers:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         try:
             sampler = SamplerConfig(**sampler_raw)
             return cls(sampler=sampler, **data)
@@ -390,8 +400,9 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     final state, which must lie in the state set too.  Returns one record per
     violation (empty when the log is clean).  A missing or unreadable
     ``config.resolved.json``, ``steps.csv`` or ``summary.json``, a JSON file
-    that does not parse to an object, or a CSV row with a missing or
-    malformed field raises ConfigError naming the file.
+    that does not parse to an object, a CSV row with a missing or malformed
+    field, or a missing, non-numeric or wrong-length ``final_state`` raises
+    ConfigError naming the file.
     """
     run_dir = Path(run_dir)
     resolved = _read_run_json(run_dir / "config.resolved.json")
@@ -408,8 +419,14 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
                          np.array([float(row[f"u{i}"]) for i in range(model.m)])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
-    summary = _read_run_json(run_dir / "summary.json")
-    final = np.array(summary["final_state"], dtype=np.float64)
+    summary_path = run_dir / "summary.json"
+    summary = _read_run_json(summary_path)
+    try:
+        final = np.array(summary["final_state"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        final = None
+    if final is None or final.shape != (model.n,):
+        raise ConfigError(f"run file {summary_path} needs a final_state of {model.n} numbers")
     violations = []
     for k, x, u in rows:
         kind = constraints.state_violation_kind(x)

@@ -1,5 +1,5 @@
-"""Operation-count model for one backward sweep and helpers to compare its
-predictions against the solver's measured counters.
+"""Operation-count model for one backward sweep: the closed-form workload,
+its bounds and the exact counters of an unpruned solve.
 
 A candidate at horizon position j costs N-j plant-step-plus-feasibility
 evaluations (unit cost c1) and one full cost evaluation (unit cost c2);
@@ -22,7 +22,6 @@ __all__ = [
     "predicted_serial",
     "predicted_bounds",
     "complexity_report",
-    "compare",
     "calibrate_cost_model",
 ]
 
@@ -51,7 +50,8 @@ class BoundSet(NamedTuple):
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Predicted work of one solve; ``compare`` sets measured counters against it."""
+    """Predicted work of one solve: the exact workload, its bounds and the
+    counters an unpruned solve reports."""
 
     serial_exact: float
     serial_bound: float
@@ -98,35 +98,6 @@ def complexity_report(n_list: Sequence[int], big_n: int, model: CostModel,
         predicted_f_evals=sum((big_n - j) * n for j, n in enumerate(n_list)),
         predicted_cost_evals=sum(n_list),
     )
-
-
-def compare(measured, predicted: ComplexityReport, pruning: bool) -> dict:
-    """Measured-versus-predicted counter summary for one solve.
-
-    ``measured`` is a SolveResult (anything with f_evals / cost_evals).  With
-    pruning disabled the counters must match the exact prediction term for
-    term, and any difference is flagged as a violation; with pruning enabled
-    the counts may only fall below the prediction.
-    """
-    f_meas = int(measured.f_evals)
-    c_meas = int(measured.cost_evals)
-    f_pred = predicted.predicted_f_evals
-    c_pred = predicted.predicted_cost_evals
-    exact = (f_meas == f_pred) and (c_meas == c_pred)
-    if pruning:
-        violation = f_meas > f_pred or c_meas > c_pred
-    else:
-        violation = not exact
-    return {
-        "measured_f_evals": f_meas,
-        "measured_cost_evals": c_meas,
-        "predicted_f_evals": f_pred,
-        "predicted_cost_evals": c_pred,
-        "f_ratio": f_meas / f_pred if f_pred else None,
-        "cost_ratio": c_meas / c_pred if c_pred else None,
-        "exact_match": exact,
-        "violation": violation,
-    }
 
 
 def calibrate_cost_model(step, cost_eval, repeats: int = 1000) -> CostModel:

@@ -27,6 +27,7 @@ __all__ = [
     "FeasibilityReport",
     "as_vector",
     "rollout",
+    "fold_costs",
     "evaluate_cost",
     "check_feasible",
     "shift_plan",
@@ -436,21 +437,40 @@ def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> Trajectory:
     return Trajectory(states)
 
 
+def fold_costs(cost: CostSpec, start: int, base: float, states: np.ndarray,
+               inputs: np.ndarray) -> np.ndarray:
+    """Running costs of B rows from stage ``start`` to the end of the horizon.
+
+    ``states`` is time-major (N + 1 - start, B, n) and ``inputs`` is
+    (N - start, B, m).  Row k of the (N + 2 - start, B) result is ``base``
+    plus the row's stage costs ``start`` to ``start + k - 1``, added left to
+    right; the last row then adds the terminal cost, so it holds the totals.
+    One call per cost kernel prices every row, and a row's values depend
+    only on that row, its start and its base.  Every total cost in the
+    package comes from this fold: ``evaluate_cost`` is its one-row case from
+    stage 0.
+    """
+    n_stages, rows, m = inputs.shape
+    folded = np.empty((n_stages + 2, rows), dtype=np.float64)
+    folded[0] = base
+    folded[1:-1] = cost.stage_costs(np.repeat(np.arange(start, start + n_stages), rows),
+                                    states[:n_stages].reshape(-1, states.shape[2]),
+                                    inputs.reshape(-1, m)).reshape(n_stages, rows)
+    folded[-1] = cost.terminal_costs(states[n_stages])
+    return np.add.accumulate(folded, axis=0)
+
+
 def evaluate_cost(cost: CostSpec, traj: Trajectory, plan: Plan) -> float:
-    """Total cost: sum of stage costs plus the terminal cost, accumulated in
-    horizon order (the solver folds its row costs in the same order)."""
-    n_stages = cost.horizon
-    if plan.horizon != n_stages:
+    """Total cost: the stage costs added in horizon order, then the terminal
+    cost (``fold_costs`` of the one row from stage 0)."""
+    if plan.horizon != cost.horizon:
         raise ContractViolationError(
-            f"plan horizon {plan.horizon} != cost horizon {n_stages}")
+            f"plan horizon {plan.horizon} != cost horizon {cost.horizon}")
     if traj.horizon != plan.horizon:
         raise ContractViolationError(
             f"trajectory holds {traj.horizon} steps but plan holds {plan.horizon}")
-    stages = cost.stage_costs(np.arange(n_stages), traj.states[:n_stages], plan.inputs)
-    total = 0.0
-    for value in stages.tolist():
-        total = total + value
-    return total + cost.terminal_cost(traj.states[n_stages])
+    return float(fold_costs(cost, 0, 0.0, traj.states[:, np.newaxis],
+                            plan.inputs[:, np.newaxis])[-1, 0])
 
 
 def check_feasible(constraints: ConstraintSpec, traj: Trajectory, plan: Plan) -> FeasibilityReport:

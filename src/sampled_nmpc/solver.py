@@ -12,30 +12,41 @@ next position.
 That sequential sweep is computed a window of positions at a time.  Every
 position's samples are drawn up front, in the sweep's order.  A window of
 consecutive pending positions is evaluated against the current reference:
-all its candidate rows move forward together through ``batch_step``, one
-call and one row-wise feasibility mask per time index, each row joining the
-batch at the last time index up to which its states are known.  A
-position that accepts no sample leaves the reference unchanged, so the
-highest position in the window with a cheaper row decides it and every
-window position above it exactly as the sequential sweep would.  The rows
-below keep their states up to that position and step again from there in
-the next round, against the new reference.  The window size comes from the
-solve's own acceptance rate (``_window_size``); any size gives the same
-result, and a size of one is the sequential sweep.
+all its candidate rows step together from the window's lowest position j0,
+starting at the reference state there, through ``batch_step``, one call and
+one row-wise feasibility mask per time index.  Above its own position a row
+holds the reference input, and every kernel gives a row the same bits
+whatever the batch around it, so up to that position the row repeats the
+reference states bit for bit.  A position that accepts no sample leaves the
+reference unchanged, so the highest position in the window with a cheaper
+row decides it and every window position above it exactly as the sequential
+sweep would; the next window starts below it, against the new reference.
+The window size comes from the solve's own acceptance rate
+(``_window_size``); any size gives the same result, and a size of one is the
+sequential sweep.
 
-Walking backwards never changes the reference before the accepted position,
-so the stage-cost prefix of the warm start serves every row.  Each row's cost
-continues the prefix in the left-to-right order of ``evaluate_cost``, and
-every kernel gives a row the same bits whatever the batch around it, so the
-reported cost equals a fresh ``evaluate_cost`` of the returned plan bit for
-bit.  ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential
-sweep's counts: with pruning, a candidate at position j costs the steps up
-to its first violating state; without, N - j steps and one cost evaluation.
-The plant steps actually made are at most K_max times the unpruned count
-sum_j (N - j) n_j, for the largest window K_max used: a row steps at most
-N - j times per round, and it is carried into another round only by an
-acceptance above it in its window, which decides at least one of the at
-most K_max - 1 positions there.
+Every cost is one call of ``core.fold_costs``, which adds stage costs left to
+right from a start stage and a base value and then the terminal cost: the
+warm start's from stage 0, which also gives its prefix (the running sum
+before each stage), and a window's candidates from j0 with the base
+prefix[j0].  Walking backwards never changes the reference below an accepted
+position, so that prefix serves every window, and a candidate's total is the
+sum ``evaluate_cost`` forms for its plan, bit for bit.
+
+``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
+counts, taken from each decided row's last round: with pruning, a candidate
+at position j costs the steps from j to its first violating state; without,
+N - j steps and one cost evaluation.  The plant steps actually made, beyond
+the entry rollout's N, are bounded through K_max, the largest window used.
+A round that holds position j without deciding it accepts a position above
+j, and the next round starts below that one.  A window spans at most K_max
+drawn positions, so the rounds holding j start at distinct places among j
+and the K_max - 1 drawn positions above it: at most K_max rounds.  Each
+steps j's rows at most N - j0 times, and j0 lies at most K_max - 1 drawn
+positions below j.  So a solve makes at most K_max * sum_j n_j (N - j_low)
+row steps, where j_low is the drawn position K_max - 1 places after j in
+the sweep's order, or the last one; with every n_j > 0 that is at most
+K_max * sum_j n_j (N - j + K_max - 1).
 
 Each plan is certified once, with the row kernels that ``check_feasible``
 applies.  ``find_oracle`` returns the first row of its batched search that
@@ -46,10 +57,10 @@ trajectory of its plan, so ``make_warm_start`` shifts the previous
 prediction instead of re-simulating it.
 
 The time budget is polled before each draw and after each batched step.
-A window cut short keeps the reference for every position it has not
-decided, and a budget that expires during the draws returns the warm start,
-so an interrupted solve still returns a feasible plan no worse than the warm
-start; its counters cover the decided positions only.
+A window cut short decides none of its positions, so they keep the
+reference, and a budget that expires during the draws returns the warm
+start: an interrupted solve still returns a feasible plan no worse than the
+warm start, and its counters cover the decided positions only.
 """
 
 from __future__ import annotations
@@ -69,6 +80,7 @@ from .core import (
     as_vector,
     check_feasible,
     evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
+    fold_costs,
     rollout,
     shift_plan,
 )
@@ -201,9 +213,14 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     evaluated a window of positions at a time (see the module docstring).
 
     The warm start is rolled out from x and checked on entry, its one
-    certificate, and rejected with InfeasibleWarmStartError if infeasible.
-    The returned cost never exceeds the warm start's cost, and the returned
-    plan is feasible even when the time budget interrupts the sweep.
+    certificate, and rejected with InfeasibleWarmStartError if infeasible;
+    that rollout's states and ``fold_costs`` give the reference and its cost
+    prefix.  Each round steps all candidate rows of one window from its
+    lowest position and prices them with one ``fold_costs`` call; the highest
+    position with a strictly cheaper feasible row accepts its cheapest, and
+    the next window starts below it.  The returned cost never exceeds the
+    warm start's cost, and the returned plan is feasible even when the time
+    budget interrupts the sweep.
     """
     t_start = time.perf_counter()
     deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
@@ -224,13 +241,9 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
 
     ref_inputs = warm.inputs.copy()
     ref_states = warm_traj.states.copy()
-    # prefix[i] folds the warm start's stage costs 0..i-1 left to right.
-    warm_stages = cost.stage_costs(np.arange(big_n), ref_states[:big_n], ref_inputs)
-    prefix = np.empty(big_n + 1, dtype=np.float64)
-    prefix[0] = 0.0
-    for i in range(big_n):
-        prefix[i + 1] = prefix[i] + warm_stages[i]
-    j_ref = prefix[big_n] + cost.terminal_cost(ref_states[big_n])
+    # prefix[i] is the warm start's stage costs 0..i-1 added left to right.
+    *prefix, j_ref = fold_costs(cost, 0, 0.0, ref_states[:, np.newaxis],
+                                ref_inputs[:, np.newaxis])[:, 0]
 
     counts = cfg.sample_counts
     positions = [j for j in range(big_n - 1, -1, -1) if counts[j]]
@@ -250,57 +263,44 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         if not constraints.input_box.contains_rows(samples).all():
             raise ContractViolationError("draw_samples returned an input outside the input box")
         # One row per sample, highest position first; block[i] is the first
-        # row of positions[i].  Time-major arrays: row b's input at time t is
-        # its sample at pos[b] and the reference elsewhere, and its states
-        # before pos[b] are never written (zero), so pricing can read whole
-        # rectangles.  viol[b] is the index of the row's first violating
-        # state, N + 1 while it has none.
+        # row of positions[i].  viol[b] is the index of row b's first
+        # violating state in its latest round, N + 1 while it has none.
         sizes = [counts[j] for j in positions]
         block = [0, *itertools.accumulate(sizes)]
         pos = np.repeat(positions, sizes)
-        inputs = np.empty((big_n, pos.size, model.m), dtype=np.float64)
-        inputs[:] = ref_inputs[:, np.newaxis]
-        inputs[pos, np.arange(pos.size)] = samples
-        states = np.zeros((big_n + 1, pos.size, model.n), dtype=np.float64)
         viol = np.full(pos.size, big_n + 1)
 
         lo = 0  # positions[:lo] are decided
-        hi = 0
-        carried = None  # (j_a, rows of positions[lo:hi] valid through time j_a)
         while lo < len(positions):
-            fresh = hi if carried else lo
-            hi = min(len(positions), max(fresh, lo + _window_size(lo, improvements)))
-            # Groups in the order they join the batch: each fresh position at
-            # its own time, lowest first, then the carried rows at j_a.
-            groups = []
-            for i in range(hi - 1, fresh - 1, -1):
-                j = positions[i]
-                states[j, block[i]:block[i + 1]] = ref_states[j]
-                groups.append((j, np.arange(block[i], block[i + 1])))
-            if carried:
-                groups.append(carried)
-
-            live = np.empty(0, dtype=np.intp)
-            g = 0
-            for t in range(groups[0][0], big_n):
-                if g < len(groups) and groups[g][0] == t:
-                    live = np.concatenate((groups[g][1], live))
-                    g += 1
-                if live.size == 0:
-                    continue
+            hi = min(len(positions), lo + _window_size(lo, improvements))
+            j0 = positions[hi - 1]
+            rows = slice(block[lo], block[hi])
+            width = block[hi] - block[lo]
+            # Time-major arrays from time j0, where index k is time j0 + k.
+            # Row b holds the reference input except at pos[b], so up to
+            # there it repeats the reference states bit for bit.
+            us = np.repeat(ref_inputs[j0:, np.newaxis], width, axis=1)
+            us[pos[rows] - j0, np.arange(width)] = samples[rows]
+            xs = np.empty((big_n + 1 - j0, width, model.n), dtype=np.float64)
+            xs[0] = ref_states[j0]
+            fail = viol[rows]  # a view
+            fail[:] = big_n + 1
+            live = np.arange(width)
+            for k in range(big_n - j0):
                 # take() and a basic index first: much cheaper than fancy
                 # indexing for these small gathers.
-                xs = model.batch_step(states[t].take(live, 0), inputs[t].take(live, 0))
-                states[t + 1][live] = xs
-                ok = (constraints.states_ok_rows(xs) if t + 1 < big_n
-                      else constraints.terminal_ok_rows(xs))
+                x_next = model.batch_step(xs[k].take(live, 0), us[k].take(live, 0))
+                xs[k + 1][live] = x_next
+                t = j0 + k + 1
+                ok = (constraints.states_ok_rows(x_next) if t < big_n
+                      else constraints.terminal_ok_rows(x_next))
                 if not ok.all():
                     bad = live[~ok]
                     if cfg.pruning:
-                        viol[bad] = t + 1
+                        fail[bad] = t
                         live = live[ok]
                     else:
-                        viol[bad] = np.minimum(viol[bad], t + 1)
+                        fail[bad] = np.minimum(fail[bad], t)
                 if deadline is not None and time.perf_counter() >= deadline:
                     budget_hit = True
                     break
@@ -309,38 +309,27 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
 
             # With pruning every row still live is feasible; without, some
             # stepped on past a violation.
-            done = live[viol[live] > big_n]
+            done = live[fail[live] > big_n]
             win = None
             if done.size:
-                done_pos = pos[done]
-                totals = _price_rows(cost, prefix, done_pos, states.take(done, 1),
-                                     inputs.take(done, 1))
+                totals = fold_costs(cost, j0, prefix[j0], xs.take(done, 1), us.take(done, 1))[-1]
                 better = np.flatnonzero(totals < j_ref)
                 if better.size:
                     # The highest position with a cheaper row accepts its
                     # first minimum: lowest sample index on ties.
+                    done_pos = pos[rows][done]
                     j_a = done_pos[better[0]]
                     better = better[done_pos[better] == j_a]
                     win = better[np.argmin(totals[better])]
-
-            carried = None
             if win is None:
                 lo = hi
                 continue
+            # Positions down to j_a are decided; the next window starts below.
             lo = positions.index(j_a, lo) + 1
-            ref_inputs[j_a] = samples[done[win]]
-            ref_states[j_a + 1:] = states[j_a + 1:, done[win]]
+            ref_inputs[j_a] = us[j_a - j0, done[win]]
+            ref_states[j_a + 1:] = xs[j_a + 1 - j0:, done[win]]
             j_ref = totals[win]
             improvements += 1
-            # Rows below j_a keep their states through time j_a and take the
-            # accepted input there.  Carried rows that failed by then stay
-            # failed; the others step again from j_a.
-            inputs[j_a, block[lo]:] = ref_inputs[j_a]
-            if lo < hi:
-                rows = np.arange(block[lo], block[hi])
-                rows = rows[viol[rows] > j_a]
-                viol[rows] = big_n + 1
-                carried = (j_a, rows)
 
         # The counters are the sequential sweep's, over the decided positions.
         swept = slice(0, block[lo])
@@ -355,27 +344,6 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     return SolveResult(plan=Plan(ref_inputs), states=ref_states, j_sub=float(j_ref),
                        f_evals=f_evals, cost_evals=cost_evals, improvements=improvements,
                        elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
-
-
-def _price_rows(cost: CostSpec, prefix: np.ndarray, starts: np.ndarray,
-                states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Total cost of each row of time-major (N+1, B, n) states and (N, B, m)
-    inputs whose stages before ``starts[b]`` are the reference's.
-
-    Each row continues ``prefix[starts[b]]`` in ``evaluate_cost``'s order,
-    with one call per cost kernel for all rows.  ``starts`` is nonincreasing,
-    so the rows with a stage at time t are a suffix; the stages priced before
-    a row's start are never read.
-    """
-    big_n, _, m = inputs.shape
-    times = np.arange(starts[-1], big_n)
-    stages = cost.stage_costs(np.repeat(times, starts.size),
-                              states[times[0]:big_n].reshape(-1, states.shape[2]),
-                              inputs[times[0]:].reshape(-1, m)).reshape(times.size, -1)
-    totals = prefix[starts]
-    for k, first in enumerate(np.searchsorted(-starts, -times)):
-        totals[first:] += stages[k, first:]
-    return totals + cost.terminal_costs(states[big_n])
 
 
 def _window_size(decided: int, accepted: int) -> int:

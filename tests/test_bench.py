@@ -268,7 +268,9 @@ class TestCli:
 
     @pytest.mark.parametrize("name, damage", [
         ("config.resolved.json", None), ("steps.csv", None), ("summary.json", None),
-        ("summary.json", "{not json"), ("steps.csv", "k,x0\n0,1.0\n")])
+        ("summary.json", "{not json"), ("steps.csv", "k,x0\n0,1.0\n"),
+        ("summary.json", "{}"), ("summary.json", '{"final_state": ["a", "b"]}'),
+        ("summary.json", '{"final_state": [0.0]}')])
     def test_validate_of_an_incomplete_run_exits_2(self, tmp_path, capsys, name, damage):
         path = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -316,14 +318,20 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("sampler", 5), ("sampler", "halton"), ("model_overrides", 5),
-        ("model_overrides", {"ts": "x"}), ("model_overrides", {"terminal_level": "x"})])
+        ("model_overrides", {"ts": "x"}), ("model_overrides", {"terminal_level": "x"}),
+        ("steps", 1.5), ("oracle_budget", 10.5), ("horizon", True), ("lanes", "2"),
+        ("samples_per_step", "5" * 10), ("samples_per_step", [5] * 9 + [5.5]),
+        ("sampler", {"seed": 1.5})])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
         raw = cart_config().to_dict()
         raw[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        if key != "model_overrides":  # the plant's own message names the override
+            assert key in error["message"]
 
     def test_validate_refuses_an_older_schema(self, tmp_path):
         resolved = cart_config().to_dict()

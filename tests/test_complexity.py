@@ -7,18 +7,10 @@ from hypothesis import strategies as st
 from sampled_nmpc import (
     CostModel,
     calibrate_cost_model,
-    compare,
-    complexity_report,
     predicted_bounds,
     predicted_serial,
 )
 from sampled_nmpc.errors import ContractViolationError
-
-
-class FakeCounters:
-    def __init__(self, f_evals, cost_evals):
-        self.f_evals = f_evals
-        self.cost_evals = cost_evals
 
 
 class TestPredictedSerial:
@@ -75,30 +67,6 @@ class TestPredictedBounds:
         if p >= max(n_bar, 1):  # saturated: one batch of candidates per position
             expected = 0.0 if n_bar == 0 else bounds.full_parallel
             assert bounds.p_parallel == expected
-
-
-class TestCompare:
-    def test_exact_match_without_pruning(self):
-        report = complexity_report([10] * 10, 10, CostModel(), 1)
-        summary = compare(FakeCounters(550, 100), report, pruning=False)
-        assert summary["exact_match"] and not summary["violation"]
-        assert summary["f_ratio"] == 1.0
-
-    def test_mismatch_without_pruning_is_flagged(self):
-        report = complexity_report([10] * 10, 10, CostModel(), 1)
-        summary = compare(FakeCounters(549, 100), report, pruning=False)
-        assert summary["violation"]
-
-    def test_pruning_only_reduces(self):
-        report = complexity_report([10] * 10, 10, CostModel(), 1)
-        assert not compare(FakeCounters(500, 90), report, pruning=True)["violation"]
-        assert compare(FakeCounters(551, 100), report, pruning=True)["violation"]
-
-    def test_zero_samples_zero_counters(self):
-        report = complexity_report([0] * 4, 4, CostModel(), 1)
-        summary = compare(FakeCounters(0, 0), report, pruning=True)
-        assert summary["exact_match"]
-        assert summary["f_ratio"] is None
 
 
 class TestCostModel:

@@ -20,6 +20,7 @@ from sampled_nmpc import (
     rollout,
     shift_plan,
 )
+from sampled_nmpc.core import fold_costs
 from sampled_nmpc.errors import ContractViolationError
 from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_IDS
 
@@ -175,6 +176,41 @@ class TestEvaluateCost:
         weighted = [bench.cost.stage_cost(j, traj.states[j], plan.inputs[j]) for j in range(3)]
         weighted.append(bench.cost.terminal_cost(traj.states[3]))
         assert (value == 0.0) == all(w == 0.0 for w in weighted)
+
+
+class TestFoldCosts:
+    @given(st.sampled_from(PLANT_IDS), st.integers(1, 6), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_row_gets_the_same_bits_whatever_the_batch_start_and_base(self, plant, horizon,
+                                                                         width, seed):
+        cost = make_benchmark(plant, horizon, None).cost
+        n, m = cost.terminal_weight.shape[0], cost.stage_input_weights[0].shape[0]
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-5.0, 5.0, (horizon + 1, width, n))
+        us = rng.uniform(-5.0, 5.0, (horizon, width, m))
+        full = fold_costs(cost, 0, 0.0, xs, us)
+        assert full.shape == (horizon + 2, width)
+        for b in range(width):
+            # The sequential fold of the scalar kernels, in Python floats.
+            running = [0.0]
+            for j in range(horizon):
+                running.append(running[-1] + cost.stage_cost(j, xs[j, b], us[j, b]))
+            running.append(running[-1] + cost.terminal_cost(xs[horizon, b]))
+            assert full[:, b].tolist() == running
+            assert evaluate_cost(cost, Trajectory(xs[:, b]), Plan(us[:, b])) == full[-1, b]
+            # Continuing from any stage with the running value there as base.
+            for start in range(horizon + 1):
+                one = fold_costs(cost, start, full[start, b], xs[start:, b:b + 1],
+                                 us[start:, b:b + 1])
+                assert np.array_equal(one[:, 0], full[start:, b])
+        # One base for a reversed batch: each row matches its one-row call.
+        start = int(rng.integers(0, horizon + 1))
+        base = float(rng.uniform(0.0, 100.0))
+        batch = fold_costs(cost, start, base, xs[start:, ::-1], us[start:, ::-1])
+        for b in range(width):
+            one = fold_costs(cost, start, base, xs[start:, b:b + 1], us[start:, b:b + 1])
+            assert np.array_equal(batch[:, width - 1 - b], one[:, 0])
 
 
 class TestCheckFeasible:

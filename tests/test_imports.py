@@ -1,4 +1,5 @@
-"""Every module-level import of the package's modules is read by the module."""
+"""Every module-level import of the package's modules is read by the module,
+and every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -29,7 +30,8 @@ def _annotations(tree):
 
 def read_names(tree) -> set[str]:
     """Names the module loads, including those inside string annotations."""
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -49,6 +51,30 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in reads]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants (one leading
+    underscore) that no module of the package reads, as a bare name or as an
+    attribute of the module."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        reads |= read_names(tree)
+        reads |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{stem}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in reads]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     unused = {f"{path.stem}.{name}" for name in unused_imports(path.read_text())}
@@ -61,3 +87,15 @@ def test_the_scan_sees_plain_and_annotation_reads():
               "from .core import Plan, Trajectory\n"
               "def f(x: 'Optional[Plan]') -> None:\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["os", "Trajectory"]
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_the_helper_scan_sees_unread_definitions():
+    sources = {"a": "_USED = 1\n_DEAD: int = 2\ndef _dead():\n    return _USED\n"
+                    "def _called():\n    pass\n",
+               "b": "from . import a\n__all__ = []\nclass _Gone:\n    pass\na._called()\n"}
+    assert unread_private_names(sources) == ["a._DEAD", "a._dead", "b._Gone"]

@@ -259,6 +259,39 @@ class TestImprovePlan:
                                                sequential.cost_evals, sequential.improvements,
                                                sequential.budget_hit)
 
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
+           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme,
+                                                  pruning):
+        # The module docstring's bound: at most K_max * sum_j n_j (N - j_low)
+        # row steps, K_max the largest window used and j_low the drawn
+        # position K_max - 1 places after j in the sweep's order (or the
+        # last one).  The copied model keeps the original one-row step, so
+        # the entry rollout is not counted.
+        counts = counts[:horizon]
+        bench, x0, warm, cfg, _ = solve_from_random_start(plant, horizon, seed, counts,
+                                                          scheme, pruning)
+        rows, sizes = [], []
+        counted = dataclasses.replace(
+            bench.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
+            or bench.model.batch_step(xs, us))
+        window_size = solver._window_size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_window_size",
+                       lambda decided, accepted: sizes.append(window_size(decided, accepted))
+                       or sizes[-1])
+            result = improve_plan(x0, warm, counted, bench.constraints, bench.cost, cfg)
+        drawn = [j for j in range(horizon - 1, -1, -1) if counts[j]]
+        k_max = min(max(sizes, default=1), len(drawn))
+        bound = k_max * sum(counts[j] * (horizon - drawn[min(i + k_max - 1, len(drawn) - 1)])
+                            for i, j in enumerate(drawn))
+        assert result.f_evals <= sum(rows) <= bound
+        if all(counts):
+            assert bound <= k_max * sum(n * (horizon - j + k_max - 1)
+                                        for j, n in enumerate(counts))
+
     def test_window_size_follows_the_acceptance_rate(self):
         # About the positions decided per acceptance, smoothed: two positions
         # before anything is known, more while nothing is accepted.
