@@ -14,7 +14,6 @@ from .core import (
     ObstacleSet,
     Plan,
     PlantModel,
-    Trajectory,
     check_feasible,
     evaluate_cost,
     rollout,

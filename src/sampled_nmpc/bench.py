@@ -76,8 +76,7 @@ class ExperimentConfig:
         if self.steps < 0:
             raise ConfigError("steps must be nonnegative")
         if not isinstance(self.samples_per_step, int):
-            object.__setattr__(self, "samples_per_step",
-                               tuple(int(c) for c in self.samples_per_step))
+            object.__setattr__(self, "samples_per_step", tuple(self.samples_per_step))
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state",
                                tuple(float(v) for v in self.initial_state))
@@ -113,6 +112,17 @@ class ExperimentConfig:
         for key, value in integers:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("pruning", "improve_initial"):
+            if not isinstance(data.get(key, True), bool):
+                raise ConfigError(f"{key} must be true or false, got {data[key]!r}")
+        budget = data.get("time_budget_ms")
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                                   or not np.isfinite(budget)):
+            raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
+        if not isinstance(data["config_id"], str):
+            raise ConfigError(f"config_id must be a string, got {data['config_id']!r}")
+        if not isinstance(data.get("out_dir", ""), (str, type(None))):
+            raise ConfigError(f"out_dir must be a string or null, got {data['out_dir']!r}")
         try:
             sampler = SamplerConfig(**sampler_raw)
             return cls(sampler=sampler, **data)

@@ -95,13 +95,13 @@ def _cmd_calibrate(args) -> int:
     x0 = benchmark.default_x0
     u_mid = 0.5 * (constraints.input_box.lower + constraints.input_box.upper)
     plan = Plan(np.tile(u_mid, (args.horizon, 1)))
-    traj = rollout(model, x0, plan)
+    states = rollout(model, x0, plan)
 
     def one_step():
         constraints.state_ok(model.step(x0, u_mid))
 
     def one_cost():
-        evaluate_cost(cost, traj, plan)
+        evaluate_cost(cost, states, plan)
 
     cost_model = complexity.calibrate_cost_model(one_step, one_cost, repeats=args.repeats)
     bounds = complexity.predicted_bounds(args.n_bar, args.horizon, cost_model, args.lanes)

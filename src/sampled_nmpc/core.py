@@ -8,7 +8,7 @@ closed inequalities with no floating tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +17,6 @@ from .errors import ContractViolationError
 
 __all__ = [
     "Plan",
-    "Trajectory",
     "PlantModel",
     "BoxSet",
     "EllipsoidSet",
@@ -104,35 +103,6 @@ class Plan:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
-
-    def __len__(self) -> int:
-        return self.horizon
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.inputs[i]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Predicted states along a plan: N+1 rows, row i = state i steps ahead."""
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 2:
-            raise ContractViolationError(f"trajectory must stack >= 2 states, got shape {arr.shape}")
-        object.__setattr__(self, "states", _frozen(arr.copy()))
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.states[i]
 
 
 @dataclass(frozen=True)
@@ -331,14 +301,14 @@ class ConstraintSpec:
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic cost: per-step state/input weights, terminal weight and the
-    reference pair subtracted from states and inputs before weighting."""
+    reference pair subtracted from states and inputs before weighting.  The
+    stage weights (any sequence of matrices) are kept as read-only (N, n, n)
+    and (N, m, m) stacks, so a spec can be rebuilt from its own fields."""
 
-    stage_state_weights: tuple[np.ndarray, ...]
-    stage_input_weights: tuple[np.ndarray, ...]
+    stage_state_weights: np.ndarray
+    stage_input_weights: np.ndarray
     terminal_weight: np.ndarray
     reference: tuple[np.ndarray, np.ndarray]
-    # The stage weights stacked into (N, n, n) and (N, m, m) arrays.
-    _stacked: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qs = tuple(np.asarray(q, dtype=np.float64) for q in self.stage_state_weights)
@@ -363,11 +333,10 @@ class CostSpec:
             raise ContractViolationError("terminal weight must be positive definite")
         x_ref = as_vector(self.reference[0], n, "state reference")
         u_ref = as_vector(self.reference[1], m, "input reference")
-        object.__setattr__(self, "stage_state_weights", tuple(_frozen(q.copy()) for q in qs))
-        object.__setattr__(self, "stage_input_weights", tuple(_frozen(r.copy()) for r in rs))
+        object.__setattr__(self, "stage_state_weights", _frozen(np.stack(qs)))
+        object.__setattr__(self, "stage_input_weights", _frozen(np.stack(rs)))
         object.__setattr__(self, "terminal_weight", _frozen(p.copy()))
         object.__setattr__(self, "reference", (_frozen(x_ref), _frozen(u_ref)))
-        object.__setattr__(self, "_stacked", (_frozen(np.stack(qs)), _frozen(np.stack(rs))))
 
     @classmethod
     def constant(cls, q, r, p, horizon: int, reference=None) -> "CostSpec":
@@ -391,9 +360,8 @@ class CostSpec:
         the same either way; ``stage_cost`` is the one-row case, bit for bit.
         """
         j = np.full(xs.shape[0], j, dtype=np.intp)
-        q, r = self._stacked
-        return (_quadratic_rows(xs - self.reference[0], q[j])
-                + _quadratic_rows(us - self.reference[1], r[j]))
+        return (_quadratic_rows(xs - self.reference[0], self.stage_state_weights[j])
+                + _quadratic_rows(us - self.reference[1], self.stage_input_weights[j]))
 
     def terminal_costs(self, xs: np.ndarray) -> np.ndarray:
         """Terminal cost of each row of stacked states (B, n); ``terminal_cost``
@@ -420,8 +388,12 @@ class FeasibilityReport:
             raise ContractViolationError("feasible iff violation_index is None")
 
 
-def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> Trajectory:
-    """Propagate x0 through the plan: states[i+1] = step(states[i], plan[i])."""
+def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> np.ndarray:
+    """Propagate x0 through the plan: states[i+1] = step(states[i], inputs[i]).
+
+    Returns the predicted trajectory, a read-only (N+1, n) float64 array
+    whose row i is the state i steps ahead.
+    """
     x0 = as_vector(x0, model.n, "initial state")
     if plan.input_dim != model.m:
         raise ContractViolationError(
@@ -434,7 +406,13 @@ def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> Trajectory:
         if x.shape != (model.n,):
             raise ContractViolationError("step returned a state of wrong shape")
         states[i + 1] = x
-    return Trajectory(states)
+    return _frozen(states)
+
+
+def _check_states(states: np.ndarray, plan: Plan) -> None:
+    if states.ndim != 2 or states.shape[0] != plan.horizon + 1:
+        raise ContractViolationError(
+            f"states must stack plan horizon + 1 = {plan.horizon + 1} rows, got {states.shape}")
 
 
 def fold_costs(cost: CostSpec, start: int, base: float, states: np.ndarray,
@@ -460,35 +438,34 @@ def fold_costs(cost: CostSpec, start: int, base: float, states: np.ndarray,
     return np.add.accumulate(folded, axis=0)
 
 
-def evaluate_cost(cost: CostSpec, traj: Trajectory, plan: Plan) -> float:
-    """Total cost: the stage costs added in horizon order, then the terminal
+def evaluate_cost(cost: CostSpec, states: np.ndarray, plan: Plan) -> float:
+    """Total cost of a plan and its (N+1, n) trajectory, as ``rollout``
+    returns it: the stage costs added in horizon order, then the terminal
     cost (``fold_costs`` of the one row from stage 0)."""
     if plan.horizon != cost.horizon:
         raise ContractViolationError(
             f"plan horizon {plan.horizon} != cost horizon {cost.horizon}")
-    if traj.horizon != plan.horizon:
-        raise ContractViolationError(
-            f"trajectory holds {traj.horizon} steps but plan holds {plan.horizon}")
-    return float(fold_costs(cost, 0, 0.0, traj.states[:, np.newaxis],
+    _check_states(states, plan)
+    return float(fold_costs(cost, 0, 0.0, states[:, np.newaxis],
                             plan.inputs[:, np.newaxis])[-1, 0])
 
 
-def check_feasible(constraints: ConstraintSpec, traj: Trajectory, plan: Plan) -> FeasibilityReport:
-    """Find the first constraint violation along the horizon: states 0..N-1
-    against the state set, every input against the input box, and the end
-    state against the terminal set.  At an index where both the state and
-    the input fail, the state's violation is reported."""
+def check_feasible(constraints: ConstraintSpec, states: np.ndarray, plan: Plan) -> FeasibilityReport:
+    """Find the first constraint violation along a plan and its (N+1, n)
+    trajectory, as ``rollout`` returns it: states 0..N-1 against the state
+    set, every input against the input box, and the end state against the
+    terminal set.  At an index where both the state and the input fail, the
+    state's violation is reported."""
+    _check_states(states, plan)
     big_n = plan.horizon
-    if traj.horizon != big_n:
-        raise ContractViolationError("trajectory and plan horizons disagree")
-    ok = (constraints.states_ok_rows(traj.states[:big_n])
+    ok = (constraints.states_ok_rows(states[:big_n])
           & constraints.input_box.contains_rows(plan.inputs))
     bad = np.flatnonzero(~ok)
     if bad.size:
         i = int(bad[0])
-        kind = constraints.state_violation_kind(traj.states[i]) or "input-bound"
+        kind = constraints.state_violation_kind(states[i]) or "input-bound"
         return FeasibilityReport(False, i, kind)
-    if not constraints.terminal_ok_rows(traj.states[big_n:])[0]:
+    if not constraints.terminal_ok_rows(states[big_n:])[0]:
         return FeasibilityReport(False, big_n, "terminal")
     return FeasibilityReport(True)
 

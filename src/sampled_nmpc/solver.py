@@ -48,11 +48,11 @@ row steps, where j_low is the drawn position K_max - 1 places after j in
 the sweep's order, or the last one; with every n_j > 0 that is at most
 K_max * sum_j n_j (N - j + K_max - 1).
 
-Each plan is certified once, with the row kernels that ``check_feasible``
-applies.  ``find_oracle`` returns the first row of its batched search that
-passes them, and a candidate the sweep accepts has passed them on its own
-rows.  Every warm start (oracle, ``initial_plan`` or shift) is certified by
-``improve_plan``'s entry rollout and check.  A solve returns the predicted
+Feasibility is tested with the row kernels that ``check_feasible``
+applies.  ``find_oracle``'s batched search uses them to find a feasible
+row.  ``improve_plan``'s entry rollout and check is the one certificate of
+every warm start (oracle, ``initial_plan`` or shift), and the sweep's masks
+certify each candidate it accepts.  A solve returns the predicted
 trajectory of its plan, so ``make_warm_start`` shifts the previous
 prediction instead of re-simulating it.
 
@@ -135,31 +135,38 @@ class SolverConfig:
     initial_plan: Optional[Plan] = None
 
     def __post_init__(self):
+        for name in ("horizon", "lanes", "oracle_budget"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.lanes < 1:
             raise ConfigError("lanes must be >= 1")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ConfigError("time_budget must be positive when set")
         if self.oracle_budget < 0:
             raise ConfigError("oracle_budget must be nonnegative")
         if self.warm_start_mode not in WARM_START_MODES:
             raise ConfigError(f"warm_start_mode must be one of {WARM_START_MODES}")
         counts = self.samples_per_step
-        if np.isscalar(counts):
-            counts = (int(counts),) * self.horizon
-        else:
-            counts = tuple(int(c) for c in counts)
+        counts = (counts,) * self.horizon if np.isscalar(counts) else tuple(counts)
+        if not all(_is_integer(c) for c in counts):
+            raise ConfigError(f"samples_per_step must be integers, got {self.samples_per_step!r}")
         if len(counts) != self.horizon:
             raise ConfigError(
                 f"samples_per_step has {len(counts)} entries for horizon {self.horizon}")
         if any(c < 0 for c in counts):
             raise ConfigError("sample counts must be nonnegative")
-        object.__setattr__(self, "samples_per_step", counts)
+        object.__setattr__(self, "samples_per_step", tuple(int(c) for c in counts))
 
     @property
     def sample_counts(self) -> tuple[int, ...]:
         return self.samples_per_step  # normalized to a tuple in __post_init__
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -233,14 +240,14 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
 
-    warm_traj = rollout(model, x, warm)
-    report = check_feasible(constraints, warm_traj, warm)
+    warm_states = rollout(model, x, warm)
+    report = check_feasible(constraints, warm_states, warm)
     if not report.feasible:
         raise InfeasibleWarmStartError(
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
 
     ref_inputs = warm.inputs.copy()
-    ref_states = warm_traj.states.copy()
+    ref_states = warm_states.copy()
     # prefix[i] is the warm start's stage costs 0..i-1 added left to right.
     *prefix, j_ref = fold_costs(cost, 0, 0.0, ref_states[:, np.newaxis],
                                 ref_inputs[:, np.newaxis])[:, 0]
@@ -366,10 +373,11 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
     """Draw random full input sequences until one is feasible from x.
 
     Sequences are searched in batches; the first row whose states pass the
-    state set and whose end state passes the terminal set is returned.  That
-    search is the plan's certificate: it runs ``check_feasible``'s row
-    kernels on the bits a rollout of the plan gives, and the sampled inputs
-    lie in the input box by construction.  Deterministic for a given seed;
+    state set and whose end state passes the terminal set is returned.  The
+    search runs ``check_feasible``'s row kernels on the bits a rollout of the
+    plan gives, and the sampled inputs lie in the input box by construction;
+    as a warm start the plan is certified by ``improve_plan``'s entry check,
+    like every other.  Deterministic for a given seed;
     raises NoOracleError when the budget is exhausted (including a budget of
     zero).
     """

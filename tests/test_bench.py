@@ -321,7 +321,9 @@ class TestCli:
         ("model_overrides", {"ts": "x"}), ("model_overrides", {"terminal_level": "x"}),
         ("steps", 1.5), ("oracle_budget", 10.5), ("horizon", True), ("lanes", "2"),
         ("samples_per_step", "5" * 10), ("samples_per_step", [5] * 9 + [5.5]),
-        ("sampler", {"seed": 1.5})])
+        ("sampler", {"seed": 1.5}), ("pruning", "false"), ("improve_initial", 1),
+        ("time_budget_ms", True), ("time_budget_ms", "5"), ("config_id", 5),
+        ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan"))])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
         raw = cart_config().to_dict()
         raw[key] = value

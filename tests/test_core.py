@@ -13,7 +13,6 @@ from sampled_nmpc import (
     ObstacleSet,
     Plan,
     PlantModel,
-    Trajectory,
     check_feasible,
     evaluate_cost,
     make_benchmark,
@@ -27,7 +26,7 @@ from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_
 TS, RHO0, MASS, DAMPING = 0.4, 0.33, 1.0, 1.1
 
 
-def scalar_sweep(constraints, traj, plan):
+def scalar_sweep(constraints, states, plan):
     """Reference for check_feasible: a per-index scalar sweep with its own
     scalar set tests (state then input at each index, then the end state)."""
     def in_box(box, v):
@@ -46,12 +45,12 @@ def scalar_sweep(constraints, traj, plan):
 
     big_n = plan.horizon
     for i in range(big_n):
-        kind = state_kind(traj.states[i])
+        kind = state_kind(states[i])
         if kind is not None:
             return (False, i, kind)
         if not in_box(constraints.input_box, plan.inputs[i]):
             return (False, i, "input-bound")
-    end = traj.states[big_n]
+    end = states[big_n]
     if constraints.terminal is None:
         end_ok = state_kind(end) is None
     else:
@@ -82,7 +81,7 @@ def random_check_case(plant, horizon, seed, with_terminal):
     states = rng.uniform(lo, hi, (horizon + 1, bench.model.n))
     states[horizon] = rng.uniform(end_lo, end_hi)
     inputs = rng.uniform(box.lower - margin, box.upper + margin, (horizon, bench.model.m))
-    return bench.constraints, Trajectory(states), Plan(inputs)
+    return bench.constraints, states, Plan(inputs)
 
 
 def cart_step_by_hand(x, u):
@@ -97,18 +96,34 @@ def cart_step_by_hand(x, u):
 class TestRollout:
     def test_equilibrium_stays_put(self, cart10):
         plan = Plan(np.zeros((4, 1)))
-        traj = rollout(cart10.model, np.zeros(2), plan)
-        assert np.array_equal(traj.states, np.zeros((5, 2)))
+        states = rollout(cart10.model, np.zeros(2), plan)
+        assert np.array_equal(states, np.zeros((5, 2)))
 
     def test_cart_single_step_matches_hand_evaluation(self, cart10):
-        traj = rollout(cart10.model, np.array([1.0, 0.0]), Plan([[0.0]]))
+        states = rollout(cart10.model, np.array([1.0, 0.0]), Plan([[0.0]]))
         expected = cart_step_by_hand((1.0, 0.0), 0.0)
         assert expected[1] == -TS * RHO0 * math.exp(-1.0)  # only the spring term acts
-        np.testing.assert_allclose(traj.states[1], expected, rtol=0, atol=0)
+        np.testing.assert_allclose(states[1], expected, rtol=0, atol=0)
 
     def test_wmr_single_step(self, wmr5):
-        traj = rollout(wmr5.model, np.zeros(3), Plan([[0.47, 0.0]]))
-        np.testing.assert_allclose(traj.states[1], [0.47 * 0.1, 0.0, 0.0], atol=1e-15)
+        states = rollout(wmr5.model, np.zeros(3), Plan([[0.47, 0.0]]))
+        np.testing.assert_allclose(states[1], [0.47 * 0.1, 0.0, 0.0], atol=1e-15)
+
+    def test_returns_a_read_only_float64_array(self, wmr5):
+        states = rollout(wmr5.model, np.zeros(3), Plan(np.full((5, 2), 0.1)))
+        assert isinstance(states, np.ndarray)
+        assert (states.shape, states.dtype) == ((6, 3), np.float64)
+        with pytest.raises(ValueError):
+            states[1, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 2), (6, 2)], ids=["1-D", "short", "long"])
+    def test_cost_and_check_take_n_plus_one_rows(self, shape):
+        bench = make_benchmark("cart-spring", 4, None)
+        plan = Plan(np.zeros((4, 1)))
+        with pytest.raises(ContractViolationError):
+            evaluate_cost(bench.cost, np.zeros(shape), plan)
+        with pytest.raises(ContractViolationError):
+            check_feasible(bench.constraints, np.zeros(shape), plan)
 
     def test_dimension_mismatch_rejected(self, cart10):
         with pytest.raises(ContractViolationError):
@@ -129,15 +144,14 @@ class TestRollout:
         t1 = rollout(model, x0, Plan(base))
         t2 = rollout(model, x0, Plan(other))
         # exact equality enables the solver's prefix cache
-        assert np.array_equal(t1.states[: j + 1], t2.states[: j + 1])
+        assert np.array_equal(t1[: j + 1], t2[: j + 1])
 
 
 class TestEvaluateCost:
     def test_zero_everything_costs_zero(self, cart10):
         cost = make_benchmark("cart-spring", 4, None).cost
         plan = Plan(np.zeros((4, 1)))
-        traj = Trajectory(np.zeros((5, 2)))
-        assert evaluate_cost(cost, traj, plan) == 0.0
+        assert evaluate_cost(cost, np.zeros((5, 2)), plan) == 0.0
 
     def test_cart_one_step_quadratic_arithmetic(self):
         bench = make_benchmark("cart-spring", 1, None)
@@ -160,9 +174,8 @@ class TestEvaluateCost:
 
     def test_horizon_mismatch_rejected(self, cart10):
         plan = Plan(np.zeros((3, 1)))
-        traj = Trajectory(np.zeros((5, 2)))
         with pytest.raises(ContractViolationError):
-            evaluate_cost(cart10.cost, traj, plan)
+            evaluate_cost(cart10.cost, np.zeros((5, 2)), plan)
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=2),
            st.lists(st.floats(-4, 4), min_size=3, max_size=3))
@@ -173,8 +186,8 @@ class TestEvaluateCost:
         traj = rollout(bench.model, np.array(x0), plan)
         value = evaluate_cost(bench.cost, traj, plan)
         assert value >= 0.0
-        weighted = [bench.cost.stage_cost(j, traj.states[j], plan.inputs[j]) for j in range(3)]
-        weighted.append(bench.cost.terminal_cost(traj.states[3]))
+        weighted = [bench.cost.stage_cost(j, traj[j], plan.inputs[j]) for j in range(3)]
+        weighted.append(bench.cost.terminal_cost(traj[3]))
         assert (value == 0.0) == all(w == 0.0 for w in weighted)
 
 
@@ -198,7 +211,7 @@ class TestFoldCosts:
                 running.append(running[-1] + cost.stage_cost(j, xs[j, b], us[j, b]))
             running.append(running[-1] + cost.terminal_cost(xs[horizon, b]))
             assert full[:, b].tolist() == running
-            assert evaluate_cost(cost, Trajectory(xs[:, b]), Plan(us[:, b])) == full[-1, b]
+            assert evaluate_cost(cost, xs[:, b], Plan(us[:, b])) == full[-1, b]
             # Continuing from any stage with the running value there as base.
             for start in range(horizon + 1):
                 one = fold_costs(cost, start, full[start, b], xs[start:, b:b + 1],
@@ -236,7 +249,7 @@ class TestCheckFeasible:
         bench = make_benchmark("cart-spring", 4, None)
         plan = Plan(np.zeros((4, 1)))
         traj = rollout(bench.model, np.array([2.6, 3.0]), plan)
-        assert traj.states[1][0] == pytest.approx(2.6 + 0.4 * 3.0)
+        assert traj[1][0] == pytest.approx(2.6 + 0.4 * 3.0)
         report = check_feasible(bench.constraints, traj, plan)
         assert (report.feasible, report.violation_index, report.violation_kind) == \
             (False, 1, "state-box")
@@ -262,9 +275,9 @@ class TestCheckFeasible:
         plan = Plan(np.zeros((4, 1)))
         traj = rollout(bench.model, np.zeros(2), plan)
         assert check_feasible(bench.constraints, traj, plan).feasible
-        states = traj.states.copy()
+        states = traj.copy()
         states[idx] = [3.0, 0.0]  # outside |x1| <= 2.65 and outside the terminal set
-        report = check_feasible(bench.constraints, Trajectory(states), plan)
+        report = check_feasible(bench.constraints, states, plan)
         assert not report.feasible
         assert report.violation_index == idx
         assert report.violation_kind == ("terminal" if idx == 4 else "state-box")
@@ -274,10 +287,10 @@ class TestCheckFeasible:
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_scalar_sweep(self, plant, horizon, seed, with_terminal):
-        constraints, traj, plan = random_check_case(plant, horizon, seed, with_terminal)
-        report = check_feasible(constraints, traj, plan)
+        constraints, states, plan = random_check_case(plant, horizon, seed, with_terminal)
+        report = check_feasible(constraints, states, plan)
         assert (report.feasible, report.violation_index, report.violation_kind) == \
-            scalar_sweep(constraints, traj, plan)
+            scalar_sweep(constraints, states, plan)
 
     def test_reference_cases_reach_every_outcome(self):
         outcomes = set()
@@ -384,6 +397,22 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError):
             CostSpec((np.eye(2),) * 2, ([[1.0]],) * 2,
                      np.array([[1.0, 2.0], [2.0, 1.0]]) * -1.0, (np.zeros(2), np.zeros(1)))
+
+    @pytest.mark.parametrize("plant", PLANT_IDS)
+    def test_cost_spec_rebuilt_from_its_fields_prices_the_same(self, plant):
+        cost = make_benchmark(plant, 5, None).cost
+        n, m = cost.terminal_weight.shape[0], cost.reference[1].shape[0]
+        assert cost.stage_state_weights.shape == (5, n, n)
+        assert cost.stage_input_weights.shape == (5, m, m)
+        with pytest.raises(ValueError):
+            cost.stage_state_weights[0, 0, 0] = 1.0
+        again = CostSpec(cost.stage_state_weights, cost.stage_input_weights,
+                         cost.terminal_weight, cost.reference)
+        rng = np.random.default_rng(7)
+        j = np.repeat(np.arange(5), 20)
+        xs = rng.uniform(-5.0, 5.0, (j.size, n))
+        us = rng.uniform(-5.0, 5.0, (j.size, m))
+        assert again.stage_costs(j, xs, us).tobytes() == cost.stage_costs(j, xs, us).tobytes()
 
     def test_feasibility_report_consistency(self):
         from sampled_nmpc import FeasibilityReport

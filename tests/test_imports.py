@@ -1,5 +1,6 @@
 """Every module-level import of the package's modules is read by the module,
-and every private module-level name is read somewhere in the package."""
+every private module-level name is read somewhere in the package, and every
+exported name is defined where it is exported from."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,42 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return unread
 
 
+def _exports(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defined_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def stale_exports(sources: dict[str, str]) -> list[str]:
+    """Names in a module's ``__all__`` that the module does not define, and
+    names ``__init__`` imports from a module whose ``__all__`` leaves them out."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    exports = {stem: _exports(tree) for stem, tree in trees.items()}
+    stale = [f"{stem}.{name}" for stem, tree in trees.items()
+             for name in exports[stem] if name not in _defined_names(tree)]
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            stale += [f"__init__.{a.name}" for a in node.names
+                      if a.name not in exports[node.module]]
+    return stale
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     unused = {f"{path.stem}.{name}" for name in unused_imports(path.read_text())}
@@ -99,3 +136,17 @@ def test_the_helper_scan_sees_unread_definitions():
                     "def _called():\n    pass\n",
                "b": "from . import a\n__all__ = []\nclass _Gone:\n    pass\na._called()\n"}
     assert unread_private_names(sources) == ["a._DEAD", "a._dead", "b._Gone"]
+
+
+def test_every_export_is_defined_where_it_is_exported_from():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert stale_exports(sources) == []
+
+
+def test_the_export_scan_sees_stale_names():
+    sources = {"core": '__all__ = ["Plan", "Trajectory"]\nclass Plan:\n    pass\n',
+               "solver": 'from .core import Plan\n__all__ = ["Plan", "solve"]\n'
+                         'def solve():\n    pass\n',
+               "__init__": "from .core import Plan\nfrom .solver import solve, step\n"
+                           "from . import errors\n"}
+    assert stale_exports(sources) == ["core.Trajectory", "__init__.step"]

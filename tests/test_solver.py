@@ -222,7 +222,7 @@ class TestImprovePlan:
         assert split
         assert not np.array_equal(cut.plan.inputs, full.plan.inputs)
         assert cut.j_sub == warm_cost(cart10, cart_x0, cut.plan) < warm_cost(cart10, cart_x0, warm)
-        assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan).states)
+        assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan))
 
     def test_budget_spent_on_draws_returns_the_warm_start(self, cart10, cart_x0, monkeypatch):
         # Readings: solve start, then one before each of the ten draws; a
@@ -338,7 +338,7 @@ class TestImprovePlan:
         assert np.array_equal(result.plan.inputs, expected_plan.inputs)
         assert result.j_sub == expected
         assert result.j_sub == warm_cost(bench, x0, result.plan)
-        assert np.array_equal(result.states, rollout(bench.model, x0, result.plan).states)
+        assert np.array_equal(result.states, rollout(bench.model, x0, result.plan))
         if pruning:
             assert (result.f_evals, result.cost_evals) == (tally["f_evals"],
                                                            tally["cost_evals"])
@@ -435,7 +435,7 @@ class TestMakeWarmStart:
         warm = make_warm_start(prev, x_new, cart10.model, cart10.constraints, cfg)
         assert np.array_equal(warm.inputs[:-1], prev.plan.inputs[1:])
         # the appended input is the terminal law at the previous end state
-        prev_end = rollout(cart10.model, cart_x0, prev.plan).states[-1]
+        prev_end = rollout(cart10.model, cart_x0, prev.plan)[-1]
         assert np.array_equal(warm.inputs[-1], cart10.model.terminal_law(prev_end))
         traj = rollout(cart10.model, x_new, warm)
         assert check_feasible(cart10.constraints, traj, warm).feasible
@@ -480,7 +480,7 @@ class TestMakeWarmStart:
         # from (0, 4.05, -pi/2) driving straight down 0.047 per step: the first
         # two states are outside the disc, the third is inside
         x0 = np.array([0.0, 4.05, -np.pi / 2])
-        prev = SolveResult(plan=Plan(inputs), states=rollout(wmr2.model, x0, Plan(inputs)).states,
+        prev = SolveResult(plan=Plan(inputs), states=rollout(wmr2.model, x0, Plan(inputs)),
                            j_sub=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
                            budget_hit=False)
         x_new = wmr2.model.step(x0, inputs[0])
@@ -590,7 +590,7 @@ class TestCertificates:
         # terminal set, so the shifted one-step plan fails its certificate.
         bench = make_benchmark("cart-spring", 1, None)
         cfg = SolverConfig(horizon=1, samples_per_step=0)
-        states = rollout(bench.model, np.array([2.0, 0.0]), Plan([[0.0]])).states
+        states = rollout(bench.model, np.array([2.0, 0.0]), Plan([[0.0]]))
         prev = SolveResult(plan=Plan([[0.0]]), states=states, j_sub=0.0, f_evals=0,
                            cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
         x = states[-1]
@@ -709,3 +709,20 @@ class TestSolverConfigValidation:
             SolverConfig(horizon=2, warm_start_mode="optimal")
         with pytest.raises(ConfigError):
             SolverConfig(horizon=2, time_budget=0.0)
+        with pytest.raises(ConfigError):
+            SolverConfig(horizon=2, time_budget=float("nan"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_step", 1.7), ("samples_per_step", "12"), ("samples_per_step", True),
+        ("samples_per_step", [1.5, 2, 3]), ("horizon", 3.0), ("horizon", "3"),
+        ("lanes", True), ("lanes", 2.5), ("oracle_budget", "100"), ("oracle_budget", 1e3)])
+    def test_rejects_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**{"horizon": 3, field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolverConfig(horizon=np.int32(3), samples_per_step=np.array([1, 2, 3]),
+                           lanes=np.int64(2), oracle_budget=np.uint16(10))
+        assert cfg.sample_counts == (1, 2, 3)
+        assert all(type(c) is int for c in cfg.sample_counts)
+        assert SolverConfig(horizon=2, samples_per_step=np.int8(4)).sample_counts == (4, 4)
