@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import complexity
-from .core import Plan
+from .core import Plan, _is_integer
 from .errors import ConfigError, SampledNmpcError
 from .models import Benchmark, PLANT_IDS, make_benchmark
 from .sampling import SamplerConfig
@@ -73,10 +73,22 @@ class ExperimentConfig:
             raise ConfigError("config_id must be nonempty")
         if self.plant not in PLANT_IDS:
             raise ConfigError(f"plant must be one of {PLANT_IDS}, got {self.plant!r}")
+        for name in ("horizon", "steps", "lanes", "oracle_budget"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.steps < 0:
             raise ConfigError("steps must be nonnegative")
-        if not isinstance(self.samples_per_step, int):
-            object.__setattr__(self, "samples_per_step", tuple(self.samples_per_step))
+        counts = self.samples_per_step
+        if _is_integer(counts):
+            counts = int(counts)
+        elif isinstance(counts, (list, tuple)) and all(map(_is_integer, counts)):
+            counts = tuple(int(c) for c in counts)
+        else:
+            raise ConfigError(
+                f"samples_per_step must be an integer or a sequence of integers, got {counts!r}")
+        object.__setattr__(self, "samples_per_step", counts)
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state",
                                tuple(float(v) for v in self.initial_state))
@@ -102,16 +114,11 @@ class ExperimentConfig:
         unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
         if unknown:
             raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
-        # JSON integers only: a float or a string would be truncated or split.
-        counts = data.get("samples_per_step", 0)
-        integers = [(key, data.get(key, 0))
-                    for key in ("horizon", "steps", "lanes", "oracle_budget")]
-        integers += [("samples_per_step", c) for c in (counts if isinstance(counts, list)
-                                                       else [counts])]
-        integers.append(("sampler.seed", sampler_raw.get("seed", 0)))
-        for key, value in integers:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        # __post_init__ checks the integer fields; the seed is named here
+        # because SamplerConfig's own message does not say where it sits.
+        seed = sampler_raw.get("seed", 0)
+        if not _is_integer(seed):
+            raise ConfigError(f"sampler.seed must be an integer, got {seed!r}")
         for key in ("pruning", "improve_initial"):
             if not isinstance(data.get(key, True), bool):
                 raise ConfigError(f"{key} must be true or false, got {data[key]!r}")

@@ -48,6 +48,11 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
     if arr.shape != (rows, cols):

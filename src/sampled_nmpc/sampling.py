@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BoxSet
+from .core import BoxSet, _is_integer
 from .errors import ContractViolationError
 
 __all__ = [
@@ -67,9 +67,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ContractViolationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not _is_integer(self.seed):
+            raise ContractViolationError(f"seed must be an integer, got {self.seed!r}")
+        seed = int(self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ContractViolationError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass

@@ -77,6 +77,7 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
+    _is_integer,
     as_vector,
     check_feasible,
     evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
@@ -108,6 +109,11 @@ __all__ = [
 WARM_START_MODES = ("terminal-controller", "feasible-sample")
 
 _ORACLE_STREAM_TAG = 1
+# The oracle search steps a small probe first, then full batches.  Most starts
+# find a feasible sequence within a few dozen draws, and a batched call costs
+# about its fixed overhead up to a few dozen rows, so the probe finds an easy
+# start's plan without stepping a full batch; a hard start pays one more call.
+_ORACLE_PROBE = 64
 _ORACLE_BATCH = 1024
 
 
@@ -162,11 +168,6 @@ class SolverConfig:
     @property
     def sample_counts(self) -> tuple[int, ...]:
         return self.samples_per_step  # normalized to a tuple in __post_init__
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -372,14 +373,17 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
                 cost: CostSpec, cfg: SolverConfig) -> Plan:
     """Draw random full input sequences until one is feasible from x.
 
-    Sequences are searched in batches; the first row whose states pass the
-    state set and whose end state passes the terminal set is returned.  The
-    search runs ``check_feasible``'s row kernels on the bits a rollout of the
-    plan gives, and the sampled inputs lie in the input box by construction;
-    as a warm start the plan is certified by ``improve_plan``'s entry check,
-    like every other.  Deterministic for a given seed;
-    raises NoOracleError when the budget is exhausted (including a budget of
-    zero).
+    Sequences come from the oracle's own random stream and are searched in
+    batches, a probe of ``_ORACLE_PROBE`` sequences and then batches of
+    ``_ORACLE_BATCH``, each continuing the stream; the first sequence in
+    stream order whose states pass the state set and whose end state passes
+    the terminal set is returned, so the result does not depend on the
+    batching.  The search runs ``check_feasible``'s row kernels on the bits a
+    rollout of the plan gives, and the sampled inputs lie in the input box by
+    construction; as a warm start the plan is certified by ``improve_plan``'s
+    entry check, like every other.  Deterministic for a given seed; raises
+    NoOracleError when ``cfg.oracle_budget`` sequences hold no feasible one
+    (including a budget of zero).
     """
     del cost  # the oracle only needs feasibility
     x = as_vector(x, model.n, "state")
@@ -390,8 +394,9 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
     big_n = cfg.horizon
     stream = _oracle_stream(cfg)
     remaining = cfg.oracle_budget
+    sizes = itertools.chain([_ORACLE_PROBE], itertools.repeat(_ORACLE_BATCH))
     while remaining > 0:
-        batch = min(remaining, _ORACLE_BATCH)
+        batch = min(remaining, next(sizes))
         remaining -= batch
         flat = draw_samples(stream, constraints.input_box, batch * big_n)
         sequences = flat.reshape(batch, big_n, model.m)

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sampled_nmpc import ExperimentConfig, run_experiment, sweep, validate_run
@@ -60,6 +61,34 @@ class TestExperimentConfig:
         raw = {"config_id": "x", "plant": "cart-spring", "horizon": 2, "steps": 1, **removed}
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_dict(raw)
+
+    def test_numpy_sample_counts_become_python_ints(self):
+        scalar = cart_config(samples_per_step=np.int64(5))
+        assert scalar.samples_per_step == 5 and type(scalar.samples_per_step) is int
+        per_step = cart_config(samples_per_step=[np.int64(5)] * 9 + [np.int32(2)])
+        assert per_step.samples_per_step == (5,) * 9 + (2,)
+        assert all(type(c) is int for c in per_step.samples_per_step)
+        for config in (scalar, per_step):
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @pytest.mark.parametrize("counts", [(1.5, 2, 3), 5.0, "5", True, [True] * 10,
+                                        np.float64(5.0), None, {"a": 1}])
+    def test_non_integer_sample_counts_rejected(self, counts):
+        with pytest.raises(ConfigError, match="samples_per_step"):
+            cart_config(samples_per_step=counts)
+
+    def test_numpy_integer_fields_become_python_ints(self):
+        config = cart_config(horizon=np.int64(10), steps=np.int32(4), lanes=np.int64(2),
+                             oracle_budget=np.uint16(500))
+        for name, value in (("horizon", 10), ("steps", 4), ("lanes", 2), ("oracle_budget", 500)):
+            assert getattr(config, name) == value and type(getattr(config, name)) is int
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @pytest.mark.parametrize("name, value", [("horizon", 3.5), ("steps", "4"), ("lanes", True),
+                                             ("oracle_budget", 10.0)])
+    def test_non_integer_fields_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cart_config(**{name: value})
 
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Output-digest guard: four shipped configs must reproduce their recorded
-``steps.csv`` bit for bit, apart from the wall-clock ``elapsed_ms`` column.
+``steps.csv`` bit for bit, apart from the wall-clock ``elapsed_ms`` column,
+and the oracle search its recorded first plans from hard cart starts.
 
 A change that alters outputs on purpose records the new digests here and
 says which configs moved and why.
@@ -9,9 +10,12 @@ import csv
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sampled_nmpc import SamplerConfig, SolverConfig, draw_samples, find_oracle, make_benchmark
 from sampled_nmpc.bench import ExperimentConfig, run_experiment
+from sampled_nmpc.solver import _oracle_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -20,6 +24,18 @@ GOLDEN_STEPS_SHA256 = {
     "cart_horizon_050": "be09519bc2e2a1c9c4421350c837a9a20fc0e81b99761baf7dea31728b5e3b22",
     "buck_boost": "bfd7cc326f886c31029bccbfcd71ebff39d9099fdb92718b0e0ff916915c38e6",
     "wmr_obstacle": "0cb7ece6152706fd2c54e3269455170c02156f9085116fc1474cb02d5c6cf65b",
+}
+
+# find_oracle at N = 20 from starts on the cart's hard segment
+# (-0.4, -4.6)-(-0.2, -5.0), keyed by (start, sampler seed): the oracle
+# stream's row that holds the plan, and the SHA-256 of its inputs.  The rows
+# fall in the first 64 sequences, past them, and past the first 1088.
+GOLDEN_ORACLE_PLANS = {
+    ((-0.4, -4.6), 2): (33, "99b37452d8ad3c4d2f372fb7b7c4df842c84867483a9de411e3761be9ad13991"),
+    ((-0.4, -4.6), 3): (173, "4a0266abf611f40648f6487d5fe624e2516e6ddc300a5e90d81433dfb4c6a5b9"),
+    ((-0.3, -4.8), 4): (1000, "6a48771631b7e76dba9f0880b9bdb6fcf20394ac5aef1e7bb72d2071dab2de4b"),
+    ((-0.2, -5.0), 5): (1391, "0499785b74eb3f140e1af228ee71c991156a197a5cf32222982a2a16b42022cd"),
+    ((-0.2, -5.0), 3): (8712, "63663a32c60187b665335037f0de43630ab149a5c86d6b0dcb246923166afeae"),
 }
 
 
@@ -37,3 +53,14 @@ def test_steps_csv_matches_the_recorded_digest(name, tmp_path):
     config = ExperimentConfig.load(CONFIG_DIR / f"{name}.json")
     artifacts = run_experiment(config, str(tmp_path))
     assert steps_digest(artifacts.csv_path) == GOLDEN_STEPS_SHA256[name]
+
+
+@pytest.mark.parametrize("start, seed", sorted(GOLDEN_ORACLE_PLANS))
+def test_oracle_plan_matches_the_recorded_digest(start, seed):
+    bench = make_benchmark("cart-spring", 20, None)
+    cfg = SolverConfig(horizon=20, sampler=SamplerConfig(scheme="random", seed=seed))
+    plan = find_oracle(np.array(start), bench.model, bench.constraints, bench.cost, cfg)
+    row, digest = GOLDEN_ORACLE_PLANS[start, seed]
+    stream = draw_samples(_oracle_stream(cfg), bench.constraints.input_box, (row + 1) * 20)
+    assert np.array_equal(plan.inputs, stream[row * 20:])
+    assert hashlib.sha256(plan.inputs.tobytes()).hexdigest() == digest

@@ -152,6 +152,18 @@ class TestRandomScheme:
         b = draw_samples(SamplerState(SamplerConfig(scheme="random", seed=2)), box, 8)
         assert not np.array_equal(a, b)
 
+    def test_seed_accepts_python_and_numpy_integers(self):
+        assert SamplerConfig(seed=7).seed == 7
+        for seed in (np.int64(7), np.uint64(2 ** 64 - 1)):
+            assert SamplerConfig(seed=seed).seed == int(seed)
+            assert type(SamplerConfig(seed=seed).seed) is int
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7", True, False, float("nan"), None,
+                                      np.float64(3.0), -1, 2 ** 64])
+    def test_seed_rejects_non_integers_and_out_of_range(self, seed):
+        with pytest.raises(ContractViolationError, match="seed"):
+            SamplerConfig(seed=seed)
+
     def test_dimension_binding_is_enforced(self):
         state = SamplerState(SamplerConfig(scheme="random", seed=1))
         draw_samples(state, unit_box(2), 1)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sampled_nmpc import (
@@ -99,6 +99,32 @@ def solve_from_random_start(plant, horizon, seed, counts, scheme, pruning):
         assume(False)
     result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
     return bench, x0, warm, cfg, result
+
+
+# Start states in and near each plant's state set, infeasible ones included:
+# the cart's position bound is 2.65, the converter's box is
+# [-0.1, 22.5] x [0, 3], and the robot's obstacle is the unit disc about (0, 3).
+NEAR_STATE_SETS = {
+    "cart-spring": ([-2.9, -4.0], [2.9, 4.0]),
+    "buck-boost": ([-0.5, -0.3], [23.0, 3.3]),
+    "wmr": ([-2.0, 1.0, -np.pi], [2.0, 7.0, np.pi]),
+}
+
+
+def first_feasible_in_stream(bench, x0, cfg):
+    """Independent reference for the oracle search: the whole budget drawn
+    from a fresh oracle stream in one call, then a rollout and check_feasible
+    of each sequence in stream order."""
+    big_n = cfg.horizon
+    flat = draw_samples(solver._oracle_stream(cfg), bench.constraints.input_box,
+                        cfg.oracle_budget * big_n)
+    if bench.constraints.state_ok(x0):  # else no sequence is feasible
+        with np.errstate(over="ignore", invalid="ignore"):
+            for inputs in flat.reshape(cfg.oracle_budget, big_n, bench.model.m):
+                plan = Plan(inputs)
+                if check_feasible(bench.constraints, rollout(bench.model, x0, plan), plan).feasible:
+                    return plan
+    raise NoOracleError("no feasible sequence in the budget")
 
 
 def cart_solver_cfg(**kw):
@@ -421,6 +447,47 @@ class TestFindOracle:
         a = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, grid)
         b = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, halton)
         assert np.array_equal(a.inputs, b.inputs)
+
+    @given(st.sampled_from(sorted(NEAR_STATE_SETS)), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           st.sampled_from([1, 2, 63, 64, 65, 1087, 1088, 1089]))
+    @settings(max_examples=60, deadline=None)
+    # From cart (-2.088, -1.36) at N = 5 about one sequence in 1350 is
+    # feasible; these seeds put the first one at row 63, 64, 1087 and 1088.
+    @example("cart-spring", 5, 2354, [0.14, 0.33, 0.0], 63)
+    @example("cart-spring", 5, 2354, [0.14, 0.33, 0.0], 64)
+    @example("cart-spring", 5, 970, [0.14, 0.33, 0.0], 64)
+    @example("cart-spring", 5, 970, [0.14, 0.33, 0.0], 65)
+    @example("cart-spring", 5, 2356, [0.14, 0.33, 0.0], 1088)
+    @example("cart-spring", 5, 5467, [0.14, 0.33, 0.0], 1088)
+    @example("cart-spring", 5, 5467, [0.14, 0.33, 0.0], 1089)
+    def test_returns_the_first_feasible_sequence_of_its_stream(self, plant, horizon, seed,
+                                                               where, budget):
+        # The budgets straddle the edges of the batches: a 64-sequence probe,
+        # then 1024-sequence batches.
+        bench = make_benchmark(plant, horizon, None)
+        lo, hi = (np.array(v) for v in NEAR_STATE_SETS[plant])
+        x0 = lo + np.array(where[:lo.size]) * (hi - lo)
+        cfg = SolverConfig(horizon=horizon, oracle_budget=budget,
+                           sampler=SamplerConfig(scheme="random", seed=seed))
+        try:
+            expected = first_feasible_in_stream(bench, x0, cfg)
+        except NoOracleError:
+            with pytest.raises(NoOracleError):
+                find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+            return
+        plan = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+        assert plan.inputs.tobytes() == expected.inputs.tobytes()
+
+    def test_an_easy_start_steps_only_the_probe(self, cart10):
+        rows = []
+        model = cart10.model
+        spy = dataclasses.replace(
+            model, batch_step=lambda xs, us: rows.append(xs.shape[0]) or model.batch_step(xs, us),
+            step=None)
+        rows.clear()  # construction checks the equilibrium once
+        find_oracle(np.zeros(2), spy, cart10.constraints, cart10.cost, cart_solver_cfg())
+        assert rows and max(rows) <= 64
 
 
 class TestMakeWarmStart:
