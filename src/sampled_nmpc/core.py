@@ -158,7 +158,9 @@ class PlantModel:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Per-coordinate closed interval bounds; +/-inf marks an unbounded side."""
+    """Per-coordinate closed interval bounds; +/-inf marks an unbounded side.
+    Membership ands one comparison per finite bound; a column unbounded on
+    both sides is compared with its lower bound, so NaN fails in any column."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -174,6 +176,11 @@ class BoxSet:
             raise ContractViolationError("box requires lower <= upper elementwise")
         object.__setattr__(self, "lower", _frozen(lo.copy()))
         object.__setattr__(self, "upper", _frozen(hi.copy()))
+        comparisons = []  # a side at its own infinity holds every entry but NaN
+        for col, (lo_c, hi_c) in enumerate(zip(lo.tolist(), hi.tolist())):
+            comparisons += [(col, np.greater_equal, lo_c)] * (lo_c > -np.inf or hi_c == np.inf)
+            comparisons += [(col, np.less_equal, hi_c)] * (hi_c < np.inf)
+        object.__setattr__(self, "_comparisons", tuple(comparisons))
 
     @property
     def dim(self) -> int:
@@ -187,8 +194,12 @@ class BoxSet:
         return bool(self.contains_rows(v[np.newaxis])[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized membership over stacked rows."""
-        return np.all((rows >= self.lower) & (rows <= self.upper), axis=1)
+        """Vectorized membership over stacked rows, as a fresh bool array."""
+        ok = None
+        for col, compare, bound in self._comparisons:
+            hit = compare(rows[:, col], bound)
+            ok = hit if ok is None else np.logical_and(ok, hit, out=ok)
+        return np.ones(rows.shape[0], dtype=bool) if ok is None else ok  # None: no columns
 
 
 @dataclass(frozen=True)
@@ -211,19 +222,11 @@ class EllipsoidSet:
         object.__setattr__(self, "shape", _frozen(s.copy()))
         object.__setattr__(self, "level", float(self.level))
 
-    def value(self, x: np.ndarray) -> float:
-        return float(_quadratic_rows(x[np.newaxis] - self.center, self.shape)[0])
-
     def contains(self, x: np.ndarray) -> bool:
         return bool(self.contains_rows(x[np.newaxis])[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         return _quadratic_rows(rows - self.center, self.shape) <= self.level
-
-    def bounding_box(self) -> "BoxSet":
-        """Tight axis-aligned box around the set."""
-        half = np.sqrt(self.level * np.diag(np.linalg.inv(self.shape)))
-        return BoxSet(self.center - half, self.center + half)
 
 
 @dataclass(frozen=True)

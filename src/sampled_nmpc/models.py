@@ -2,6 +2,9 @@
 buck-boost power converter and a wheeled mobile robot, each with its published
 parameters, constraint sets, cost weights and (where available) terminal
 controller and terminal set.
+
+Each plant's map is its ``batch_step``: parameter constants are computed once
+per model, and a call writes each successor column into one fresh (B, n) array.
 """
 
 from __future__ import annotations
@@ -111,29 +114,19 @@ class WmrParams:
 
 
 # ---------------------------------------------------------------------------
-# plant step maps
-# ---------------------------------------------------------------------------
-
-def _buck_matrices(p: BuckBoostParams):
-    a = np.eye(2) + p.ts * np.array([[-1.0 / (p.r_h * p.c_f), 0.0], [0.0, -p.r_l / p.l_f]])
-    b = p.ts * np.array([[0.0, 0.0], [p.v_s / p.l_f, 0.0]])
-    c1 = p.ts * np.array([[0.0, 0.0], [0.0, 1.0 / p.c_f]])
-    c2 = p.ts * np.array([[0.0, -1.0 / p.l_f], [0.0, 0.0]])
-    return a, b, c1, c2
-
-
-# ---------------------------------------------------------------------------
 # plant bundles
 # ---------------------------------------------------------------------------
 
 def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
+    ts = p.ts
+    k_spring, k_damp, k_in = p.ts * (p.rho0 / p.mass), p.ts * (p.damping / p.mass), p.ts / p.mass
+
     def batch_step(xs, us):
         x1, x2 = xs[:, 0], xs[:, 1]
-        return np.stack([
-            x1 + p.ts * x2,
-            x2 - p.ts * (p.rho0 / p.mass) * np.exp(-x1) * x1
-            - p.ts * (p.damping / p.mass) * x2 + (p.ts / p.mass) * us[:, 0],
-        ], axis=1)
+        out = np.empty((xs.shape[0], 2))
+        out[:, 0] = x1 + ts * x2
+        out[:, 1] = x2 - k_spring * np.exp(-x1) * x1 - k_damp * x2 + k_in * us[:, 0]
+        return out
 
     zero_input = np.zeros((1, 1))
 
@@ -160,12 +153,18 @@ def buck_equilibrium(p: BuckBoostParams = BuckBoostParams()) -> tuple[np.ndarray
 
 
 def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
-    a, b, c1, c2 = _buck_matrices(p)
+    # x+ = A x + B u + (x'C1 u, x'C2 u): each output has one term per matrix.
+    a_vv, a_ii = 1.0 + p.ts * (-1.0 / (p.r_h * p.c_f)), 1.0 + p.ts * (-p.r_l / p.l_f)
+    b_i, c1_v, c2_i = p.ts * (p.v_s / p.l_f), p.ts * (1.0 / p.c_f), p.ts * (-1.0 / p.l_f)
     x_eq, u_eq = buck_equilibrium(p)
 
     def batch_step(xs, us):
-        bilinear = np.stack([xs @ c1, xs @ c2], axis=1)  # rows x'C1, x'C2 per item
-        return xs @ a.T + us @ b.T + np.einsum("bij,bj->bi", bilinear, us)
+        v_c, i_l, d2 = xs[:, 0], xs[:, 1], us[:, 1]
+        out = np.empty((xs.shape[0], 2))
+        out[:, 0] = a_vv * v_c + i_l * c1_v * d2
+        out[:, 1] = a_ii * i_l + b_i * us[:, 0] + v_c * c2_i * d2
+        out += 0.0  # a zero reads +0.0, as from the zero-started matrix products
+        return out
 
     def terminal_law(x):
         return u_eq + BUCK_K @ (x - x_eq)
@@ -176,12 +175,15 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
 
 
 def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
+    ts = p.ts
+
     def batch_step(xs, us):
-        return np.stack([
-            xs[:, 0] + us[:, 0] * np.cos(xs[:, 2]) * p.ts,
-            xs[:, 1] + us[:, 0] * np.sin(xs[:, 2]) * p.ts,
-            xs[:, 2] + us[:, 1] * p.ts,
-        ], axis=1)
+        heading, speed = xs[:, 2], us[:, 0]
+        out = np.empty((xs.shape[0], 3))
+        out[:, 0] = xs[:, 0] + speed * np.cos(heading) * ts
+        out[:, 1] = xs[:, 1] + speed * np.sin(heading) * ts
+        out[:, 2] = heading + us[:, 1] * ts
+        return out
 
     return PlantModel(n=3, m=2, batch_step=batch_step,
                       equilibrium=(np.zeros(3), np.zeros(2)),

@@ -154,8 +154,8 @@ def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:
     later draws explore new points; random draws are coordinatewise uniform
     from the seeded generator.
     """
-    if count < 0:
-        raise ContractViolationError("count must be nonnegative")
+    if not _is_integer(count) or count < 0:
+        raise ContractViolationError(f"count must be a nonnegative integer, got {count!r}")
     if not box.is_bounded:
         raise ContractViolationError("sampling requires a bounded box in every coordinate")
     dim = box.dim

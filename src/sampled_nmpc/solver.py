@@ -148,8 +148,13 @@ class SolverConfig:
             raise ConfigError("horizon must be >= 1")
         if self.lanes < 1:
             raise ConfigError("lanes must be >= 1")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
-            raise ConfigError("time_budget must be positive when set")
+        if not (isinstance(self.pruning, bool) and isinstance(self.improve_initial, bool)):
+            raise ConfigError("pruning and improve_initial must be True or False")
+        budget, real = self.time_budget, isinstance(self.time_budget, (float, np.floating))
+        if budget is not None and not ((real or _is_integer(budget)) and budget > 0):  # NaN too
+            raise ConfigError(f"time_budget must be a positive number when set, got {budget!r}")
+        if self.initial_plan is not None and not isinstance(self.initial_plan, Plan):
+            raise ConfigError(f"initial_plan must be a Plan, got {self.initial_plan!r}")
         if self.oracle_budget < 0:
             raise ConfigError("oracle_budget must be nonnegative")
         if self.warm_start_mode not in WARM_START_MODES:
@@ -469,8 +474,8 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     elapsed times include warm-start (and oracle) construction.
     """
     x = as_vector(x0, model.n, "initial state")
-    if steps < 0:
-        raise ContractViolationError("steps must be nonnegative")
+    if not _is_integer(steps) or steps < 0:
+        raise ContractViolationError(f"steps must be a nonnegative integer, got {steps!r}")
     sampler_state = SamplerState(cfg.sampler)
     states = np.empty((steps + 1, model.n), dtype=np.float64)
     states[0] = x

@@ -207,7 +207,7 @@ def test_criterion_07_small_instance_oracle_equivalence():
 
 
 def test_criterion_08_terminal_ingredients():
-    from test_models import halton_points_in_ellipsoid
+    from test_models import ellipsoid_value, halton_points_in_ellipsoid
     from sampled_nmpc import terminal_set
 
     bench = make_benchmark("cart-spring", 10, None)
@@ -218,7 +218,8 @@ def test_criterion_08_terminal_ingredients():
     for x in points:
         u = bench.model.terminal_law(x)
         x_next = bench.model.step(x, u)
-        ok &= ell.value(x_next) + bench.cost.stage_cost(0, x, u) <= ell.value(x) + 1e-9
+        ok &= (ellipsoid_value(ell, x_next) + bench.cost.stage_cost(0, x, u)
+               <= ellipsoid_value(ell, x) + 1e-9)
         ok &= ell.contains(x_next)
         ok &= -4.5 <= u[0] <= 4.5
     elapsed = time.perf_counter() - t0

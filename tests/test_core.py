@@ -22,6 +22,7 @@ from sampled_nmpc import (
 from sampled_nmpc.core import fold_costs
 from sampled_nmpc.errors import ContractViolationError
 from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_IDS
+from test_models import ellipsoid_value
 
 TS, RHO0, MASS, DAMPING = 0.4, 0.33, 1.0, 1.1
 
@@ -54,7 +55,7 @@ def scalar_sweep(constraints, states, plan):
     if constraints.terminal is None:
         end_ok = state_kind(end) is None
     else:
-        end_ok = constraints.terminal.value(end) <= constraints.terminal.level
+        end_ok = ellipsoid_value(constraints.terminal, end) <= constraints.terminal.level
     return (True, None, None) if end_ok else (False, big_n, "terminal")
 
 

@@ -13,6 +13,7 @@ from sampled_nmpc import (
     make_benchmark,
     terminal_set,
 )
+from sampled_nmpc.core import BoxSet, _quadratic_rows
 from sampled_nmpc.errors import ConfigError
 from sampled_nmpc.models import (
     BUCK_TERMINAL_LEVEL,
@@ -47,9 +48,21 @@ def random_rows(bench, seed, count):
             rng.uniform(box.lower, box.upper, (count, bench.model.m)))
 
 
+def ellipsoid_value(ellipsoid, x):
+    """(x - center)' shape (x - center), the quadratic the set's membership
+    test compares with its level."""
+    return float(_quadratic_rows(x[np.newaxis] - ellipsoid.center, ellipsoid.shape)[0])
+
+
+def bounding_box(ellipsoid):
+    """Tight axis-aligned box around an ellipsoidal set."""
+    half = np.sqrt(ellipsoid.level * np.diag(np.linalg.inv(ellipsoid.shape)))
+    return BoxSet(ellipsoid.center - half, ellipsoid.center + half)
+
+
 def halton_points_in_ellipsoid(ellipsoid, count):
     """Deterministic low-discrepancy fill of an ellipsoidal set."""
-    box = ellipsoid.bounding_box()
+    box = bounding_box(ellipsoid)
     state = SamplerState(SamplerConfig(scheme="halton"))
     points = []
     while len(points) < count:
@@ -86,7 +99,7 @@ class TestCartSpring:
         assert ell.level == CART_TERMINAL_LEVEL
         assert ell.contains(np.zeros(2))
         # quadratic value at (1, 0) is the top-left weight, above the level
-        assert ell.value(np.array([1.0, 0.0])) == CART_P[0, 0] > CART_TERMINAL_LEVEL
+        assert ellipsoid_value(ell, np.array([1.0, 0.0])) == CART_P[0, 0] > CART_TERMINAL_LEVEL
         assert not ell.contains(np.array([1.0, 0.0]))
 
     def test_terminal_set_sits_inside_position_bounds(self):
@@ -103,7 +116,8 @@ class TestCartSpring:
             u = model.terminal_law(x)
             assert abs(u[0]) <= 4.5
             x_next = model.step(x, u)
-            assert ell.value(x_next) + cost.stage_cost(0, x, u) <= ell.value(x) + 1e-9
+            assert (ellipsoid_value(ell, x_next) + cost.stage_cost(0, x, u)
+                    <= ellipsoid_value(ell, x) + 1e-9)
             assert ell.contains(x_next)
 
     def test_params_must_be_positive(self):
@@ -147,11 +161,11 @@ class TestBuckBoost:
             u = model.terminal_law(x)
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
             x_next = model.step(x, u)
-            assert ell.value(x_next) <= ell.value(x)
+            assert ellipsoid_value(ell, x_next) <= ellipsoid_value(ell, x)
             assert ell.contains(x_next)
 
     def test_terminal_set_sits_inside_state_box(self):
-        box = terminal_set("buck-boost").bounding_box()
+        box = bounding_box(terminal_set("buck-boost"))
         assert box.lower[0] >= -0.1 and box.upper[0] <= 22.5
         assert box.lower[1] >= 0.0 and box.upper[1] <= 3.0
 
