@@ -159,8 +159,8 @@ class PlantModel:
 @dataclass(frozen=True)
 class BoxSet:
     """Per-coordinate closed interval bounds; +/-inf marks an unbounded side.
-    Membership ands one comparison per finite bound; a column unbounded on
-    both sides is compared with its lower bound, so NaN fails in any column."""
+    Membership ands one comparison per side not at its own infinity; a column
+    left with none keeps its lower one, so NaN fails in any column."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -199,7 +199,7 @@ class BoxSet:
         for col, compare, bound in self._comparisons:
             hit = compare(rows[:, col], bound)
             ok = hit if ok is None else np.logical_and(ok, hit, out=ok)
-        return np.ones(rows.shape[0], dtype=bool) if ok is None else ok  # None: no columns
+        return np.ones(rows.shape[0], dtype=bool) if ok is None else ok  # no columns
 
 
 @dataclass(frozen=True)

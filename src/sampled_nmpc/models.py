@@ -163,7 +163,7 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
         out = np.empty((xs.shape[0], 2))
         out[:, 0] = a_vv * v_c + i_l * c1_v * d2
         out[:, 1] = a_ii * i_l + b_i * us[:, 0] + v_c * c2_i * d2
-        out += 0.0  # a zero reads +0.0, as from the zero-started matrix products
+        out += 0.0  # -0.0 becomes +0.0, as the matrix form's zero-started sums give
         return out
 
     def terminal_law(x):

@@ -366,6 +366,40 @@ class TestTypeInvariants:
         assert box.contains(np.array([1.0])) and box.contains(np.array([-1.0]))
         assert not box.contains(np.array([1.0000000000000002]))
 
+    @given(st.data(), st.integers(1, 4), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_box_mask_equals_the_closed_interval_test(self, data, dim, count):
+        finite = st.floats(-10.0, 10.0)
+        column = st.one_of(
+            st.tuples(finite, finite).map(sorted),  # bounded
+            finite.map(lambda hi: (-np.inf, hi)), finite.map(lambda lo: (lo, np.inf)),
+            st.sampled_from([(-np.inf, np.inf), (-np.inf, -np.inf), (np.inf, np.inf)]))
+        lo, hi = np.array(data.draw(st.lists(column, min_size=dim, max_size=dim))).T
+        box = BoxSet(lo, hi)
+        entry = st.one_of(st.floats(-12.0, 12.0),
+                          st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                          st.sampled_from(sorted(set(lo) | set(hi))))
+        rows = np.array(data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                           min_size=count, max_size=count)),
+                        dtype=np.float64).reshape(count, dim)
+        if data.draw(st.booleans()):  # a strided view, as a window's rows are
+            rows = np.repeat(rows, 2, axis=1)[:, ::2]
+        mask = box.contains_rows(rows)
+        assert mask.dtype == np.bool_ and mask.shape == (count,)
+        assert not np.shares_memory(mask, rows)
+        assert np.array_equal(mask, np.all((rows >= lo) & (rows <= hi), axis=1))
+
+    def test_box_mask_rejects_nan_in_every_kind_of_column(self):
+        box = BoxSet(np.array([-1.0, -np.inf, 0.0, -np.inf]),
+                     np.array([1.0, 2.0, np.inf, np.inf]))
+        for col in range(4):
+            row = np.zeros((1, 4))
+            row[0, col] = np.nan
+            assert not box.contains_rows(row)[0]
+        assert box.contains_rows(np.array([[1.0, -np.inf, np.inf, -np.inf]]))[0]
+        assert box.contains_rows(np.empty((0, 4))).shape == (0,)
+        assert BoxSet(np.empty(0), np.empty(0)).contains_rows(np.empty((3, 0))).all()
+
     def test_ellipsoid_requires_spd_shape(self):
         with pytest.raises(ContractViolationError):
             EllipsoidSet(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)

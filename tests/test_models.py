@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,3 +279,111 @@ class TestBenchmarkAssembly:
         for s in range(3):
             rows = stage_of_row == s
             assert np.array_equal(mixed[rows], cost.stage_costs(s, xs[rows], us[rows]))
+
+
+# ---------------------------------------------------------------------------
+# the plant maps against their matrix-and-stack formulas
+# ---------------------------------------------------------------------------
+
+def _buck_matrices(p):
+    a = np.eye(2) + p.ts * np.array([[-1.0 / (p.r_h * p.c_f), 0.0], [0.0, -p.r_l / p.l_f]])
+    b = p.ts * np.array([[0.0, 0.0], [p.v_s / p.l_f, 0.0]])
+    c1 = p.ts * np.array([[0.0, 0.0], [0.0, 1.0 / p.c_f]])
+    c2 = p.ts * np.array([[0.0, -1.0 / p.l_f], [0.0, 0.0]])
+    return a, b, c1, c2
+
+
+def stacked_batch_step(plant, p):
+    """Each plant map as np.stack of temporaries (the converter as 2x2
+    matrix products and an einsum): the reference the column-writing
+    kernels must reproduce bit for bit."""
+    if plant == "cart-spring":
+        def batch_step(xs, us):
+            x1, x2 = xs[:, 0], xs[:, 1]
+            return np.stack([
+                x1 + p.ts * x2,
+                x2 - p.ts * (p.rho0 / p.mass) * np.exp(-x1) * x1
+                - p.ts * (p.damping / p.mass) * x2 + (p.ts / p.mass) * us[:, 0],
+            ], axis=1)
+    elif plant == "buck-boost":
+        a, b, c1, c2 = _buck_matrices(p)
+
+        def batch_step(xs, us):
+            bilinear = np.stack([xs @ c1, xs @ c2], axis=1)  # rows x'C1, x'C2 per item
+            return xs @ a.T + us @ b.T + np.einsum("bij,bj->bi", bilinear, us)
+    else:
+        def batch_step(xs, us):
+            return np.stack([
+                xs[:, 0] + us[:, 0] * np.cos(xs[:, 2]) * p.ts,
+                xs[:, 1] + us[:, 0] * np.sin(xs[:, 2]) * p.ts,
+                xs[:, 2] + us[:, 1] * p.ts,
+            ], axis=1)
+    return batch_step
+
+
+def scaled(default, low=0.5, high=2.0):
+    return st.floats(low * default, high * default)
+
+
+PARAM_OVERRIDES = {
+    "cart-spring": st.fixed_dictionaries({}, optional={
+        "ts": scaled(0.4), "rho0": scaled(0.33), "mass": scaled(1.0), "damping": scaled(1.1)}),
+    "buck-boost": st.fixed_dictionaries({}, optional={
+        "r_l": scaled(0.2), "c_f": scaled(22e-6), "l_f": scaled(220e-6), "ts": scaled(10e-6),
+        "v_s": scaled(10.0), "r_h": scaled(100.0)}),
+    "wmr": st.fixed_dictionaries({}, optional={"ts": scaled(0.1)}),
+}
+PARAMS = {"cart-spring": CartSpringParams, "buck-boost": BuckBoostParams, "wmr": WmrParams}
+
+
+def rows_around(data, rng, lo, hi, count):
+    """``count`` rows around the window [lo, hi], widened by a quarter of its
+    width on each side.  The first few rows are drawn entry by entry from the
+    window's own bounds, zeros of either sign and any float in the widened
+    window, so that such entries of states and inputs meet in one row; the
+    rest are uniform on the widened window."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    margin = 0.25 * (hi - lo)
+    rows = rng.uniform(lo - margin, hi + margin, (count, lo.shape[0]))
+    for row in range(data.draw(st.integers(0, min(count, 4)))):
+        for col in range(lo.shape[0]):
+            rows[row, col] = data.draw(
+                st.sampled_from([lo[col], hi[col], 0.0, -0.0])
+                | st.floats(lo[col] - margin[col], hi[col] + margin[col]))
+    return rows
+
+
+class TestBatchStepKernels:
+    @given(st.sampled_from(PLANT_IDS), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 2, 64, 1024, 1100]) | st.integers(1, 1100),
+           st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_column_kernels_equal_the_stacked_formulas(self, plant, seed, count, strided,
+                                                        data):
+        overrides = data.draw(PARAM_OVERRIDES[plant])
+        bench = make_benchmark(plant, 1, overrides)
+        model = bench.model
+        reference = stacked_batch_step(plant, replace(PARAMS[plant](), **overrides))
+        rng = np.random.default_rng(seed)
+        xs = rows_around(data, rng, *STATE_WINDOWS[plant], count)
+        box = bench.constraints.input_box
+        us = rows_around(data, rng, box.lower, box.upper, count)
+        if strided:  # as the oracle passes them: views into a wider array
+            xs = np.repeat(xs, 2, axis=1)[:, ::2]
+            us = np.repeat(us, 2, axis=1)[:, ::2]
+        out = model.batch_step(xs, us)
+        assert out.dtype == np.float64 and out.shape == (count, model.n)
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert not np.shares_memory(out, xs) and not np.shares_memory(out, us)
+        assert np.array_equal(out.view(np.uint64), reference(xs, us).view(np.uint64))
+
+    def test_converter_zeros_are_positive(self):
+        # the matrix products start their sums from +0.0, so no zero output
+        # of the converter carries a minus sign
+        xs = np.array([[-0.0, -1.0], [-0.0, -0.0], [0.0, 2.0]])
+        us = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.5, 0.0]])
+        out = BUCK.batch_step(xs, us)
+        assert np.array_equal(out.view(np.uint64),
+                              stacked_batch_step("buck-boost", BuckBoostParams())(xs, us)
+                              .view(np.uint64))
+        assert not np.any(np.signbit(out[out == 0.0]))

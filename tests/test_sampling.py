@@ -207,6 +207,17 @@ class TestDrawSamplesContract:
         with pytest.raises(ContractViolationError):
             draw_samples(SamplerState(SamplerConfig()), unit_box(1), -1)
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, False, "3", None])
+    def test_non_integer_count_rejected(self, count):
+        state = SamplerState(SamplerConfig())
+        with pytest.raises(ContractViolationError, match="count"):
+            draw_samples(state, unit_box(1), count)
+        assert state.counter == 0
+
+    def test_numpy_integer_count(self):
+        samples = draw_samples(SamplerState(SamplerConfig()), unit_box(2), np.uint8(3))
+        assert samples.shape == (3, 2)
+
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 50), st.integers(1, 3),
            st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=40, deadline=None)

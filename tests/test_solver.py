@@ -25,6 +25,7 @@ from sampled_nmpc import (
 )
 from sampled_nmpc.errors import (
     ConfigError,
+    ContractViolationError,
     InfeasibleWarmStartError,
     NoOracleError,
     NoTerminalLawError,
@@ -676,6 +677,17 @@ class TestClosedLoop:
         assert np.array_equal(log.states, cart_x0[np.newaxis, :])
         assert log.termination == "completed"
 
+    @pytest.mark.parametrize("steps", [1.5, 2.0, True, "2", -1])
+    def test_steps_must_be_a_nonnegative_integer(self, cart10, cart_x0, steps):
+        with pytest.raises(ContractViolationError, match="steps"):
+            closed_loop(cart10.model, cart10.constraints, cart10.cost,
+                        cart_solver_cfg(), cart_x0, steps)
+
+    def test_numpy_integer_steps(self, cart10, cart_x0):
+        log = closed_loop(cart10.model, cart10.constraints, cart10.cost,
+                          cart_solver_cfg(), cart_x0, np.int64(2))
+        assert len(log.records) == 2 and log.states.shape == (3, 2)
+
     def test_cart_constraints_hold_throughout(self, cart10, cart_x0):
         log = closed_loop(cart10.model, cart10.constraints, cart10.cost,
                           cart_solver_cfg(), cart_x0, 20)
@@ -786,6 +798,20 @@ class TestSolverConfigValidation:
     def test_rejects_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"horizon": 3, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("pruning", "no"), ("pruning", 0), ("improve_initial", 0), ("improve_initial", None),
+        ("time_budget", True), ("time_budget", "5"), ("time_budget", [1.0]),
+        ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1)))])
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**{"horizon": 3, field: value})
+
+    def test_accepts_numeric_budgets_and_a_plan(self):
+        for budget in (2, 0.5, np.float32(0.25), np.int64(1), float("inf")):
+            assert SolverConfig(horizon=3, time_budget=budget).time_budget == budget
+        plan = Plan(np.zeros((3, 1)))
+        assert SolverConfig(horizon=3, initial_plan=plan).initial_plan is plan
 
     def test_accepts_numpy_integers(self):
         cfg = SolverConfig(horizon=np.int32(3), samples_per_step=np.array([1, 2, 3]),
