@@ -160,7 +160,8 @@ class PlantModel:
 class BoxSet:
     """Per-coordinate closed interval bounds; +/-inf marks an unbounded side.
     Membership ands one comparison per side not at its own infinity; a column
-    left with none keeps its lower one, so NaN fails in any column."""
+    left with none keeps its lower one, so NaN fails in any column.
+    ``is_bounded`` (every bound finite) is computed once, at construction."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -181,14 +182,12 @@ class BoxSet:
             comparisons += [(col, np.greater_equal, lo_c)] * (lo_c > -np.inf or hi_c == np.inf)
             comparisons += [(col, np.less_equal, hi_c)] * (hi_c < np.inf)
         object.__setattr__(self, "_comparisons", tuple(comparisons))
+        bounded = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
+        object.__setattr__(self, "is_bounded", bounded)
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-    @property
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
     def contains(self, v: np.ndarray) -> bool:
         return bool(self.contains_rows(v[np.newaxis])[0])

@@ -36,8 +36,8 @@ sum ``evaluate_cost`` forms for its plan, bit for bit.
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
 counts, taken from each decided row's last round: with pruning, a candidate
 at position j costs the steps from j to its first violating state; without,
-N - j steps and one cost evaluation.  The plant steps actually made, beyond
-the entry rollout's N, are bounded through K_max, the largest window used.
+N - j steps and one cost evaluation.  The plant steps made beyond a rolled
+out warm start's N are bounded through K_max, the largest window used.
 A round that holds position j without deciding it accepts a position above
 j, and the next round starts below that one.  A window spans at most K_max
 drawn positions, so the rounds holding j start at distinct places among j
@@ -49,12 +49,16 @@ the sweep's order, or the last one; with every n_j > 0 that is at most
 K_max * sum_j n_j (N - j + K_max - 1).
 
 Feasibility is tested with the row kernels that ``check_feasible``
-applies.  ``find_oracle``'s batched search uses them to find a feasible
-row.  ``improve_plan``'s entry rollout and check is the one certificate of
-every warm start (oracle, ``initial_plan`` or shift), and the sweep's masks
-certify each candidate it accepts.  A solve returns the predicted
-trajectory of its plan, so ``make_warm_start`` shifts the previous
-prediction instead of re-simulating it.
+applies; ``find_oracle`` masks each batch's states in one call.
+``improve_plan``'s entry ``check_feasible`` of the warm start's trajectory
+is the one certificate of every warm start, and the sweep's masks certify
+each candidate it accepts.  A plan built here carries the trajectory its
+model stepped: the oracle's batch row, a solve's reference, or the previous
+prediction shifted plus one step of the appended input.  The entry check
+takes it when the model object is the same and x is its first state bit for
+bit, and rolls the plan out otherwise (a caller's plan, another model, a
+measured state off the prediction); every kernel gives a row the same bits
+whatever the batch, so the two agree bit for bit.
 
 The time budget is polled before each draw and after each batched step.
 A window cut short decides none of its positions, so they keep the
@@ -77,6 +81,7 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
+    _frozen,
     _is_integer,
     as_vector,
     check_feasible,
@@ -219,20 +224,29 @@ class RunLog:
     termination: str
 
 
+@dataclass(frozen=True)
+class _SteppedPlan(Plan):
+    """A plan and the read-only (N+1, n) trajectory ``model`` stepped it along."""
+
+    states: np.ndarray
+    model: PlantModel
+
+
 def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  constraints: ConstraintSpec, cost: CostSpec, cfg: SolverConfig,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
     """Run one backward sweep of single-position sample replacements,
     evaluated a window of positions at a time (see the module docstring).
 
-    The warm start is rolled out from x and checked on entry, its one
-    certificate, and rejected with InfeasibleWarmStartError if infeasible;
-    that rollout's states and ``fold_costs`` give the reference and its cost
-    prefix.  Each round steps all candidate rows of one window from its
-    lowest position and prices them with one ``fold_costs`` call; the highest
-    position with a strictly cheaper feasible row accepts its cheapest, and
-    the next window starts below it.  The returned cost never exceeds the
-    warm start's cost, and the returned plan is feasible even when the time
+    The warm start's trajectory from x (the one it carries, see the module
+    docstring, else a rollout) is checked on entry, its one certificate, and
+    rejected with InfeasibleWarmStartError if infeasible; those states and
+    ``fold_costs`` give the reference and its cost prefix.  Each round steps
+    all candidate rows of one window from its lowest position and prices them
+    with one ``fold_costs`` call; the highest position with a strictly cheaper
+    feasible row accepts its cheapest, and the next window starts below it.
+    The returned cost never exceeds the warm start's cost, and the returned
+    plan, which carries the returned states, is feasible even when the time
     budget interrupts the sweep.
     """
     t_start = time.perf_counter()
@@ -246,7 +260,9 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
 
-    warm_states = rollout(model, x, warm)
+    carried = (isinstance(warm, _SteppedPlan) and warm.model is model
+               and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
+    warm_states = warm.states if carried else rollout(model, x, warm)
     report = check_feasible(constraints, warm_states, warm)
     if not report.feasible:
         raise InfeasibleWarmStartError(
@@ -354,9 +370,10 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
             cost_evals = block[lo]
 
     ref_states.setflags(write=False)
-    return SolveResult(plan=Plan(ref_inputs), states=ref_states, j_sub=float(j_ref),
-                       f_evals=f_evals, cost_evals=cost_evals, improvements=improvements,
-                       elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
+    return SolveResult(plan=_SteppedPlan(ref_inputs, ref_states, model), states=ref_states,
+                       j_sub=float(j_ref), f_evals=f_evals, cost_evals=cost_evals,
+                       improvements=improvements, elapsed=time.perf_counter() - t_start,
+                       budget_hit=budget_hit)
 
 
 def _window_size(decided: int, accepted: int) -> int:
@@ -383,12 +400,12 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
     ``_ORACLE_BATCH``, each continuing the stream; the first sequence in
     stream order whose states pass the state set and whose end state passes
     the terminal set is returned, so the result does not depend on the
-    batching.  The search runs ``check_feasible``'s row kernels on the bits a
-    rollout of the plan gives, and the sampled inputs lie in the input box by
-    construction; as a warm start the plan is certified by ``improve_plan``'s
-    entry check, like every other.  Deterministic for a given seed; raises
-    NoOracleError when ``cfg.oracle_budget`` sequences hold no feasible one
-    (including a budget of zero).
+    batching.  Each batch steps every sequence the whole horizon and masks
+    all its states at once; the plan carries its row's states, the bits a
+    rollout gives, which ``improve_plan``'s entry check certifies.  Sampled
+    inputs lie in the input box by construction.  Deterministic for a given
+    seed; raises NoOracleError when ``cfg.oracle_budget`` sequences hold no
+    feasible one (including a budget of zero).
     """
     del cost  # the oracle only needs feasibility
     x = as_vector(x, model.n, "state")
@@ -407,27 +424,26 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         sequences = flat.reshape(batch, big_n, model.m)
         hit = _first_feasible_sequence(x, sequences, model, constraints)
         if hit is not None:
-            return Plan(sequences[hit])
+            return _SteppedPlan(sequences[hit[0]], hit[1], model)
     raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
 
 
-def _first_feasible_sequence(x: np.ndarray, sequences: np.ndarray,
-                             model: PlantModel, constraints: ConstraintSpec) -> Optional[int]:
-    """Index of the first row of (B, N, m) sequences feasible from x, else None."""
+def _first_feasible_sequence(x: np.ndarray, sequences: np.ndarray, model: PlantModel,
+                             constraints: ConstraintSpec) -> Optional[tuple[int, np.ndarray]]:
+    """The first row of (B, N, m) sequences feasible from x and its read-only
+    (N+1, n) states, else None."""
     batch, big_n, _ = sequences.shape
-    alive = np.ones(batch, dtype=bool)
-    states = np.broadcast_to(x, (batch, x.shape[0])).copy()
-    # Dead rows keep stepping (cheaper than compaction); silence any overflow
-    # they produce, the comparisons below already exclude them.
+    xs = np.empty((big_n + 1, batch, x.shape[0]), dtype=np.float64)
+    xs[0] = x
+    # Every row steps the whole horizon; silence any overflow of rows that
+    # left the state set, the masks below exclude them.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(big_n):
-            alive &= constraints.states_ok_rows(states)
-            if not alive.any():
-                return None
-            states = model.batch_step(states, sequences[:, i, :])
-        alive &= constraints.terminal_ok_rows(states)
-    hits = np.nonzero(alive)[0]
-    return int(hits[0]) if hits.size else None
+            xs[i + 1] = model.batch_step(xs[i], sequences[:, i, :])
+        ok = constraints.states_ok_rows(xs[:big_n].reshape(-1, x.shape[0]))
+        ok = ok.reshape(big_n, batch).all(axis=0) & constraints.terminal_ok_rows(xs[big_n])
+    hits = np.flatnonzero(ok)
+    return (int(hits[0]), _frozen(xs[:, hits[0]].copy())) if hits.size else None
 
 
 def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
@@ -439,16 +455,18 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     Mode 'terminal-controller' appends the terminal law there;
     'feasible-sample' appends the first sampled input that steps it into the
     terminal set, raising WarmStartFailureError when the search budget runs
-    out.  x_new is the state the plan will be certified from: ``improve_plan``
-    rolls the shift out from x_new and raises InfeasibleWarmStartError if it
-    is infeasible.
+    out.  After a solve with this model object the plan carries
+    ``prev.states[1:]`` and the appended input's step, one one-row
+    ``batch_step`` for the terminal law.  x_new is the state the plan will be
+    certified from: ``improve_plan`` raises InfeasibleWarmStartError if the
+    shift is infeasible from x_new.
     """
     as_vector(x_new, model.n, "state")
     end = prev.states[-1]
     if cfg.warm_start_mode == "terminal-controller":
         if model.terminal_law is None:
             raise NoTerminalLawError(f"plant {model.name or '?'} has no terminal law")
-        return shift_plan(prev.plan, model.terminal_law(end))
+        return _shifted(prev, model.terminal_law(end), model)
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
     remaining = max(cfg.oracle_budget, 1)
@@ -459,8 +477,21 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
         finals = model.batch_step(np.broadcast_to(end, (batch, model.n)).copy(), appends)
         hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
         if hits.size:
-            return shift_plan(prev.plan, appends[hits[0]])
+            return _shifted(prev, appends[hits[0]], model, finals[hits[0]])
     raise WarmStartFailureError(f"no feasible appended input within {cfg.oracle_budget} samples")
+
+
+def _shifted(prev: SolveResult, appended: np.ndarray, model: PlantModel,
+             final: Optional[np.ndarray] = None) -> Plan:
+    """prev's plan shifted with ``appended`` last; if its plan carries prev.states
+    from this model, so does the shift, ending in ``final`` (else stepped)."""
+    plan = shift_plan(prev.plan, appended)
+    if not (isinstance(prev.plan, _SteppedPlan) and prev.plan.model is model
+            and prev.plan.states is prev.states):
+        return plan
+    if final is None:
+        final = model.batch_step(prev.states[-1:], plan.inputs[-1:])[0]
+    return _SteppedPlan(plan.inputs, _frozen(np.vstack([prev.states[1:], final])), model)
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,

@@ -365,6 +365,9 @@ class TestTypeInvariants:
         box = BoxSet(np.array([-1.0]), np.array([1.0]))
         assert box.contains(np.array([1.0])) and box.contains(np.array([-1.0]))
         assert not box.contains(np.array([1.0000000000000002]))
+        assert box.is_bounded
+        for lo, hi in (([-1.0, 0.0], [1.0, np.inf]), ([-np.inf], [np.inf])):
+            assert not BoxSet(np.array(lo), np.array(hi)).is_bounded  # half- and unbounded
 
     @given(st.data(), st.integers(1, 4), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)

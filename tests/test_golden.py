@@ -1,4 +1,4 @@
-"""Output-digest guard: four shipped configs must reproduce their recorded
+"""Output-digest guard: every shipped config must reproduce its recorded
 ``steps.csv`` bit for bit, apart from the wall-clock ``elapsed_ms`` column,
 and the oracle search its recorded first plans from hard cart starts.
 
@@ -20,9 +20,16 @@ from sampled_nmpc.solver import _oracle_stream
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN_STEPS_SHA256 = {
-    "cart_n10": "fb00e55e4c76c5c49829b20f41718c92686068d4cd8718ef844d2725e73ce0cd",
-    "cart_horizon_050": "be09519bc2e2a1c9c4421350c837a9a20fc0e81b99761baf7dea31728b5e3b22",
     "buck_boost": "bfd7cc326f886c31029bccbfcd71ebff39d9099fdb92718b0e0ff916915c38e6",
+    "cart_horizon_003": "8ae23ddddd085212b4bb0b234f3cfb4cc5001def1e127eab4719c8f36ae4e048",
+    "cart_horizon_010": "fb00e55e4c76c5c49829b20f41718c92686068d4cd8718ef844d2725e73ce0cd",
+    "cart_horizon_020": "21cb52916e0413efadf56a2258c4e6c9db5544d6ab063ed6ad951d1570ea54ed",
+    "cart_horizon_050": "be09519bc2e2a1c9c4421350c837a9a20fc0e81b99761baf7dea31728b5e3b22",
+    "cart_horizon_100": "07279f9146606a2ad65bf40a898ef68f9306c4613945e9be9647570c4699e0a5",
+    "cart_n00": "60dcf6024968025c73c2aa7e8483144f38bd223cd755922eed178220125ed425",
+    "cart_n05": "51725dd864622a0197d71d98b12716e2a867145ae136855da244e40f61211e72",
+    "cart_n10": "fb00e55e4c76c5c49829b20f41718c92686068d4cd8718ef844d2725e73ce0cd",
+    "cart_n30": "79a33fadf70c7df301c4520199f37ee92730232ea91b8669a35cd04a047213ff",
     "wmr_obstacle": "0cb7ece6152706fd2c54e3269455170c02156f9085116fc1474cb02d5c6cf65b",
 }
 

@@ -128,6 +128,22 @@ def first_feasible_in_stream(bench, x0, cfg):
     raise NoOracleError("no feasible sequence in the budget")
 
 
+def counted_model(model):
+    """A copy of model whose step and batch_step count their calls."""
+    calls = {"step": 0, "batch_step": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    counted = dataclasses.replace(model, step=counting("step", model.step),
+                                  batch_step=counting("batch_step", model.batch_step))
+    calls.update(step=0, batch_step=0)  # construction checks the equilibrium once
+    return counted, calls
+
+
 def cart_solver_cfg(**kw):
     defaults = dict(horizon=10, samples_per_step=10,
                     sampler=SamplerConfig(scheme="halton", seed=3))
@@ -557,34 +573,25 @@ class TestMakeWarmStart:
         with pytest.raises(InfeasibleWarmStartError, match="obstacle at index 1"):
             improve_plan(x_new, warm, wmr2.model, wmr2.constraints, wmr2.cost, cfg)
 
-    @staticmethod
-    def _counted(model):
-        calls = {"step": 0, "batch_step": 0}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
-        counted = dataclasses.replace(model, step=counting("step", model.step),
-                                      batch_step=counting("batch_step", model.batch_step))
-        calls.update(step=0, batch_step=0)  # construction checks the equilibrium once
-        return counted, calls
-
-    def test_terminal_controller_steps_no_state(self, cart10, cart_x0):
+    def test_terminal_controller_steps_only_the_appended_state(self, cart10, cart_x0):
+        # The shift carries prev's states and steps the terminal law's input
+        # once; the next solve certifies that trajectory without stepping.
         cfg = cart_solver_cfg()
-        prev = self._solve(cart10, cart_x0, cfg)
+        model, calls = counted_model(cart10.model)
+        prev = self._solve(dataclasses.replace(cart10, model=model), cart_x0, cfg)
         x_new = cart10.model.step(cart_x0, prev.plan.inputs[0])
-        model, calls = self._counted(cart10.model)
-        make_warm_start(prev, x_new, model, cart10.constraints, cfg)
-        assert calls == {"step": 0, "batch_step": 0}
+        calls.update(step=0, batch_step=0)
+        warm = make_warm_start(prev, x_new, model, cart10.constraints, cfg)
+        assert calls == {"step": 0, "batch_step": 1}
+        improve_plan(x_new, warm, model, cart10.constraints, cart10.cost,
+                     cart_solver_cfg(samples_per_step=0))
+        assert calls == {"step": 0, "batch_step": 1}
 
     def test_feasible_sample_steps_one_batch_per_search_batch(self, cart10, cart_x0):
         cfg = cart_solver_cfg(warm_start_mode="feasible-sample", oracle_budget=600)
         prev = self._solve(cart10, cart_x0, cfg)
         x_new = cart10.model.step(cart_x0, prev.plan.inputs[0])
-        model, calls = self._counted(cart10.model)
+        model, calls = counted_model(cart10.model)
         make_warm_start(prev, x_new, model, cart10.constraints, cfg)
         assert calls == {"step": 0, "batch_step": 1}
         # An end state far outside the terminal set exhausts the search: 600
@@ -667,6 +674,90 @@ class TestCertificates:
         assert not passes_a_fresh_certificate(bench, x, warm)
         with pytest.raises(InfeasibleWarmStartError, match="terminal at index 1"):
             improve_plan(x, warm, bench.model, bench.constraints, bench.cost, cfg)
+
+
+def bits(states):
+    return np.ascontiguousarray(states).view(np.uint64)
+
+
+class TestCarriedTrajectories:
+    """Oracle plans, solves and shifts carry the trajectory their model
+    stepped, and improve_plan certifies it without re-stepping; it must equal
+    a fresh rollout bit for bit, and a plan that carries none, or one for
+    another model or start, is rolled out."""
+
+    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(["grid", "random", "halton"]),
+           st.sampled_from(["terminal-controller", "feasible-sample"]))
+    @settings(max_examples=60, deadline=None)
+    def test_carried_states_equal_the_rollout(self, plant, horizon, seed, scheme, mode):
+        bench = make_benchmark(plant, horizon, None)
+        model = bench.model
+        assume(mode == "feasible-sample" or model.terminal_law is not None)
+        lo, hi = START_WINDOWS[plant]
+        x0 = np.random.default_rng(seed).uniform(lo, hi)
+        cfg = SolverConfig(horizon=horizon, samples_per_step=3, oracle_budget=2048,
+                           sampler=SamplerConfig(scheme=scheme, seed=seed),
+                           warm_start_mode=mode)
+        try:
+            oracle = find_oracle(x0, model, bench.constraints, bench.cost, cfg)
+        except NoOracleError:
+            assume(False)
+        assert np.array_equal(bits(oracle.states), bits(rollout(model, x0, oracle)))
+        warm_starts = []
+        improve = solver.improve_plan
+
+        def recording(x, warm, *args):
+            warm_starts.append((x.copy(), warm))
+            return improve(x, warm, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "improve_plan", recording)
+            try:
+                closed_loop(model, bench.constraints, bench.cost, cfg, x0, 4)
+            except (WarmStartFailureError, InfeasibleWarmStartError):
+                pass  # the warm starts made so far are still checked
+        for x, warm in warm_starts:
+            assert np.array_equal(bits(warm.states), bits(rollout(model, x, warm)))
+
+    @pytest.mark.parametrize("mode", solver.WARM_START_MODES)
+    def test_closed_loop_steps_only_the_plant(self, cart10, cart_x0, mode):
+        # One one-row step per period, the plant's advance: no warm start is
+        # rolled out again.
+        model, calls = counted_model(cart10.model)
+        closed_loop(model, cart10.constraints, cart10.cost,
+                    cart_solver_cfg(warm_start_mode=mode), cart_x0, 6)
+        assert calls["step"] == 6
+
+    def test_plans_without_a_trajectory_for_the_solve_are_rolled_out(self, cart10, cart_x0):
+        cfg = cart_solver_cfg(samples_per_step=0)
+        args = (cart10.constraints, cart10.cost, cfg)
+        model, calls = counted_model(cart10.model)
+        oracle = find_oracle(cart_x0, model, cart10.constraints, cart10.cost, cfg)
+        prev = improve_plan(cart_x0, oracle, model, cart10.constraints, cart10.cost,
+                            cart_solver_cfg())
+        x_new = prev.states[1]
+        shift = make_warm_start(prev, x_new, model, cart10.constraints, cfg)
+        other, other_calls = counted_model(cart10.model)
+        calls.update(step=0, batch_step=0)
+        improve_plan(cart_x0, oracle, model, *args)
+        improve_plan(x_new, shift, model, *args)
+        assert calls["step"] == 0
+        improve_plan(cart_x0, Plan(oracle.inputs), model, *args)  # a caller's plan
+        assert calls["step"] == 10
+        improve_plan(np.nextafter(x_new, np.inf), shift, model, *args)  # off the prediction
+        assert calls["step"] == 20
+        improve_plan(x_new, shift, other, *args)  # another model object
+        assert other_calls["step"] == 10
+        # A SolveResult whose states its plan was not stepped along.
+        forged = dataclasses.replace(prev, states=prev.states.copy())
+        improve_plan(x_new, make_warm_start(forged, x_new, model, cart10.constraints, cfg),
+                     model, *args)
+        assert calls["step"] == 30
+        # -0.0 equals 0.0 but is another start, bit for bit.
+        at_zero = find_oracle(np.zeros(2), model, cart10.constraints, cart10.cost, cfg)
+        improve_plan(np.array([-0.0, 0.0]), at_zero, model, *args)
+        assert calls["step"] == 40
 
 
 class TestClosedLoop:
