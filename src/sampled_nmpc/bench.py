@@ -89,12 +89,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"samples_per_step must be an integer or a sequence of integers, got {counts!r}")
         object.__setattr__(self, "samples_per_step", counts)
-        if self.initial_state is not None:
-            object.__setattr__(self, "initial_state",
-                               tuple(float(v) for v in self.initial_state))
-        if self.initial_plan is not None:
-            object.__setattr__(self, "initial_plan",
-                               tuple(tuple(float(v) for v in row) for row in self.initial_plan))
+        vectors = {"initial_state": lambda v: tuple(map(float, v)),
+                   "initial_plan": lambda v: tuple(tuple(map(float, row)) for row in v)}
+        for name, convert in vectors.items():
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, convert(value))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

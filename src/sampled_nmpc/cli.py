@@ -47,7 +47,7 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="override the per-solve time budget in milliseconds")
     parser.add_argument("--no-prune", action="store_true",
-                        help="disable early abandonment of infeasible candidate suffixes")
+                        help="count each candidate's N - j steps and cost; the solve is unchanged")
 
 
 def _load_configs(args) -> list[bench.ExperimentConfig]:

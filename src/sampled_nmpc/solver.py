@@ -13,11 +13,13 @@ That sequential sweep is computed a window of positions at a time.  Every
 position's samples are drawn up front, in the sweep's order.  A window of
 consecutive pending positions is evaluated against the current reference:
 all its candidate rows step together from the window's lowest position j0,
-starting at the reference state there, through ``batch_step``, one call and
-one row-wise feasibility mask per time index.  Above its own position a row
-holds the reference input, and every kernel gives a row the same bits
-whatever the batch around it, so up to that position the row repeats the
-reference states bit for bit.  A position that accepts no sample leaves the
+starting at the reference state there, one ``batch_step`` call per time
+index to the horizon's end, and are then masked once: one row-wise call for
+the states before the end and one for the end states (``_step_rows``, which
+the oracle search shares).  Above its own position a row holds the
+reference input, and every kernel gives a row the same bits whatever the
+batch around it, so up to that position the row repeats the reference
+states bit for bit.  A position that accepts no sample leaves the
 reference unchanged, so the highest position in the window with a cheaper
 row decides it and every window position above it exactly as the sequential
 sweep would; the next window starts below it, against the new reference.
@@ -34,25 +36,27 @@ position, so that prefix serves every window, and a candidate's total is the
 sum ``evaluate_cost`` forms for its plan, bit for bit.
 
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
-counts, taken from each decided row's last round: with pruning, a candidate
-at position j costs the steps from j to its first violating state; without,
-N - j steps and one cost evaluation.  The plant steps made beyond a rolled
-out warm start's N are bounded through K_max, the largest window used.
-A round that holds position j without deciding it accepts a position above
-j, and the next round starts below that one.  A window spans at most K_max
-drawn positions, so the rounds holding j start at distinct places among j
-and the K_max - 1 drawn positions above it: at most K_max rounds.  Each
-steps j's rows at most N - j0 times, and j0 lies at most K_max - 1 drawn
-positions below j.  So a solve makes at most K_max * sum_j n_j (N - j_low)
+counts, taken from each decided row's last round; ``pruning`` only picks
+the counting rule.  With it, a candidate at position j costs the steps from
+j to its first violating state; without, N - j steps and one cost
+evaluation.  Either way every row steps to the horizon's end.  The plant
+steps made beyond a rolled out warm start's N are bounded through K_max,
+the largest window used.  A round that holds position j without deciding
+it accepts a position above j, and the next round starts below that one.
+A window spans at most K_max drawn positions, so the rounds holding j start
+at distinct places among j and the K_max - 1 drawn positions above it: at
+most K_max rounds.  Each steps j's rows exactly N - j0 times (fewer only
+when the budget cuts it), and j0 lies at most K_max - 1 drawn positions
+below j.  So a solve makes at most K_max * sum_j n_j (N - j_low)
 row steps, where j_low is the drawn position K_max - 1 places after j in
 the sweep's order, or the last one; with every n_j > 0 that is at most
 K_max * sum_j n_j (N - j + K_max - 1).
 
 Feasibility is tested with the row kernels that ``check_feasible``
-applies; ``find_oracle`` masks each batch's states in one call.
-``improve_plan``'s entry ``check_feasible`` of the warm start's trajectory
-is the one certificate of every warm start, and the sweep's masks certify
-each candidate it accepts.  A plan built here carries the trajectory its
+applies, two mask calls per window or oracle batch.  ``improve_plan``'s
+entry ``check_feasible`` of the warm start's trajectory is the one
+certificate of every warm start, and the sweep's masks certify each
+candidate it accepts.  A plan built here carries the trajectory its
 model stepped: the oracle's batch row, a solve's reference, or the previous
 prediction shifted plus one step of the appended input.  The entry check
 takes it when the model object is the same and x is its first state bit for
@@ -126,9 +130,11 @@ _ORACLE_BATCH = 1024
 class SolverConfig:
     """Solve-time knobs: horizon, per-position sample counts (a scalar
     broadcasts), the sampling scheme, optional wall-clock budget in seconds,
-    infeasible-suffix pruning, the random-search budget for oracle and append
-    searches, and how warm starts are built: ``initial_plan``, when given, is
-    the first period's warm start in place of the oracle search, and
+    whether the counters stop a candidate's steps at its first violating
+    state (``pruning``, only a counting rule: every candidate steps to the
+    horizon's end), the random-search budget for oracle and append searches,
+    and how warm starts are built: ``initial_plan``, when given, is the first
+    period's warm start in place of the oracle search, and
     ``warm_start_mode`` picks how each later one appends its last input.
     ``lanes`` is only the p of the complexity bounds: every solve evaluates
     its samples in batches, so the lane count never changes the
@@ -165,7 +171,10 @@ class SolverConfig:
         if self.warm_start_mode not in WARM_START_MODES:
             raise ConfigError(f"warm_start_mode must be one of {WARM_START_MODES}")
         counts = self.samples_per_step
-        counts = (counts,) * self.horizon if np.isscalar(counts) else tuple(counts)
+        try:
+            counts = (counts,) * self.horizon if np.isscalar(counts) else tuple(counts)
+        except TypeError:  # not iterable (None, a 0-d array): rejected below
+            counts = (counts,)
         if not all(_is_integer(c) for c in counts):
             raise ConfigError(f"samples_per_step must be integers, got {self.samples_per_step!r}")
         if len(counts) != self.horizon:
@@ -312,33 +321,12 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
             us[pos[rows] - j0, np.arange(width)] = samples[rows]
             xs = np.empty((big_n + 1 - j0, width, model.n), dtype=np.float64)
             xs[0] = ref_states[j0]
-            fail = viol[rows]  # a view
-            fail[:] = big_n + 1
-            live = np.arange(width)
-            for k in range(big_n - j0):
-                # take() and a basic index first: much cheaper than fancy
-                # indexing for these small gathers.
-                x_next = model.batch_step(xs[k].take(live, 0), us[k].take(live, 0))
-                xs[k + 1][live] = x_next
-                t = j0 + k + 1
-                ok = (constraints.states_ok_rows(x_next) if t < big_n
-                      else constraints.terminal_ok_rows(x_next))
-                if not ok.all():
-                    bad = live[~ok]
-                    if cfg.pruning:
-                        fail[bad] = t
-                        live = live[ok]
-                    else:
-                        fail[bad] = np.minimum(fail[bad], t)
-                if deadline is not None and time.perf_counter() >= deadline:
-                    budget_hit = True
-                    break
-            if budget_hit:
+            first_bad = _step_rows(xs, us, model, constraints, deadline)
+            if first_bad is None:
+                budget_hit = True
                 break
-
-            # With pruning every row still live is feasible; without, some
-            # stepped on past a violation.
-            done = live[fail[live] > big_n]
+            viol[rows] = j0 + first_bad
+            done = np.flatnonzero(viol[rows] > big_n)
             win = None
             if done.size:
                 totals = fold_costs(cost, j0, prefix[j0], xs.take(done, 1), us.take(done, 1))[-1]
@@ -383,6 +371,26 @@ def _window_size(decided: int, accepted: int) -> int:
     return -(-(decided + 2) // (accepted + 1))
 
 
+def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
+               constraints: ConstraintSpec, deadline: Optional[float]) -> Optional[np.ndarray]:
+    """Step the time-major rows from xs[0] through inputs us (T, B, m) into
+    xs[1:] and return each row's first violating index among states 1..T
+    (state T against the terminal set), T + 1 where it has none; None when
+    the deadline passes, polled after each step."""
+    big_t, width, n = us.shape[0], us.shape[1], xs.shape[2]
+    # Every row steps to its end; silence any overflow of rows that left the
+    # state set, the masks below exclude them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(big_t):
+            xs[k + 1] = model.batch_step(xs[k], us[k])
+            if deadline is not None and time.perf_counter() >= deadline:
+                return None
+        ok = np.zeros((big_t + 1, width), dtype=bool)  # row T: a violation for every row
+        ok[:big_t - 1] = constraints.states_ok_rows(xs[1:big_t].reshape(-1, n)).reshape(-1, width)
+        ok[big_t - 1] = constraints.terminal_ok_rows(xs[big_t])
+    return ok.argmin(axis=0) + 1
+
+
 def _oracle_stream(cfg: SolverConfig) -> SamplerState:
     # Random search always draws from its own seed-derived random stream, even
     # when improvement sampling uses grid or Halton points: the grid repeats
@@ -422,28 +430,13 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         remaining -= batch
         flat = draw_samples(stream, constraints.input_box, batch * big_n)
         sequences = flat.reshape(batch, big_n, model.m)
-        hit = _first_feasible_sequence(x, sequences, model, constraints)
-        if hit is not None:
-            return _SteppedPlan(sequences[hit[0]], hit[1], model)
+        xs = np.empty((big_n + 1, batch, model.n), dtype=np.float64)
+        xs[0] = x
+        first_bad = _step_rows(xs, sequences.transpose(1, 0, 2), model, constraints, None)
+        hits = np.flatnonzero(first_bad > big_n)
+        if hits.size:
+            return _SteppedPlan(sequences[hits[0]], _frozen(xs[:, hits[0]].copy()), model)
     raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
-
-
-def _first_feasible_sequence(x: np.ndarray, sequences: np.ndarray, model: PlantModel,
-                             constraints: ConstraintSpec) -> Optional[tuple[int, np.ndarray]]:
-    """The first row of (B, N, m) sequences feasible from x and its read-only
-    (N+1, n) states, else None."""
-    batch, big_n, _ = sequences.shape
-    xs = np.empty((big_n + 1, batch, x.shape[0]), dtype=np.float64)
-    xs[0] = x
-    # Every row steps the whole horizon; silence any overflow of rows that
-    # left the state set, the masks below exclude them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(big_n):
-            xs[i + 1] = model.batch_step(xs[i], sequences[:, i, :])
-        ok = constraints.states_ok_rows(xs[:big_n].reshape(-1, x.shape[0]))
-        ok = ok.reshape(big_n, batch).all(axis=0) & constraints.terminal_ok_rows(xs[big_n])
-    hits = np.flatnonzero(ok)
-    return (int(hits[0]), _frozen(xs[:, hits[0]].copy())) if hits.size else None
 
 
 def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,

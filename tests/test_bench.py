@@ -90,6 +90,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=name):
             cart_config(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("initial_state", ["a", "b"]), ("initial_state", 5),
+                                             ("initial_plan", [1.0])])
+    def test_malformed_initial_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cart_config(**{name: value})
+        raw = cart_config().to_dict()
+        raw[name] = value
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):
             cart_config(plant="pendulum")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -126,6 +127,18 @@ def first_feasible_in_stream(bench, x0, cfg):
                 if check_feasible(bench.constraints, rollout(bench.model, x0, plan), plan).feasible:
                     return plan
     raise NoOracleError("no feasible sequence in the budget")
+
+
+def first_violation_by_rollout(bench, x0, inputs):
+    """Independent reference for ``solver._step_rows`` on one row: its rollout
+    and the index of its first state among 1..N that fails ``state_ok`` (the
+    last one ``terminal_ok``), N + 1 when none does."""
+    big_n = inputs.shape[0]
+    checks = [bench.constraints.state_ok] * (big_n - 1) + [bench.constraints.terminal_ok]
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = rollout(bench.model, x0, Plan(inputs))
+        first = next((k for k, ok in enumerate(checks, 1) if not ok(states[k])), big_n + 1)
+    return states, first
 
 
 def counted_model(model):
@@ -424,6 +437,53 @@ class TestImprovePlan:
             reference = result.plan
             costs.append(result.j_sub)
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+class TestStepRows:
+    @given(st.sampled_from(sorted(NEAR_STATE_SETS)), st.integers(1, 30), st.integers(1, 8),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           st.sampled_from([1.0, 10.0, 1e150, 1e300]))
+    @settings(max_examples=80, deadline=None)
+    @example("cart-spring", 30, 8, 1, [0.5, 0.5, 0.5], 1e300)
+    @example("buck-boost", 30, 8, 1, [0.9, 0.9, 0.5], 1e300)
+    def test_matches_a_rollout_per_row(self, plant, horizon, width, seed, where, scale):
+        # Inputs from the input box scaled up to far outside it, so rows
+        # leave the state set and overflow; every row steps to its end.
+        bench = make_benchmark(plant, horizon, None)
+        lo, hi = (np.array(v) for v in NEAR_STATE_SETS[plant])
+        x0 = lo + np.array(where[:lo.size]) * (hi - lo)
+        stream = SamplerState(SamplerConfig(scheme="random", seed=seed))
+        us = scale * draw_samples(stream, bench.constraints.input_box, horizon * width)
+        us = us.reshape(horizon, width, bench.model.m)
+        xs = np.empty((horizon + 1, width, bench.model.n))
+        xs[0] = x0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = solver._step_rows(xs, us, bench.model, bench.constraints, None)
+        for b in range(width):
+            states, expected = first_violation_by_rollout(bench, x0, us[:, b])
+            assert first[b] == expected
+            if expected > horizon:
+                assert xs[:, b].tobytes() == states.tobytes()
+
+    def test_rows_that_overflow_raise_no_warning(self, cart10):
+        # A large negative force drives the cart's position to about -1e299;
+        # the spring's exp(-x1) then overflows.
+        us = np.full((10, 1, 1), -1e300)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            rollout(cart10.model, np.zeros(2), Plan(us[:, 0]))
+        xs = np.zeros((11, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = solver._step_rows(xs, us, cart10.model, cart10.constraints, None)
+        assert first.tolist() == [2]
+        assert not np.isfinite(xs[-1]).all()
+
+    def test_a_passed_deadline_stops_after_one_step(self, cart10):
+        model, calls = counted_model(cart10.model)
+        xs = np.zeros((11, 3, 2))
+        assert solver._step_rows(xs, np.zeros((10, 3, 1)), model, cart10.constraints, 0.0) is None
+        assert calls["batch_step"] == 1
 
 
 class TestFindOracle:
@@ -885,7 +945,8 @@ class TestSolverConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("samples_per_step", 1.7), ("samples_per_step", "12"), ("samples_per_step", True),
         ("samples_per_step", [1.5, 2, 3]), ("horizon", 3.0), ("horizon", "3"),
-        ("lanes", True), ("lanes", 2.5), ("oracle_budget", "100"), ("oracle_budget", 1e3)])
+        ("lanes", True), ("lanes", 2.5), ("oracle_budget", "100"), ("oracle_budget", 1e3),
+        ("samples_per_step", None), ("samples_per_step", np.array(5))])
     def test_rejects_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"horizon": 3, field: value})
