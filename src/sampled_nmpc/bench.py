@@ -44,6 +44,15 @@ OUTPUT_ROOT_ENV = "SAMPLED_NMPC_OUT"
 CSV_FLOAT_FORMAT = ".17g"  # enough digits to round-trip doubles exactly
 
 
+def _numbers(values) -> tuple[float, ...]:
+    """Real numbers as floats; a string (read as its characters), a bool or
+    any other entry raises TypeError."""
+    if isinstance(values, str) or not all(isinstance(v, (int, float, np.integer, np.floating))
+                                          and not isinstance(v, bool) for v in values):
+        raise TypeError(f"expected numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One closed-loop experiment, loadable from and dumpable to JSON."""
@@ -89,8 +98,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"samples_per_step must be an integer or a sequence of integers, got {counts!r}")
         object.__setattr__(self, "samples_per_step", counts)
-        vectors = {"initial_state": lambda v: tuple(map(float, v)),
-                   "initial_plan": lambda v: tuple(tuple(map(float, row)) for row in v)}
+        vectors = {"initial_state": _numbers, "initial_plan": lambda v: tuple(map(_numbers, v))}
         for name, convert in vectors.items():
             value = getattr(self, name)
             if value is not None:

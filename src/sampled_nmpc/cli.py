@@ -51,13 +51,9 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_configs(args) -> list[bench.ExperimentConfig]:
-    configs = []
-    for path in args.config:
-        config = bench.ExperimentConfig.load(path)
-        configs.append(config.with_overrides(
-            seed=args.seed, lanes=args.lanes, budget_ms=args.budget_ms,
-            pruning=False if args.no_prune else None))
-    return configs
+    return [bench.ExperimentConfig.load(path).with_overrides(
+        seed=args.seed, lanes=args.lanes, budget_ms=args.budget_ms,
+        pruning=False if args.no_prune else None) for path in args.config]
 
 
 def _cmd_run(args) -> int:
@@ -159,23 +155,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolationError) as exc:
+    except Exception as exc:
+        if isinstance(exc, (ConfigError, ContractViolationError)):
+            code = EXIT_CONFIG
+        elif isinstance(exc, _INFEASIBILITY_ERRORS):
+            code = EXIT_INFEASIBLE
+        else:
+            code = EXIT_RUNTIME
+            if not isinstance(exc, SampledNmpcError):  # pragma: no cover - safety net
+                traceback.print_exc()
         print(json.dumps({"status": "error", "error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except _INFEASIBILITY_ERRORS as exc:
-        print(json.dumps({"status": "error", "error": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SampledNmpcError as exc:
-        print(json.dumps({"status": "error", "error": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - safety net
-        traceback.print_exc()
-        print(json.dumps({"status": "error", "error": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_RUNTIME
+        return code
 
 
 if __name__ == "__main__":

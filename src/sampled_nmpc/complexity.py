@@ -9,6 +9,7 @@ comparisons and bookkeeping are treated as free.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -115,11 +116,7 @@ def calibrate_cost_model(step, cost_eval, repeats: int = 1000) -> CostModel:
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-        times.sort()
-        mid = len(times) // 2
-        if len(times) % 2:
-            return times[mid]
-        return 0.5 * (times[mid - 1] + times[mid])
+        return statistics.median(times)
 
     return CostModel(c1=max(median_seconds(step), 1e-12),
                      c2=max(median_seconds(cost_eval), 1e-12),

@@ -73,16 +73,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d_b' W_b d_b for each row b of a (B, k) array, where W is one (k, k)
-    weight shared by all rows or a (B, k, k) stack of per-row weights.
+    """d' W d along the last axis: rows (B, k) against one (k, k) weight, or
+    time-major rows (T, B, k) against a (T, k, k) stack, one weight per time.
 
-    A row's value depends only on that row and on which of the two forms the
-    caller uses, not on the batch size or the row's position (an einsum
-    contraction does not have this property), so a one-row call gives the
-    same bits as the row of a batched call.
+    A row's value depends only on that row and its weight, not on the batch
+    size or the row's position (an einsum contraction does not have this
+    property), so a one-row call gives the same bits as the row of a batched
+    call.
     """
-    dw = d @ w if w.ndim == 2 else (d[:, np.newaxis] @ w)[:, 0]
-    return (dw * d).sum(axis=1)
+    return ((d @ w) * d).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -359,16 +358,14 @@ class CostSpec:
     def horizon(self) -> int:
         return len(self.stage_state_weights)
 
-    def stage_costs(self, j: int | np.ndarray, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Stage cost of each row of stacked states (B, n) and inputs (B, m).
-
-        ``j`` is the stage index of every row, or an array of one index per
-        row, so a single call can price a whole horizon.  A row's value is
-        the same either way; ``stage_cost`` is the one-row case, bit for bit.
-        """
-        j = np.full(xs.shape[0], j, dtype=np.intp)
-        return (_quadratic_rows(xs - self.reference[0], self.stage_state_weights[j])
-                + _quadratic_rows(us - self.reference[1], self.stage_input_weights[j]))
+    def stage_costs(self, start: int, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """(T, B) stage costs of time-major states (T, B, n) and inputs
+        (T, B, m): time t is priced with the weights of stage ``start + t``,
+        one weight slice per stage, so a single call prices a whole horizon.
+        ``stage_cost`` is the one-row, one-stage case, bit for bit."""
+        stop = start + xs.shape[0]
+        return (_quadratic_rows(xs - self.reference[0], self.stage_state_weights[start:stop])
+                + _quadratic_rows(us - self.reference[1], self.stage_input_weights[start:stop]))
 
     def terminal_costs(self, xs: np.ndarray) -> np.ndarray:
         """Terminal cost of each row of stacked states (B, n); ``terminal_cost``
@@ -376,7 +373,8 @@ class CostSpec:
         return _quadratic_rows(xs - self.reference[0], self.terminal_weight)
 
     def stage_cost(self, j: int, x: np.ndarray, u: np.ndarray) -> float:
-        return float(self.stage_costs(j, x[np.newaxis], u[np.newaxis])[0])
+        return float(self.stage_costs(j, x[np.newaxis, np.newaxis],
+                                      u[np.newaxis, np.newaxis])[0, 0])
 
     def terminal_cost(self, x: np.ndarray) -> float:
         return float(self.terminal_costs(x[np.newaxis])[0])
@@ -430,17 +428,15 @@ def fold_costs(cost: CostSpec, start: int, base: float, states: np.ndarray,
     (N - start, B, m).  Row k of the (N + 2 - start, B) result is ``base``
     plus the row's stage costs ``start`` to ``start + k - 1``, added left to
     right; the last row then adds the terminal cost, so it holds the totals.
-    One call per cost kernel prices every row, and a row's values depend
-    only on that row, its start and its base.  Every total cost in the
-    package comes from this fold: ``evaluate_cost`` is its one-row case from
-    stage 0.
+    One ``stage_costs`` call prices every time index with its own stage's
+    weight slice, and a row's values depend only on that row, its start and
+    its base.  Every total cost in the package comes from this fold:
+    ``evaluate_cost`` is its one-row case from stage 0.
     """
-    n_stages, rows, m = inputs.shape
+    n_stages, rows = inputs.shape[:2]
     folded = np.empty((n_stages + 2, rows), dtype=np.float64)
     folded[0] = base
-    folded[1:-1] = cost.stage_costs(np.repeat(np.arange(start, start + n_stages), rows),
-                                    states[:n_stages].reshape(-1, states.shape[2]),
-                                    inputs.reshape(-1, m)).reshape(n_stages, rows)
+    folded[1:-1] = cost.stage_costs(start, states[:n_stages], inputs)
     folded[-1] = cost.terminal_costs(states[n_stages])
     return np.add.accumulate(folded, axis=0)
 

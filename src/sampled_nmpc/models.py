@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
-                   _quadratic_rows)
+                   _is_integer, _quadratic_rows)
 from .errors import ConfigError
 
 __all__ = [
@@ -229,15 +229,13 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         v_nxt = _quadratic_rows(nxt - BUCK_X_EQ, BUCK_P)
         return bool(np.all(v_nxt <= level) and np.all(v_nxt <= v_now))
 
-    lo = None
-    hi = None
+    lo = hi = None
     for expo in range(-4, 5):
         level = 10.0 ** expo
-        if level_ok(level):
-            lo = level
-        else:
+        if not level_ok(level):
             hi = level
             break
+        lo = level
     if lo is None:
         raise ConfigError("no valid terminal level found in the scanned decades")
     if hi is None:
@@ -314,8 +312,8 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     ``terminal_level`` (number, or null to drop the terminal constraint) and,
     for the robot, ``obstacle`` ({center: [a, b], radius: r, axes: [i, j]}).
     """
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    if not _is_integer(horizon) or horizon < 1:
+        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     overrides = dict(overrides or {})
 
     def pop_terminal(default):
@@ -338,18 +336,28 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
                          _buck_cost(horizon, params), x_eq + np.array([1.0, 2.0]),
                          "feasible-sample")
     if plant_id == "wmr":
+        obstacle = _default_wmr_obstacle()
         if "obstacle" in overrides:
-            spec = overrides.pop("obstacle")
-            obstacle = None if spec is None else ObstacleSet(
-                center=np.asarray(spec["center"], dtype=np.float64),
-                radius=float(spec["radius"]),
-                axes=tuple(spec.get("axes", (0, 1))))
-        else:
-            obstacle = _default_wmr_obstacle()
+            obstacle = _obstacle_override(overrides.pop("obstacle"), n=3)
         params = _apply_params(WmrParams(obstacle=obstacle), overrides)
         return Benchmark(plant_id, wmr_model(params), _wmr_constraints(params.obstacle),
                          _wmr_cost(horizon), np.array([0.0, 6.0, 0.0]), "feasible-sample")
     raise ConfigError(f"unknown plant {plant_id!r}")
+
+
+def _obstacle_override(spec, n: int) -> Optional[ObstacleSet]:
+    """None for null, else the set of {center, radius} with optional axes, two
+    distinct state indices in [0, n).  Any other shape or key raises ConfigError."""
+    if spec is None:
+        return None
+    axes = spec.get("axes", (0, 1)) if isinstance(spec, dict) else None
+    if not (axes is not None and {"center", "radius"} <= spec.keys() <= {"center", "radius", "axes"}
+            and isinstance(axes, (list, tuple)) and len(axes) == 2 and all(map(_is_integer, axes))
+            and 0 <= min(axes) and max(axes) < n and axes[0] != axes[1]):
+        raise ConfigError("obstacle must be null or {center, radius} with optional axes, two "
+                          f"distinct integers in [0, {n}), got {spec!r}")
+    return ObstacleSet(center=np.asarray(spec["center"], dtype=np.float64),
+                       radius=float(spec["radius"]), axes=tuple(axes))
 
 
 def _apply_params(params, overrides: dict):

@@ -114,10 +114,8 @@ def _grid_unit(count: int, dim: int) -> np.ndarray:
     per_axis = 1
     while per_axis ** dim < count:
         per_axis += 1
-    if per_axis >= 2:
-        axis = np.linspace(0.0, 1.0, per_axis)
-    else:
-        axis = np.array([0.5])  # a single sample sits at the box midpoint
+    # A single sample sits at the box midpoint.
+    axis = np.linspace(0.0, 1.0, per_axis) if per_axis >= 2 else np.array([0.5])
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     return points[:count]

@@ -91,7 +91,11 @@ class TestExperimentConfig:
             cart_config(**{name: value})
 
     @pytest.mark.parametrize("name, value", [("initial_state", ["a", "b"]), ("initial_state", 5),
-                                             ("initial_plan", [1.0])])
+                                             ("initial_plan", [1.0]), ("initial_plan", ["12"]),
+                                             ("initial_plan", ["5", "7"]),
+                                             ("initial_state", [True, False]),
+                                             ("initial_state", "12"),
+                                             ("initial_plan", [[1.0], [True]])])
     def test_malformed_initial_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             cart_config(**{name: value})
@@ -373,6 +377,17 @@ class TestCli:
         assert error["error"] == "ConfigError"
         if key != "model_overrides":  # the plant's own message names the override
             assert key in error["message"]
+
+    @pytest.mark.parametrize("obstacle", [
+        {"radius": 1.0}, {"center": [0.0, 3.0], "radius": 1.0, "axes": [0]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [0, 7]},
+        {"center": [0.0, 3.0], "radius": 1.0, "shape": "disc"}])
+    def test_malformed_wmr_obstacle_exits_2(self, tmp_path, capsys, obstacle):
+        raw = ExperimentConfig("wmr", "wmr", 5, 2, model_overrides={"obstacle": obstacle}).to_dict()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_validate_refuses_an_older_schema(self, tmp_path):
         resolved = cart_config().to_dict()

@@ -240,6 +240,27 @@ class TestBenchmarkAssembly:
         assert not bench.constraints.state_ok(np.array([1.0, 1.2, 0.0]))
         bench = make_benchmark("wmr", 5, {"obstacle": None})
         assert bench.constraints.obstacles == ()
+        bench = make_benchmark("wmr", 5, {"obstacle": {"center": [1.0, 1.0], "radius": 0.5,
+                                                       "axes": [1, 2]}})
+        assert bench.constraints.obstacles[0].axes == (1, 2)
+
+    @pytest.mark.parametrize("spec", [
+        {"radius": 1.0}, {"center": [0.0, 3.0]}, 5, [0.0, 3.0],
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [0]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [0, 7]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [-1, 0]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [1, 1]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": [0.0, 1]},
+        {"center": [0.0, 3.0], "radius": 1.0, "axes": "01"},
+        {"center": [0.0, 3.0], "radius": 1.0, "size": 2.0}])
+    def test_malformed_wmr_obstacle_rejected(self, spec):
+        with pytest.raises(ConfigError, match="obstacle"):
+            make_benchmark("wmr", 5, {"obstacle": spec})
+
+    @pytest.mark.parametrize("horizon", [2.5, "3", True, 0, None])
+    def test_malformed_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon"):
+            make_benchmark("cart-spring", horizon)
 
     @given(st.sampled_from(PLANT_IDS), st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
@@ -260,7 +281,7 @@ class TestBenchmarkAssembly:
         xs, us = random_rows(bench, seed, count)
         kernels = {
             "batch_step": model.batch_step,
-            "stage_costs": lambda x, u: cost.stage_costs(j, x, u),
+            "stage_costs": lambda x, u: cost.stage_costs(j, x[None], u[None])[0],
             "terminal_costs": lambda x, u: cost.terminal_costs(x),
             "states_ok_rows": lambda x, u: cons.states_ok_rows(x),
             "terminal_ok_rows": lambda x, u: cons.terminal_ok_rows(x),
@@ -271,14 +292,8 @@ class TestBenchmarkAssembly:
             assert np.array_equal(kernel(xs[order], us[order]), whole[order]), name
             for i in range(count):
                 assert np.array_equal(kernel(xs[i:i + 1], us[i:i + 1])[0], whole[i]), name
-        assert cost.stage_cost(j, xs[0], us[0]) == cost.stage_costs(j, xs, us)[0]
+        assert cost.stage_cost(j, xs[0], us[0]) == cost.stage_costs(j, xs[None], us[None])[0, 0]
         assert cost.terminal_cost(xs[0]) == cost.terminal_costs(xs)[0]
-        # one stage index per row prices each row as its own stage would
-        stage_of_row = np.arange(count) % 3
-        mixed = cost.stage_costs(stage_of_row, xs, us)
-        for s in range(3):
-            rows = stage_of_row == s
-            assert np.array_equal(mixed[rows], cost.stage_costs(s, xs[rows], us[rows]))
 
 
 # ---------------------------------------------------------------------------
