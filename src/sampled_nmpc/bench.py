@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import complexity
-from .core import Plan, _is_integer
+from .core import Plan, _is_integer, _numbers
 from .errors import ConfigError, SampledNmpcError
 from .models import Benchmark, PLANT_IDS, make_benchmark
 from .sampling import SamplerConfig
@@ -38,19 +38,10 @@ __all__ = [
     "resolve_output_root",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 OUTPUT_ROOT_ENV = "SAMPLED_NMPC_OUT"
 
 CSV_FLOAT_FORMAT = ".17g"  # enough digits to round-trip doubles exactly
-
-
-def _numbers(values) -> tuple[float, ...]:
-    """Real numbers as floats; a string (read as its characters), a bool or
-    any other entry raises TypeError."""
-    if isinstance(values, str) or not all(isinstance(v, (int, float, np.integer, np.floating))
-                                          and not isinstance(v, bool) for v in values):
-        raise TypeError(f"expected numbers, got {values!r}")
-    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,6 @@ class ExperimentConfig:
     lanes: int = 1
     initial_state: Optional[tuple[float, ...]] = None
     time_budget_ms: Optional[float] = None
-    pruning: bool = True
     oracle_budget: int = 100_000
     warm_start_mode: Optional[str] = None
     improve_initial: bool = True
@@ -130,9 +120,9 @@ class ExperimentConfig:
         seed = sampler_raw.get("seed", 0)
         if not _is_integer(seed):
             raise ConfigError(f"sampler.seed must be an integer, got {seed!r}")
-        for key in ("pruning", "improve_initial"):
-            if not isinstance(data.get(key, True), bool):
-                raise ConfigError(f"{key} must be true or false, got {data[key]!r}")
+        if not isinstance(data.get("improve_initial", True), bool):
+            raise ConfigError(
+                f"improve_initial must be true or false, got {data['improve_initial']!r}")
         budget = data.get("time_budget_ms")
         if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
                                    or not np.isfinite(budget)):
@@ -168,8 +158,7 @@ class ExperimentConfig:
         return data
 
     def with_overrides(self, seed: Optional[int] = None, lanes: Optional[int] = None,
-                       budget_ms: Optional[float] = None,
-                       pruning: Optional[bool] = None) -> "ExperimentConfig":
+                       budget_ms: Optional[float] = None) -> "ExperimentConfig":
         """Apply command-line overrides, returning a new config."""
         updates: dict = {}
         if seed is not None:
@@ -178,8 +167,6 @@ class ExperimentConfig:
             updates["lanes"] = lanes
         if budget_ms is not None:
             updates["time_budget_ms"] = budget_ms
-        if pruning is not None:
-            updates["pruning"] = pruning
         return replace(self, **updates) if updates else self
 
 
@@ -218,7 +205,6 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
             sampler=config.sampler,
             lanes=config.lanes,
             time_budget=None if config.time_budget_ms is None else config.time_budget_ms / 1e3,
-            pruning=config.pruning,
             oracle_budget=config.oracle_budget,
             warm_start_mode=mode,
             improve_initial=config.improve_initial,
@@ -364,7 +350,7 @@ def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -
     root = resolve_output_root(out_root, configs[0])
     root.mkdir(parents=True, exist_ok=True)
     sweep_path = root / "sweep.csv"
-    header = ["config_id", "status", "plant", "N", "n_bar", "steps", "lanes", "pruning",
+    header = ["config_id", "status", "plant", "N", "n_bar", "steps", "lanes",
               "total_elapsed_ms", "f_evals_per_solve_min", "f_evals_per_solve_max",
               "cost_evals_per_solve_min", "cost_evals_per_solve_max",
               "predicted_f_evals_per_solve", "predicted_cost_evals_per_solve",
@@ -378,7 +364,7 @@ def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -
                       else (config.samples_per_step,) * config.horizon)
             base = [config.config_id, record["status"], config.plant,
                     str(config.horizon), str(max(counts) if counts else 0),
-                    str(config.steps), str(config.lanes), str(int(config.pruning))]
+                    str(config.steps), str(config.lanes)]
             if record["status"] == "ok":
                 summary = record["summary"]
                 comp = summary["complexity"]
@@ -430,13 +416,13 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     ``config.resolved.json``, ``steps.csv`` or ``summary.json``, a JSON file
     that does not parse to an object, a CSV row with a missing or malformed
     field, or a missing, non-numeric or wrong-length ``final_state`` raises
-    ConfigError naming the file.
+    ConfigError naming the file.  A config that ``run_experiment`` rejects
+    raises the same error.
     """
     run_dir = Path(run_dir)
     resolved = _read_run_json(run_dir / "config.resolved.json")
     resolved.pop("resolved", None)
-    config = ExperimentConfig.from_dict(resolved)
-    bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
+    bench, _, _ = _assemble(ExperimentConfig.from_dict(resolved))
     model, constraints = bench.model, bench.constraints
     rows = []
     steps_path = run_dir / "steps.csv"

@@ -46,14 +46,11 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lanes", type=int, default=None, help="override the lane count p of the complexity bounds")
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="override the per-solve time budget in milliseconds")
-    parser.add_argument("--no-prune", action="store_true",
-                        help="count each candidate's N - j steps and cost; the solve is unchanged")
 
 
 def _load_configs(args) -> list[bench.ExperimentConfig]:
     return [bench.ExperimentConfig.load(path).with_overrides(
-        seed=args.seed, lanes=args.lanes, budget_ms=args.budget_ms,
-        pruning=False if args.no_prune else None) for path in args.config]
+        seed=args.seed, lanes=args.lanes, budget_ms=args.budget_ms) for path in args.config]
 
 
 def _cmd_run(args) -> int:

@@ -1,5 +1,6 @@
 """Operation-count model for one backward sweep: the closed-form workload,
-its bounds and the exact counters of an unpruned solve.
+its bounds and the exact counters of a solve where no candidate violates a
+constraint.
 
 A candidate at horizon position j costs N-j plant-step-plus-feasibility
 evaluations (unit cost c1) and one full cost evaluation (unit cost c2);
@@ -52,7 +53,8 @@ class BoundSet(NamedTuple):
 @dataclass(frozen=True)
 class ComplexityReport:
     """Predicted work of one solve: the exact workload, its bounds and the
-    counters an unpruned solve reports."""
+    counters a solve reports when no candidate violates a constraint (a
+    violating candidate counts fewer steps and no cost evaluation)."""
 
     serial_exact: float
     serial_bound: float

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 
 __all__ = [
     "Plan",
@@ -51,6 +51,16 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
 def _is_integer(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _numbers(values, name: str = "values") -> tuple[float, ...]:
+    """A list, tuple or 1-D array of real numbers as floats; anything else,
+    a string or a bool included, raises ConfigError naming ``name``."""
+    if not (isinstance(values, (list, tuple, np.ndarray)) and all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in values)):
+        raise ConfigError(f"{name} must hold numbers, got {values!r}")
+    return tuple(map(float, values))
 
 
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
@@ -271,6 +281,10 @@ class ConstraintSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        for obs in self.obstacles:  # two distinct axes, both state indices
+            if len(set(obs.axes) & set(range(self.state_box.dim))) != 2:
+                raise ContractViolationError(f"obstacle axes {obs.axes} must be two distinct "
+                                             f"indices in [0, {self.state_box.dim})")
         if self.terminal is not None and self.terminal.center.shape[0] != self.state_box.dim:
             raise ContractViolationError("terminal set dimension must match the state box")
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
-                   _is_integer, _quadratic_rows)
+                   _is_integer, _numbers, _quadratic_rows)
 from .errors import ConfigError
 
 __all__ = [
@@ -308,8 +308,8 @@ class Benchmark:
 def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None) -> Benchmark:
     """Assemble a plant bundle, applying plant-specific parameter overrides.
 
-    Recognized override keys: any params field of the plant, plus
-    ``terminal_level`` (number, or null to drop the terminal constraint) and,
+    Recognized override keys: any params field of the plant (a number), plus
+    ``terminal_level`` (a number, or null to drop the terminal constraint) and,
     for the robot, ``obstacle`` ({center: [a, b], radius: r, axes: [i, j]}).
     """
     if not _is_integer(horizon) or horizon < 1:
@@ -317,7 +317,8 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     overrides = dict(overrides or {})
 
     def pop_terminal(default):
-        return overrides.pop("terminal_level") if "terminal_level" in overrides else default
+        level = overrides.pop("terminal_level", default)
+        return None if level is None else _numbers((level,), "terminal_level")[0]
 
     if plant_id == "cart-spring":
         level = pop_terminal(CART_TERMINAL_LEVEL)
@@ -356,8 +357,8 @@ def _obstacle_override(spec, n: int) -> Optional[ObstacleSet]:
             and 0 <= min(axes) and max(axes) < n and axes[0] != axes[1]):
         raise ConfigError("obstacle must be null or {center, radius} with optional axes, two "
                           f"distinct integers in [0, {n}), got {spec!r}")
-    return ObstacleSet(center=np.asarray(spec["center"], dtype=np.float64),
-                       radius=float(spec["radius"]), axes=tuple(axes))
+    return ObstacleSet(center=np.array(_numbers(spec["center"], "obstacle center")),
+                       radius=_numbers((spec["radius"],), "obstacle radius")[0], axes=tuple(axes))
 
 
 def _apply_params(params, overrides: dict):
@@ -365,7 +366,8 @@ def _apply_params(params, overrides: dict):
     unknown = set(overrides) - fields
     if unknown:
         raise ConfigError(f"unknown model overrides for {type(params).__name__}: {sorted(unknown)}")
-    return replace(params, **overrides) if overrides else params
+    values = {name: _numbers((value,), name)[0] for name, value in overrides.items()}
+    return replace(params, **values) if values else params
 
 
 PLANT_IDS = ("cart-spring", "buck-boost", "wmr")

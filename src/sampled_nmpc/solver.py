@@ -36,11 +36,12 @@ position, so that prefix serves every window, and a candidate's total is the
 sum ``evaluate_cost`` forms for its plan, bit for bit.
 
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
-counts, taken from each decided row's last round; ``pruning`` only picks
-the counting rule.  With it, a candidate at position j costs the steps from
-j to its first violating state; without, N - j steps and one cost
-evaluation.  Either way every row steps to the horizon's end.  The plant
-steps made beyond a rolled out warm start's N are bounded through K_max,
+counts, taken from each decided row's last round.  A candidate at position
+j counts the steps from j to its first violating state, and a feasible one
+all N - j steps and one cost evaluation, so a solve where no candidate
+violates counts the paper's sum_j (N - j) n_j and sum_j n_j exactly.  These
+are counts, not the steps made: every row steps to the horizon's end.  The
+plant steps made beyond a rolled out warm start's N are bounded through K_max,
 the largest window used.  A round that holds position j without deciding
 it accepts a position above j, and the next round starts below that one.
 A window spans at most K_max drawn positions, so the rounds holding j start
@@ -130,22 +131,20 @@ _ORACLE_BATCH = 1024
 class SolverConfig:
     """Solve-time knobs: horizon, per-position sample counts (a scalar
     broadcasts), the sampling scheme, optional wall-clock budget in seconds,
-    whether the counters stop a candidate's steps at its first violating
-    state (``pruning``, only a counting rule: every candidate steps to the
-    horizon's end), the random-search budget for oracle and append searches,
-    and how warm starts are built: ``initial_plan``, when given, is the first
-    period's warm start in place of the oracle search, and
-    ``warm_start_mode`` picks how each later one appends its last input.
-    ``lanes`` is only the p of the complexity bounds: every solve evaluates
-    its samples in batches, so the lane count never changes the
-    computation."""
+    the random-search budget for oracle and append searches, and how warm
+    starts are built: ``initial_plan``, when given, is the first period's
+    warm start in place of the oracle search, and ``warm_start_mode`` picks
+    how each later one appends its last input.  ``lanes`` is only the p of
+    the complexity bounds: every solve evaluates its samples in batches, so
+    the lane count never changes the computation.  No knob changes how a
+    solve counts its work: a candidate counts its steps up to its first
+    violating state (see the module docstring)."""
 
     horizon: int
     samples_per_step: int | Sequence[int] = 10
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     lanes: int = 1
     time_budget: Optional[float] = None
-    pruning: bool = True
     oracle_budget: int = 100_000
     warm_start_mode: str = "terminal-controller"
     improve_initial: bool = True
@@ -159,8 +158,8 @@ class SolverConfig:
             raise ConfigError("horizon must be >= 1")
         if self.lanes < 1:
             raise ConfigError("lanes must be >= 1")
-        if not (isinstance(self.pruning, bool) and isinstance(self.improve_initial, bool)):
-            raise ConfigError("pruning and improve_initial must be True or False")
+        if not isinstance(self.improve_initial, bool):
+            raise ConfigError("improve_initial must be True or False")
         budget, real = self.time_budget, isinstance(self.time_budget, (float, np.floating))
         if budget is not None and not ((real or _is_integer(budget)) and budget > 0):  # NaN too
             raise ConfigError(f"time_budget must be a positive number when set, got {budget!r}")
@@ -350,12 +349,8 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
 
         # The counters are the sequential sweep's, over the decided positions.
         swept = slice(0, block[lo])
-        if cfg.pruning:
-            f_evals = int(np.sum(np.minimum(viol[swept], big_n) - pos[swept]))
-            cost_evals = int(np.count_nonzero(viol[swept] > big_n))
-        else:
-            f_evals = int(np.sum(big_n - pos[swept]))
-            cost_evals = block[lo]
+        f_evals = int(np.sum(np.minimum(viol[swept], big_n) - pos[swept]))
+        cost_evals = int(np.count_nonzero(viol[swept] > big_n))
 
     ref_states.setflags(write=False)
     return SolveResult(plan=_SteppedPlan(ref_inputs, ref_states, model), states=ref_states,

@@ -22,3 +22,9 @@ def buck10():
 @pytest.fixture
 def wmr5():
     return make_benchmark("wmr", 5, None)
+
+
+@pytest.fixture
+def free_wmr10():
+    """The robot without its obstacle: no candidate can violate a constraint."""
+    return make_benchmark("wmr", 10, {"obstacle": None})

@@ -21,6 +21,16 @@ def cart_config(**kw):
     return ExperimentConfig(**base)
 
 
+def free_wmr_config(**kw):
+    """The robot without its obstacle: no candidate can violate a constraint,
+    so every solve's counters take the closed form exactly."""
+    base = dict(config_id="wmr-free", plant="wmr", horizon=10, steps=4, samples_per_step=10,
+                sampler=SamplerConfig(scheme="halton", seed=3),
+                warm_start_mode="feasible-sample", model_overrides={"obstacle": None})
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 def csv_without_elapsed(path):
     """CSV text with the wall-clock column masked out (it is measurement,
     not simulation content, and legitimately differs between runs)."""
@@ -115,11 +125,10 @@ class TestExperimentConfig:
             ExperimentConfig.load(path)
 
     def test_cli_overrides(self):
-        config = cart_config().with_overrides(seed=9, lanes=4, budget_ms=10.0, pruning=False)
+        config = cart_config().with_overrides(seed=9, lanes=4, budget_ms=10.0)
         assert config.sampler.seed == 9
         assert config.lanes == 4
         assert config.time_budget_ms == 10.0
-        assert not config.pruning
 
     def test_output_root_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
@@ -202,8 +211,7 @@ class TestRunExperiment:
         assert float(first["u0"]) == 0.0 and float(first["J_sub"]) == 0.0
 
     def test_summary_reports_complexity_predictions(self, tmp_path):
-        config = cart_config(config_id="counters", samples_per_step=10, steps=2,
-                             pruning=False)
+        config = free_wmr_config(config_id="counters", steps=2)
         artifacts = run_experiment(config, str(tmp_path))
         summary = json.loads(artifacts.summary_path.read_text())
         comp = summary["complexity"]
@@ -226,12 +234,10 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [r["config_id"] for r in rows] == ["a", "b"]
         assert [r["N"] for r in rows] == ["3", "10"]
-        # pruning off in these configs was not requested; counters still bounded
         assert float(rows[0]["total_elapsed_ms"]) > 0
 
-    def test_counter_columns_match_prediction_when_pruning_off(self, tmp_path):
-        configs = [cart_config(config_id=f"n{h}", horizon=h, steps=3, pruning=False)
-                   for h in (3, 20)]
+    def test_counter_columns_match_prediction_when_no_candidate_violates(self, tmp_path):
+        configs = [free_wmr_config(config_id=f"n{h}", horizon=h, steps=3) for h in (3, 20)]
         sweep(configs, str(tmp_path))
         with (tmp_path / "sweep.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -339,11 +345,11 @@ class TestCli:
         path = self.write_config(tmp_path)
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(path), "--out", str(out),
-                         "--seed", "11", "--lanes", "2", "--no-prune"]) == 0
+                         "--seed", "11", "--lanes", "2", "--budget-ms", "500"]) == 0
         resolved = json.loads((out / "cart-test" / "config.resolved.json").read_text())
         assert resolved["sampler"]["seed"] == 11
         assert resolved["lanes"] == 2
-        assert resolved["pruning"] is False
+        assert resolved["time_budget_ms"] == 500.0
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -364,7 +370,7 @@ class TestCli:
         ("model_overrides", {"ts": "x"}), ("model_overrides", {"terminal_level": "x"}),
         ("steps", 1.5), ("oracle_budget", 10.5), ("horizon", True), ("lanes", "2"),
         ("samples_per_step", "5" * 10), ("samples_per_step", [5] * 9 + [5.5]),
-        ("sampler", {"seed": 1.5}), ("pruning", "false"), ("improve_initial", 1),
+        ("sampler", {"seed": 1.5}), ("improve_initial", "false"), ("improve_initial", 1),
         ("time_budget_ms", True), ("time_budget_ms", "5"), ("config_id", 5),
         ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan"))])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
@@ -389,11 +395,27 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
-    def test_validate_refuses_an_older_schema(self, tmp_path):
+    def test_validate_refuses_an_older_schema(self, tmp_path, capsys):
         resolved = cart_config().to_dict()
-        resolved["schema_version"] = 1
+        resolved["schema_version"] = 2
         (tmp_path / "config.resolved.json").write_text(json.dumps(resolved))
         assert cli_main(["validate", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "schema_version 2" in error["message"]
+
+    @pytest.mark.parametrize("overrides", [{"ts": "x"}, {"ts": True}, {"terminal_level": [1.0]}])
+    def test_validate_rejects_a_malformed_model_override_as_run_does(self, tmp_path, capsys,
+                                                                     overrides):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        resolved_path = out / "cart-test" / "config.resolved.json"
+        resolved = json.loads(resolved_path.read_text())
+        resolved["model_overrides"] = overrides
+        resolved_path.write_text(json.dumps(resolved))
+        assert cli_main(["validate", str(out / "cart-test")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_readme_cli_lines_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

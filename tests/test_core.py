@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sampled_nmpc import (
     BoxSet,
+    ConstraintSpec,
     CostSpec,
     EllipsoidSet,
     ObstacleSet,
@@ -430,6 +431,14 @@ class TestTypeInvariants:
         obs = ObstacleSet(np.array([0.0, 3.0]), 1.0)
         assert obs.admits(np.array([1.0, 3.0, 0.0]))  # on the boundary counts as clear
         assert not obs.admits(np.array([0.5, 3.0, 0.0]))
+
+    @pytest.mark.parametrize("axes", [(0, 3), (0, 7), (-1, 0), (1, 1)])
+    def test_constraint_spec_rejects_obstacle_axes_outside_the_state(self, wmr5, axes):
+        box = wmr5.constraints.state_box  # three states
+        ConstraintSpec(box, wmr5.constraints.input_box, (ObstacleSet([0.0, 3.0], 1.0, (2, 0)),))
+        with pytest.raises(ContractViolationError, match="axes"):
+            ConstraintSpec(box, wmr5.constraints.input_box,
+                           (ObstacleSet(np.array([0.0, 3.0]), 1.0, axes),))
 
     def test_constraint_spec_without_terminal_checks_state_set(self, wmr5):
         # no designed terminal set: the end state falls back to the state set

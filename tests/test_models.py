@@ -213,6 +213,16 @@ class TestBenchmarkAssembly:
         with pytest.raises(ConfigError):
             make_benchmark("cart-spring", 5, {"spring": 2.0})
 
+    @pytest.mark.parametrize("plant, overrides", [
+        ("cart-spring", {"ts": True}), ("cart-spring", {"mass": "1.0"}),
+        ("cart-spring", {"terminal_level": True}), ("cart-spring", {"terminal_level": "4.7"}),
+        ("buck-boost", {"v_s": [12.0]}), ("buck-boost", {"terminal_level": False}),
+        ("wmr", {"ts": None}), ("wmr", {"ts": False})])
+    def test_non_number_override_rejected(self, plant, overrides):
+        name, = overrides
+        with pytest.raises(ConfigError, match=name):
+            make_benchmark(plant, 5, overrides)
+
     def test_cart_default_has_terminal_set(self):
         bench = make_benchmark("cart-spring", 5, None)
         assert bench.constraints.terminal is not None
@@ -252,7 +262,11 @@ class TestBenchmarkAssembly:
         {"center": [0.0, 3.0], "radius": 1.0, "axes": [1, 1]},
         {"center": [0.0, 3.0], "radius": 1.0, "axes": [0.0, 1]},
         {"center": [0.0, 3.0], "radius": 1.0, "axes": "01"},
-        {"center": [0.0, 3.0], "radius": 1.0, "size": 2.0}])
+        {"center": [0.0, 3.0], "radius": 1.0, "size": 2.0},
+        {"center": ["0", "3"], "radius": 1.0}, {"center": [0.0, 3.0], "radius": True},
+        {"center": ["0", "3"], "radius": True}, {"center": "03", "radius": 1.0},
+        {"center": [0.0, True], "radius": 1.0}, {"center": [0.0, 3.0], "radius": "1"},
+        {"center": 3.0, "radius": 1.0}, {"center": [0.0, 3.0], "radius": [1.0]}])
     def test_malformed_wmr_obstacle_rejected(self, spec):
         with pytest.raises(ConfigError, match="obstacle"):
             make_benchmark("wmr", 5, {"obstacle": spec})

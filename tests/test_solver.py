@@ -49,8 +49,8 @@ def brute_force_backward_sweep(bench, x0, warm, counts, sampler_cfg, tally=None)
     horizon backwards, accepting the cheapest strictly-improving feasible
     candidate at each position (lowest sample index on ties).
 
-    A ``tally`` dict, when given, accumulates the counters of a pruned sweep:
-    a candidate at position j costs the steps up to its first violating state,
+    A ``tally`` dict, when given, accumulates the sweep's counters: a
+    candidate at position j costs the steps up to its first violating state,
     and a feasible one all N - j steps plus one cost evaluation."""
     state = SamplerState(sampler_cfg)
     reference = warm
@@ -89,11 +89,11 @@ START_WINDOWS = {
 }
 
 
-def solve_from_random_start(plant, horizon, seed, counts, scheme, pruning):
-    bench = make_benchmark(plant, horizon, None)
+def solve_from_random_start(plant, horizon, seed, counts, scheme, overrides=None):
+    bench = make_benchmark(plant, horizon, overrides)
     lo, hi = START_WINDOWS[plant]
     x0 = np.random.default_rng(seed).uniform(lo, hi)
-    cfg = SolverConfig(horizon=horizon, samples_per_step=counts, pruning=pruning,
+    cfg = SolverConfig(horizon=horizon, samples_per_step=counts,
                        sampler=SamplerConfig(scheme=scheme, seed=seed), oracle_budget=2048)
     try:
         warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
@@ -206,35 +206,23 @@ class TestImprovePlan:
         _, expected = brute_force_backward_sweep(bench, x0, warm, (3, 3), cfg.sampler)
         assert result.j_sub == expected
 
-    def test_counter_exactness_without_pruning(self, cart10, cart_x0):
-        cfg = cart_solver_cfg(pruning=False)
-        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
-        result = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost, cfg)
+    def test_counter_exactness(self, free_wmr10):
+        bench, x0, cfg = free_wmr10, free_wmr10.default_x0, cart_solver_cfg()
+        warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+        result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
         assert result.f_evals == 550  # sum over positions of (N - j) * n_j
         assert result.cost_evals == 100
 
-    def test_counters_term_for_term(self, cart10, cart_x0):
-        warm_cfg = cart_solver_cfg()
-        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, warm_cfg)
+    def test_counters_term_for_term(self, free_wmr10):
+        bench, x0 = free_wmr10, free_wmr10.default_x0
+        warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cart_solver_cfg())
         for j in (0, 4, 9):
             counts = [0] * 10
             counts[j] = 7
-            cfg = cart_solver_cfg(samples_per_step=counts, pruning=False)
-            result = improve_plan(cart_x0, warm, cart10.model, cart10.constraints,
-                                  cart10.cost, cfg)
+            cfg = cart_solver_cfg(samples_per_step=counts)
+            result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
             assert result.f_evals == (10 - j) * 7
             assert result.cost_evals == 7
-
-    def test_pruning_only_reduces_counters(self, cart10, cart_x0):
-        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg())
-        off = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg(pruning=False))
-        on = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                          cart_solver_cfg(pruning=True))
-        assert on.f_evals <= off.f_evals
-        assert on.cost_evals <= off.cost_evals
-        assert on.j_sub == off.j_sub  # pruning never changes the outcome
 
     def test_infeasible_warm_start_rejected(self, cart10):
         bad = Plan(np.full((10, 1), 4.4))
@@ -258,15 +246,15 @@ class TestImprovePlan:
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
                            cart_solver_cfg())
         full = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                            cart_solver_cfg(pruning=False))
+                            cart_solver_cfg())
         ticks = itertools.count()
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
         improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                     cart_solver_cfg(time_budget=1e9, pruning=False))
+                     cart_solver_cfg(time_budget=1e9))
         readings = next(ticks)
         ticks = itertools.count()
         cut = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg(time_budget=readings // 2, pruning=False))
+                           cart_solver_cfg(time_budget=readings // 2))
         assert full.improvements >= 3
         assert cut.budget_hit
         assert 0 < cut.improvements < full.improvements
@@ -296,15 +284,14 @@ class TestImprovePlan:
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+           st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=60, deadline=None)
-    def test_window_size_never_changes_the_result(self, plant, horizon, seed, counts, scheme,
-                                                  pruning):
+    def test_window_size_never_changes_the_result(self, plant, horizon, seed, counts, scheme):
         counts = counts[:horizon]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_window_size", lambda decided, accepted: 1)
             bench, x0, warm, cfg, sequential = solve_from_random_start(
-                plant, horizon, seed, counts, scheme, pruning)
+                plant, horizon, seed, counts, scheme)
             for k in (2, 3, horizon):
                 mp.setattr(solver, "_window_size", lambda decided, accepted: k)
                 result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
@@ -317,18 +304,16 @@ class TestImprovePlan:
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+           st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=60, deadline=None)
-    def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme,
-                                                  pruning):
+    def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme):
         # The module docstring's bound: at most K_max * sum_j n_j (N - j_low)
         # row steps, K_max the largest window used and j_low the drawn
         # position K_max - 1 places after j in the sweep's order (or the
         # last one).  The copied model keeps the original one-row step, so
         # the entry rollout is not counted.
         counts = counts[:horizon]
-        bench, x0, warm, cfg, _ = solve_from_random_start(plant, horizon, seed, counts,
-                                                          scheme, pruning)
+        bench, x0, warm, cfg, _ = solve_from_random_start(plant, horizon, seed, counts, scheme)
         rows, sizes = [], []
         counted = dataclasses.replace(
             bench.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
@@ -382,12 +367,12 @@ class TestImprovePlan:
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 4),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=4, max_size=4),
-           st.sampled_from(["grid", "random", "halton"]), st.booleans())
+           st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_sweep(self, plant, horizon, seed, counts, scheme, pruning):
+    def test_matches_brute_force_sweep(self, plant, horizon, seed, counts, scheme):
         counts = counts[:horizon]
         bench, x0, warm, cfg, result = solve_from_random_start(
-            plant, horizon, seed, counts, scheme, pruning)
+            plant, horizon, seed, counts, scheme)
         tally = {"f_evals": 0, "cost_evals": 0}
         expected_plan, expected = brute_force_backward_sweep(bench, x0, warm, counts,
                                                              cfg.sampler, tally)
@@ -395,18 +380,21 @@ class TestImprovePlan:
         assert result.j_sub == expected
         assert result.j_sub == warm_cost(bench, x0, result.plan)
         assert np.array_equal(result.states, rollout(bench.model, x0, result.plan))
-        if pruning:
-            assert (result.f_evals, result.cost_evals) == (tally["f_evals"],
-                                                           tally["cost_evals"])
+        assert (result.f_evals, result.cost_evals) == (tally["f_evals"], tally["cost_evals"])
+        # The paper's guarantees: a feasible plan, never costlier than the warm start.
+        assert check_feasible(bench.constraints, result.states, result.plan).feasible
+        assert result.j_sub <= warm_cost(bench, x0, warm)
 
-    @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 4),
-           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(0, 6), min_size=6, max_size=6),
            st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=40, deadline=None)
-    def test_counters_match_closed_form_without_pruning(self, plant, horizon, seed, counts,
-                                                        scheme):
+    def test_counters_match_closed_form_when_no_candidate_violates(self, horizon, seed, counts,
+                                                                   scheme):
+        # The robot without its obstacle has no constraint a candidate can violate.
         counts = counts[:horizon]
-        *_, result = solve_from_random_start(plant, horizon, seed, counts, scheme, False)
+        *_, result = solve_from_random_start("wmr", horizon, seed, counts, scheme,
+                                             {"obstacle": None})
         assert result.f_evals == sum((horizon - j) * n for j, n in enumerate(counts))
         assert result.cost_evals == sum(counts)
 
@@ -952,7 +940,8 @@ class TestSolverConfigValidation:
             SolverConfig(**{"horizon": 3, field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("pruning", "no"), ("pruning", 0), ("improve_initial", 0), ("improve_initial", None),
+        ("improve_initial", "no"), ("improve_initial", 1.0), ("improve_initial", 0),
+        ("improve_initial", None),
         ("time_budget", True), ("time_budget", "5"), ("time_budget", [1.0]),
         ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1)))])
     def test_rejects_wrong_types(self, field, value):
