@@ -88,14 +88,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"samples_per_step must be an integer or a sequence of integers, got {counts!r}")
         object.__setattr__(self, "samples_per_step", counts)
-        vectors = {"initial_state": _numbers, "initial_plan": lambda v: tuple(map(_numbers, v))}
-        for name, convert in vectors.items():
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    object.__setattr__(self, name, convert(value))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
+        if self.initial_state is not None:
+            object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
+        plan = self.initial_plan
+        if plan is not None:
+            if not isinstance(plan, (list, tuple, np.ndarray)):
+                raise ConfigError(f"initial_plan must hold rows of numbers, got {plan!r}")
+            object.__setattr__(self, "initial_plan",
+                               tuple(_numbers(row, "initial_plan") for row in plan))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -8,6 +8,7 @@ closed inequalities with no floating tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,12 +55,13 @@ def _is_integer(value) -> bool:
 
 
 def _numbers(values, name: str = "values") -> tuple[float, ...]:
-    """A list, tuple or 1-D array of real numbers as floats; anything else,
-    a string or a bool included, raises ConfigError naming ``name``."""
+    """A list, tuple or 1-D array of finite real numbers as floats; anything
+    else, a string, a bool, NaN or an infinity included, raises ConfigError
+    naming ``name``."""
     if not (isinstance(values, (list, tuple, np.ndarray)) and all(
             isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            for v in values)):
-        raise ConfigError(f"{name} must hold numbers, got {values!r}")
+            and math.isfinite(v) for v in values)):
+        raise ConfigError(f"{name} must hold finite numbers, got {values!r}")
     return tuple(map(float, values))
 
 
@@ -89,9 +91,15 @@ def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     A row's value depends only on that row and its weight, not on the batch
     size or the row's position (an einsum contraction does not have this
     property), so a one-row call gives the same bits as the row of a batched
-    call.
+    call.  The k columns of (d W) * d are added left to right from +0.0, the
+    order and start of ``sum(axis=-1)``, which numpy serves row by row at
+    these k; here each column add is one pass over the batch.
     """
-    return ((d @ w) * d).sum(axis=-1)
+    q = (d @ w) * d
+    total = q[..., 0] + 0.0  # from +0.0: a row of -0.0 columns sums to +0.0
+    for col in range(1, q.shape[-1]):
+        total += q[..., col]
+    return total
 
 
 @dataclass(frozen=True)
@@ -434,18 +442,21 @@ def _check_states(states: np.ndarray, plan: Plan) -> None:
             f"states must stack plan horizon + 1 = {plan.horizon + 1} rows, got {states.shape}")
 
 
-def fold_costs(cost: CostSpec, start: int, base: float, states: np.ndarray,
+def fold_costs(cost: CostSpec, start: int, base: float | np.ndarray, states: np.ndarray,
                inputs: np.ndarray) -> np.ndarray:
     """Running costs of B rows from stage ``start`` to the end of the horizon.
 
     ``states`` is time-major (N + 1 - start, B, n) and ``inputs`` is
-    (N - start, B, m).  Row k of the (N + 2 - start, B) result is ``base``
-    plus the row's stage costs ``start`` to ``start + k - 1``, added left to
-    right; the last row then adds the terminal cost, so it holds the totals.
-    One ``stage_costs`` call prices every time index with its own stage's
-    weight slice, and a row's values depend only on that row, its start and
-    its base.  Every total cost in the package comes from this fold:
-    ``evaluate_cost`` is its one-row case from stage 0.
+    (N - start, B, m).  ``base`` is one value for every row or a (B,) array,
+    one per row.  Row k of the (N + 2 - start, B) result is the row's base
+    plus its stage costs ``start`` to ``start + k - 1``, added left to right;
+    the last row then adds the terminal cost, so it holds the totals.  So a
+    fold resumed at a later stage, from the running costs there, gives the
+    bits of the fold from the earlier stage.  One ``stage_costs`` call
+    prices every time index with its own stage's weight slice, and a row's
+    values depend only on that row, its start and its base.  Every total
+    cost in the package comes from this fold: ``evaluate_cost`` is its
+    one-row case from stage 0.
     """
     n_stages, rows = inputs.shape[:2]
     folded = np.empty((n_stages + 2, rows), dtype=np.float64)

@@ -17,6 +17,7 @@ __all__ = [
     "SamplerState",
     "radical_inverse",
     "draw_samples",
+    "draw_blocks",
     "derive_seed",
     "first_primes",
 ]
@@ -152,19 +153,32 @@ def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:
     later draws explore new points; random draws are coordinatewise uniform
     from the seeded generator.
     """
-    if not _is_integer(count) or count < 0:
-        raise ContractViolationError(f"count must be a nonnegative integer, got {count!r}")
+    return draw_blocks(state, box, (count,))
+
+
+def draw_blocks(state: SamplerState, box: BoxSet, counts) -> np.ndarray:
+    """Consecutive draws of ``counts[0]``, ``counts[1]``, ... samples as one
+    (sum(counts), dim) array: bit for bit the rows that ``draw_samples``
+    returns for each count in turn, with the counter left where those calls
+    leave it.  Random and Halton points continue one stream, so they are one
+    draw; the grid restarts at each draw, so it stacks one unit grid per count.
+    """
+    for count in counts:
+        if not _is_integer(count) or count < 0:
+            raise ContractViolationError(f"count must be a nonnegative integer, got {count!r}")
     if not box.is_bounded:
         raise ContractViolationError("sampling requires a bounded box in every coordinate")
     dim = box.dim
-    if count == 0:
+    total = sum(counts)
+    if total == 0:
         return np.empty((0, dim), dtype=np.float64)
     scheme = state.config.scheme
     if scheme == "grid":
-        unit = _grid_unit(count, dim)
+        grids = {count: _grid_unit(count, dim) for count in set(counts)}
+        unit = np.concatenate([grids[count] for count in counts])
     elif scheme == "halton":
-        unit = _halton_unit(state.counter + 1, count, dim)  # radical inverse is 1-based
+        unit = _halton_unit(state.counter + 1, total, dim)  # radical inverse is 1-based
     else:
-        unit = state._generator_for(dim).random((count, dim))
-    state.counter += count
+        unit = state._generator_for(dim).random((total, dim))
+    state.counter += total
     return _map_to_box(unit, box)

@@ -9,31 +9,41 @@ plan.  The cheapest strictly-improving feasible candidate (lowest sample
 index on ties; the reference survives ties) becomes the reference for the
 next position.
 
-That sequential sweep is computed a window of positions at a time.  Every
-position's samples are drawn up front, in the sweep's order.  A window of
-consecutive pending positions is evaluated against the current reference:
-all its candidate rows step together from the window's lowest position j0,
-starting at the reference state there, one ``batch_step`` call per time
-index to the horizon's end, and are then masked once: one row-wise call for
-the states before the end and one for the end states (``_step_rows``, which
-the oracle search shares).  Above its own position a row holds the
-reference input, and every kernel gives a row the same bits whatever the
-batch around it, so up to that position the row repeats the reference
-states bit for bit.  A position that accepts no sample leaves the
-reference unchanged, so the highest position in the window with a cheaper
-row decides it and every window position above it exactly as the sequential
-sweep would; the next window starts below it, against the new reference.
-The window size comes from the solve's own acceptance rate
-(``_window_size``); any size gives the same result, and a size of one is the
-sequential sweep.
+That sequential sweep is computed as one tensor in resumed rounds.  All of
+the solve's samples come from one ``draw_blocks`` call, in the sweep's order.
+The solve holds one (N, R, m) input tensor and one (N + 1, R, n) state
+tensor, indexed by absolute time, with R = sum_j n_j rows, highest position
+first; row b holds the reference inputs except its own sample at its
+position.  Every kernel gives a row the same bits whatever the batch around
+it, so up to its own position a row repeats the reference states bit for
+bit: the tensor starts as the reference trajectory, and the first round, one
+full pass, steps the rows from their own positions to the horizon's end, one
+``batch_step`` call per time index from j_low, the lowest drawn position
+(the rows of the positions above the time index are its leading rows, and
+stay as they are).  It then makes one row-wise mask call for the states
+before the end and one for the end states (``_step_rows``, whose stepping
+and masking the oracle search shares).  The highest position with a
+strictly cheaper feasible row accepts its cheapest, and every position
+above it is decided exactly as the sequential sweep decides it.
+
+Once position j_a accepts, no input below j_a changes again in the solve,
+so every undecided row's states, first violation and running cost up to j_a
+stay valid.  The accepted input is written into column j_a of the undecided
+rows, and the next round resumes them at j_a, from their own states there:
+N - j_a calls, masking states j_a + 1..N only (a row whose first violation
+is at or before j_a keeps it).  A round takes the undecided positions from
+the top while its rows times N - j_a stay within ``_ROUND_ROW_STEPS`` row
+steps, and always at least one position; it decides its positions down to
+its acceptance, or all of them, and the next round resumes from the last
+accepted position.  A solve that accepts nothing makes N - j_low calls.
 
 Every cost is one call of ``core.fold_costs``, which adds stage costs left to
-right from a start stage and a base value and then the terminal cost: the
+right from a start stage and a per-row base and then the terminal cost: the
 warm start's from stage 0, which also gives its prefix (the running sum
-before each stage), and a window's candidates from j0 with the base
-prefix[j0].  Walking backwards never changes the reference below an accepted
-position, so that prefix serves every window, and a candidate's total is the
-sum ``evaluate_cost`` forms for its plan, bit for bit.
+before each stage); the first pass's from j_low with the base prefix[j_low],
+which keeps every row's running cost at every stage; and a resumed round's
+from j_a, each row's base being its running cost at j_a.  So a candidate's
+total is the sum ``evaluate_cost`` forms for its plan, bit for bit.
 
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
 counts, taken from each decided row's last round.  A candidate at position
@@ -41,20 +51,16 @@ j counts the steps from j to its first violating state, and a feasible one
 all N - j steps and one cost evaluation, so a solve where no candidate
 violates counts the paper's sum_j (N - j) n_j and sum_j n_j exactly.  These
 are counts, not the steps made: every row steps to the horizon's end.  The
-plant steps made beyond a rolled out warm start's N are bounded through K_max,
-the largest window used.  A round that holds position j without deciding
-it accepts a position above j, and the next round starts below that one.
-A window spans at most K_max drawn positions, so the rounds holding j start
-at distinct places among j and the K_max - 1 drawn positions above it: at
-most K_max rounds.  Each steps j's rows exactly N - j0 times (fewer only
-when the budget cuts it), and j0 lies at most K_max - 1 drawn positions
-below j.  So a solve makes at most K_max * sum_j n_j (N - j_low)
-row steps, where j_low is the drawn position K_max - 1 places after j in
-the sweep's order, or the last one; with every n_j > 0 that is at most
-K_max * sum_j n_j (N - j + K_max - 1).
+rows of position j step N - j times in the first pass, the paper's count,
+and N - a times in each later round that holds them, where a is the
+accepted position the round resumes from; the rounds that hold j resume
+from distinct accepted positions above j.  So, beyond a rolled out warm
+start's N, a solve makes at most sum_j n_j (N - j + sum_{a in A, a > j}
+(N - a)) row steps, A the accepted positions, which is at most
+sum_j n_j (N - j) (1 + |A|).
 
 Feasibility is tested with the row kernels that ``check_feasible``
-applies, two mask calls per window or oracle batch.  ``improve_plan``'s
+applies, two mask calls per round or oracle batch.  ``improve_plan``'s
 entry ``check_feasible`` of the warm start's trajectory is the one
 certificate of every warm start, and the sweep's masks certify each
 candidate it accepts.  A plan built here carries the trajectory its
@@ -65,15 +71,17 @@ bit, and rolls the plan out otherwise (a caller's plan, another model, a
 measured state off the prediction); every kernel gives a row the same bits
 whatever the batch, so the two agree bit for bit.
 
-The time budget is polled before each draw and after each batched step.
-A window cut short decides none of its positions, so they keep the
-reference, and a budget that expires during the draws returns the warm
-start: an interrupted solve still returns a feasible plan no worse than the
-warm start, and its counters cover the decided positions only.
+The time budget is polled once before the draw and after each batched
+step.  A round cut short decides none of its positions, so they keep the
+reference, and a budget that expires before the draw or during the first
+pass returns the warm start: an interrupted solve still returns a feasible
+plan no worse than the warm start, and its counters cover the decided
+positions only.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from dataclasses import dataclass, field, replace
@@ -103,7 +111,7 @@ from .errors import (
     NoTerminalLawError,
     WarmStartFailureError,
 )
-from .sampling import SamplerConfig, SamplerState, derive_seed, draw_samples
+from .sampling import SamplerConfig, SamplerState, derive_seed, draw_blocks, draw_samples
 
 __all__ = [
     "SolverConfig",
@@ -125,6 +133,12 @@ _ORACLE_STREAM_TAG = 1
 # start's plan without stepping a full batch; a hard start pays one more call.
 _ORACLE_PROBE = 64
 _ORACLE_BATCH = 1024
+# A resumed round takes positions while rows * (N - j_a) stays within this
+# many row steps.  At these widths a batched call costs about its fixed
+# overhead, so wider rounds save calls, but a round re-steps the rows of
+# every position below its acceptance; unbounded rounds slowed the long
+# horizons (the sweep that chose this value is in the CHANGES entry).
+_ROUND_ROW_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -193,7 +207,7 @@ class SolveResult:
     """One solve's outcome: the improved plan, its predicted (N+1, n)
     trajectory from the solve's state (read-only), its cost, the work
     counters of the sequential sweep (plant steps and full-cost evaluations
-    it spends on candidates, whatever window sizes computed it), the number
+    it spends on candidates, however its rounds computed it), the number
     of accepted replacements, wall time and whether the budget cut the
     sweep."""
 
@@ -244,15 +258,17 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  constraints: ConstraintSpec, cost: CostSpec, cfg: SolverConfig,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
     """Run one backward sweep of single-position sample replacements,
-    evaluated a window of positions at a time (see the module docstring).
+    evaluated as one tensor in resumed rounds (see the module docstring).
 
     The warm start's trajectory from x (the one it carries, see the module
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
-    ``fold_costs`` give the reference and its cost prefix.  Each round steps
-    all candidate rows of one window from its lowest position and prices them
-    with one ``fold_costs`` call; the highest position with a strictly cheaper
-    feasible row accepts its cheapest, and the next window starts below it.
+    ``fold_costs`` give the reference and its cost prefix.  All samples are
+    drawn in one call.  A first pass steps every candidate row from the
+    lowest drawn position and prices it with one ``fold_costs`` call; the
+    highest position with a strictly cheaper feasible row accepts its
+    cheapest.  Each later round resumes the undecided rows at the last
+    accepted position, from their own states and running costs there.
     The returned cost never exceeds the warm start's cost, and the returned
     plan, which carries the returned states, is feasible even when the time
     budget interrupts the sweep.
@@ -284,68 +300,73 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
 
     counts = cfg.sample_counts
     positions = [j for j in range(big_n - 1, -1, -1) if counts[j]]
-    drawn = []
-    budget_hit = False
-    for j in positions:
-        if deadline is not None and time.perf_counter() >= deadline:
-            budget_hit = True
-            break
-        drawn.append(draw_samples(sampler_state, constraints.input_box, counts[j]))
-
     f_evals = 0
     cost_evals = 0
     improvements = 0
-    if drawn and not budget_hit:
-        samples = np.concatenate(drawn)
-        if not constraints.input_box.contains_rows(samples).all():
-            raise ContractViolationError("draw_samples returned an input outside the input box")
-        # One row per sample, highest position first; block[i] is the first
-        # row of positions[i].  viol[b] is the index of row b's first
-        # violating state in its latest round, N + 1 while it has none.
+    budget_hit = bool(positions) and deadline is not None and time.perf_counter() >= deadline
+    if positions and not budget_hit:
         sizes = [counts[j] for j in positions]
+        samples = draw_blocks(sampler_state, constraints.input_box, sizes)
+        if not constraints.input_box.contains_rows(samples).all():
+            raise ContractViolationError("draw_blocks returned an input outside the input box")
+        # One row per sample, highest position first; block[i] is the first
+        # row of positions[i], so the undecided rows are always a suffix.
+        # Time-major tensors from time 0, built as the reference repeated
+        # (np.repeat copies whole rows, where a broadcast assignment goes
+        # element by element): row b holds the reference inputs except its
+        # own sample at pos[b].  viol[b] is the index of row b's first
+        # violating state in its latest round, N + 1 while it has none;
+        # run[t - j_low, b] is its running cost before stage t.
         block = [0, *itertools.accumulate(sizes)]
         pos = np.repeat(positions, sizes)
-        viol = np.full(pos.size, big_n + 1)
+        j_low = positions[-1]
+        us = np.repeat(ref_inputs[:, np.newaxis], block[-1], axis=1)
+        us[pos, np.arange(block[-1])] = samples
+        xs = np.repeat(ref_states[:, np.newaxis], block[-1], axis=1)
+        # In the first pass the rows of the positions above t step nothing at
+        # time t: they still hold the reference, whose states they repeat.
+        above = len(positions) - np.searchsorted(positions[::-1], np.arange(j_low, big_n), "right")
+        held = np.asarray(block)[above].tolist()
+        viol = np.full(block[-1], big_n + 1)
+        run = None
 
-        lo = 0  # positions[:lo] are decided
+        t0, lo, hi = j_low, 0, len(positions)  # the first pass: every row from j_low
         while lo < len(positions):
-            hi = min(len(positions), lo + _window_size(lo, improvements))
-            j0 = positions[hi - 1]
             rows = slice(block[lo], block[hi])
-            width = block[hi] - block[lo]
-            # Time-major arrays from time j0, where index k is time j0 + k.
-            # Row b holds the reference input except at pos[b], so up to
-            # there it repeats the reference states bit for bit.
-            us = np.repeat(ref_inputs[j0:, np.newaxis], width, axis=1)
-            us[pos[rows] - j0, np.arange(width)] = samples[rows]
-            xs = np.empty((big_n + 1 - j0, width, model.n), dtype=np.float64)
-            xs[0] = ref_states[j0]
-            first_bad = _step_rows(xs, us, model, constraints, deadline)
+            first_bad = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline,
+                                   held if run is None else None)
             if first_bad is None:
                 budget_hit = True
                 break
-            viol[rows] = j0 + first_bad
-            done = np.flatnonzero(viol[rows] > big_n)
-            win = None
-            if done.size:
-                totals = fold_costs(cost, j0, prefix[j0], xs.take(done, 1), us.take(done, 1))[-1]
-                better = np.flatnonzero(totals < j_ref)
-                if better.size:
-                    # The highest position with a cheaper row accepts its
-                    # first minimum: lowest sample index on ties.
-                    done_pos = pos[rows][done]
-                    j_a = done_pos[better[0]]
-                    better = better[done_pos[better] == j_a]
-                    win = better[np.argmin(totals[better])]
-            if win is None:
+            viol[rows] = np.where(viol[rows] <= t0, viol[rows], t0 + first_bad)
+            with np.errstate(over="ignore", invalid="ignore"):  # rows that left the state set
+                if run is None:
+                    run = _first_pass_costs(cost, prefix, xs, us, positions, block)
+                    totals = run[-1]
+                else:
+                    totals = fold_costs(cost, t0, run[t0 - j_low, rows], xs[t0:, rows],
+                                        us[t0:, rows])[-1]
+            better = np.flatnonzero((viol[rows] > big_n) & (totals < j_ref))
+            if better.size:
+                # The highest position with a cheaper row accepts its first
+                # minimum (lowest sample index on ties), which decides every
+                # position down to it; the undecided rows take its input.
+                j_a = pos[rows.start + better[0]]
+                lo = positions.index(j_a, lo) + 1
+                better = better[better < block[lo] - rows.start]
+                win = better[np.argmin(totals[better])]
+                ref_inputs[j_a] = us[j_a, rows.start + win]
+                ref_states[j_a + 1:] = xs[j_a + 1:, rows.start + win]
+                j_ref = totals[win]
+                improvements += 1
+                us[j_a, block[lo]:] = ref_inputs[j_a]
+                t0 = j_a
+            else:
                 lo = hi
-                continue
-            # Positions down to j_a are decided; the next window starts below.
-            lo = positions.index(j_a, lo) + 1
-            ref_inputs[j_a] = us[j_a - j0, done[win]]
-            ref_states[j_a + 1:] = xs[j_a + 1 - j0:, done[win]]
-            j_ref = totals[win]
-            improvements += 1
+            # The next round resumes at t0 = j_a: undecided positions from the
+            # top while rows * (N - t0) stays within the row-step budget.
+            fit = bisect.bisect_right(block, block[lo] + _ROUND_ROW_STEPS // (big_n - t0)) - 1
+            hi = min(max(fit, lo + 1), len(positions))
 
         # The counters are the sequential sweep's, over the decided positions.
         swept = slice(0, block[lo])
@@ -359,31 +380,65 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                        budget_hit=budget_hit)
 
 
-def _window_size(decided: int, accepted: int) -> int:
-    """Positions to evaluate in the next round: the positions decided per
-    acceptance so far, smoothed, so that a round usually spans about one
-    acceptance.  Any value of at least 1 gives the same result."""
-    return -(-(decided + 2) // (accepted + 1))
+def _first_pass_costs(cost: CostSpec, prefix: Sequence[float], xs: np.ndarray,
+                      us: np.ndarray, positions: Sequence[int], block: Sequence[int]) -> np.ndarray:
+    """The first pass's running costs: entry [t - j_low, b] is row b's cost
+    before stage t, for every stage t from the lowest position of b's group
+    on (the entries below it are never set).  A group is consecutive
+    positions, taken from the top while its rows times its stages stay
+    within ``_ROUND_ROW_STEPS``, and is priced by one ``fold_costs`` call from
+    its lowest position with the warm start's prefix there as base: below
+    their positions the rows repeat the warm start, so that gives the bits of
+    a fold from stage 0, without pricing the stages the rows hold the
+    reference at, and a narrow fold's arrays stay in cache."""
+    big_n, j_low = us.shape[0], positions[-1]
+    run = np.empty((big_n + 2 - j_low, block[-1]), dtype=np.float64)
+    lo = 0
+    while lo < len(positions):
+        hi = lo + 1
+        while hi < len(positions) and ((block[hi + 1] - block[lo]) * (big_n - positions[hi])
+                                       <= _ROUND_ROW_STEPS):
+            hi += 1
+        j, rows = positions[hi - 1], slice(block[lo], block[hi])
+        run[j - j_low:, rows] = fold_costs(cost, j, prefix[j], xs[j:, rows], us[j:, rows])
+        lo = hi
+    return run
 
 
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
-               constraints: ConstraintSpec, deadline: Optional[float]) -> Optional[np.ndarray]:
+               constraints: ConstraintSpec, deadline: Optional[float],
+               held: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Step the time-major rows from xs[0] through inputs us (T, B, m) into
     xs[1:] and return each row's first violating index among states 1..T
     (state T against the terminal set), T + 1 where it has none; None when
-    the deadline passes, polled after each step."""
+    the deadline passes, polled after each step.  With ``held``, step k
+    leaves rows [:held[k]] as they are: the caller has set them already."""
+    ok = _stepped_mask(xs, us, model, constraints, deadline, held)
+    return None if ok is None else ok.argmin(axis=0) + 1
+
+
+def _stepped_mask(xs: np.ndarray, us: np.ndarray, model: PlantModel,
+                  constraints: ConstraintSpec, deadline: Optional[float],
+                  held: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """``_step_rows``' stepping, returning its (T + 1, B) mask instead: row k
+    - 1 says whether state k passes (state T the terminal set), and row T is
+    all False, so that a row's argmin over time is its first violation."""
     big_t, width, n = us.shape[0], us.shape[1], xs.shape[2]
     # Every row steps to its end; silence any overflow of rows that left the
     # state set, the masks below exclude them.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(big_t):
-            xs[k + 1] = model.batch_step(xs[k], us[k])
+            if held is None:
+                xs[k + 1] = model.batch_step(xs[k], us[k])
+            else:
+                h = held[k]
+                xs[k + 1, h:] = model.batch_step(xs[k, h:], us[k, h:])
             if deadline is not None and time.perf_counter() >= deadline:
                 return None
-        ok = np.zeros((big_t + 1, width), dtype=bool)  # row T: a violation for every row
+        ok = np.zeros((big_t + 1, width), dtype=bool)
         ok[:big_t - 1] = constraints.states_ok_rows(xs[1:big_t].reshape(-1, n)).reshape(-1, width)
         ok[big_t - 1] = constraints.terminal_ok_rows(xs[big_t])
-    return ok.argmin(axis=0) + 1
+    return ok
 
 
 def _oracle_stream(cfg: SolverConfig) -> SamplerState:
@@ -427,8 +482,8 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         sequences = flat.reshape(batch, big_n, model.m)
         xs = np.empty((big_n + 1, batch, model.n), dtype=np.float64)
         xs[0] = x
-        first_bad = _step_rows(xs, sequences.transpose(1, 0, 2), model, constraints, None)
-        hits = np.flatnonzero(first_bad > big_n)
+        ok = _stepped_mask(xs, sequences.transpose(1, 0, 2), model, constraints, None)
+        hits = np.flatnonzero(ok[:big_n].all(axis=0))
         if hits.size:
             return _SteppedPlan(sequences[hits[0]], _frozen(xs[:, hits[0]].copy()), model)
     raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")

@@ -105,7 +105,9 @@ class TestExperimentConfig:
                                              ("initial_plan", ["5", "7"]),
                                              ("initial_state", [True, False]),
                                              ("initial_state", "12"),
-                                             ("initial_plan", [[1.0], [True]])])
+                                             ("initial_plan", [[1.0], [True]]),
+                                             ("initial_state", [float("nan"), 0.0]),
+                                             ("initial_plan", [[1.0], [-float("inf")]])])
     def test_malformed_initial_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             cart_config(**{name: value})
@@ -372,7 +374,8 @@ class TestCli:
         ("samples_per_step", "5" * 10), ("samples_per_step", [5] * 9 + [5.5]),
         ("sampler", {"seed": 1.5}), ("improve_initial", "false"), ("improve_initial", 1),
         ("time_budget_ms", True), ("time_budget_ms", "5"), ("config_id", 5),
-        ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan"))])
+        ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan")),
+        ("model_overrides", {"ts": float("nan")}), ("initial_state", [float("inf"), 0.0])])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
         raw = cart_config().to_dict()
         raw[key] = value

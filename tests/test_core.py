@@ -20,7 +20,7 @@ from sampled_nmpc import (
     rollout,
     shift_plan,
 )
-from sampled_nmpc.core import fold_costs
+from sampled_nmpc.core import _quadratic_rows, fold_costs
 from sampled_nmpc.errors import ContractViolationError
 from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_IDS
 from test_models import ellipsoid_value
@@ -236,6 +236,47 @@ class TestFoldCosts:
         for b in sample:
             one = fold_costs(cost, start, base, xs[start:, b:b + 1], us[start:, b:b + 1])
             assert np.array_equal(batch[:, b], one[:, 0])
+        # One base per row: each row matches its call with that base alone,
+        # and resuming from the running costs at a stage repeats the fold.
+        bases = rng.uniform(0.0, 100.0, width)
+        rows = fold_costs(cost, start, bases, xs[start:], us[start:])
+        for b in sample:
+            one = fold_costs(cost, start, bases[b], xs[start:, b:b + 1], us[start:, b:b + 1])
+            assert np.array_equal(rows[:, b], one[:, 0])
+        later = int(rng.integers(start, horizon + 1))
+        assert np.array_equal(fold_costs(cost, later, full[later], xs[later:], us[later:]),
+                              full[later:])
+
+
+class TestQuadraticRows:
+    # Rows of widths up to 1100 (1024, the oracle's batch size, always
+    # tried), one or stacked weights, with -0.0, +0.0 and values whose sum
+    # depends on the order of the adds.
+    @given(st.integers(1, 3), st.integers(0, 3), st.just(1024) | st.integers(1, 1100),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5]))
+    @example(2, 0, 1024, 0, 0.5)
+    @example(3, 2, 1, 1, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_left_to_right_columns_equal_numpys_sum(self, k, times, width, seed, zeros):
+        rng = np.random.default_rng(seed)
+        shape = (width, k) if times == 0 else (times, width, k)
+        d = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        d[rng.random(shape) < zeros] = 0.0
+        d[rng.random(shape) < zeros / 2] *= -1.0  # signed zeros among them
+        w = rng.standard_normal((k, k))
+        w = w @ w.T
+        if times:
+            w = np.stack([w * (t + 1) for t in range(times)])
+        expected = ((d @ w) * d).sum(axis=-1)
+        got = _quadratic_rows(d, w)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
+        d = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        w = -np.eye(2)
+        assert np.signbit((d @ w) * d)[1].all()  # both columns of row 1 are -0.0
+        assert _quadratic_rows(d, w).view(np.uint64).tolist() == [0, 0]
 
 
 class TestCheckFeasible:

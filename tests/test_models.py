@@ -217,7 +217,10 @@ class TestBenchmarkAssembly:
         ("cart-spring", {"ts": True}), ("cart-spring", {"mass": "1.0"}),
         ("cart-spring", {"terminal_level": True}), ("cart-spring", {"terminal_level": "4.7"}),
         ("buck-boost", {"v_s": [12.0]}), ("buck-boost", {"terminal_level": False}),
-        ("wmr", {"ts": None}), ("wmr", {"ts": False})])
+        ("wmr", {"ts": None}), ("wmr", {"ts": False}), ("cart-spring", {"ts": float("nan")}),
+        ("cart-spring", {"ts": float("inf")}), ("buck-boost", {"v_s": -float("inf")}),
+        ("cart-spring", {"terminal_level": float("nan")}),
+        ("buck-boost", {"terminal_level": float("inf")})])
     def test_non_number_override_rejected(self, plant, overrides):
         name, = overrides
         with pytest.raises(ConfigError, match=name):
@@ -266,7 +269,9 @@ class TestBenchmarkAssembly:
         {"center": ["0", "3"], "radius": 1.0}, {"center": [0.0, 3.0], "radius": True},
         {"center": ["0", "3"], "radius": True}, {"center": "03", "radius": 1.0},
         {"center": [0.0, True], "radius": 1.0}, {"center": [0.0, 3.0], "radius": "1"},
-        {"center": 3.0, "radius": 1.0}, {"center": [0.0, 3.0], "radius": [1.0]}])
+        {"center": 3.0, "radius": 1.0}, {"center": [0.0, 3.0], "radius": [1.0]},
+        {"center": [float("nan"), 3.0], "radius": 1.0},
+        {"center": [0.0, 3.0], "radius": float("inf")}])
     def test_malformed_wmr_obstacle_rejected(self, spec):
         with pytest.raises(ConfigError, match="obstacle"):
             make_benchmark("wmr", 5, {"obstacle": spec})

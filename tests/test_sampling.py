@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sampled_nmpc import BoxSet, SamplerConfig, SamplerState, draw_samples, radical_inverse
 from sampled_nmpc.errors import ContractViolationError
-from sampled_nmpc.sampling import derive_seed, first_primes
+from sampled_nmpc.sampling import derive_seed, draw_blocks, first_primes
 
 
 def unit_box(dim):
@@ -228,3 +228,31 @@ class TestDrawSamplesContract:
         assert samples.shape == (count, dim)
         assert np.all(samples >= box.lower) and np.all(samples <= box.upper)
         assert state.counter == count
+
+
+class TestDrawBlocks:
+    @given(st.sampled_from(["grid", "random", "halton"]), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 3), st.integers(0, 300),
+           st.lists(st.integers(0, 40), min_size=0, max_size=12))
+    @example("grid", 0, 2, 0, [5, 0, 5, 3, 0])
+    @example("random", 1, 3, 7, [0, 0])
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_equals_a_draw_per_count(self, scheme, seed, dim, counter, counts):
+        # From a stream already at ``counter`` (a continued one), with zero
+        # counts and repeated counts among the blocks.
+        box = BoxSet(-np.arange(1.0, dim + 1), np.arange(2.0, dim + 2))
+        config = SamplerConfig(scheme=scheme, seed=seed)
+        one, each = SamplerState(config, counter=counter), SamplerState(config, counter=counter)
+        block = draw_blocks(one, box, counts)
+        parts = [draw_samples(each, box, c) for c in counts]
+        expected = np.concatenate(parts) if parts else np.empty((0, dim))
+        assert block.shape == (sum(counts), dim)
+        assert block.tobytes() == expected.tobytes()
+        assert one.counter == each.counter
+        # Both streams continue from the same place.
+        assert draw_samples(one, box, 3).tobytes() == draw_samples(each, box, 3).tobytes()
+
+    @pytest.mark.parametrize("counts", [[3, -1], [2, 1.5], [True]])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ContractViolationError, match="count"):
+            draw_blocks(SamplerState(SamplerConfig()), unit_box(2), counts)

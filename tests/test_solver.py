@@ -157,6 +157,23 @@ def counted_model(model):
     return counted, calls
 
 
+def solve_on_a_ticking_clock(bench, x0, monkeypatch, budget):
+    """A solve of the oracle's plan on a clock that ticks once per reading,
+    whose budget runs out before any position is decided: it must return
+    the warm start with zero counters.  Returns the result and its stream."""
+    warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cart_solver_cfg())
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    cfg = cart_solver_cfg(time_budget=budget)
+    stream = SamplerState(cfg.sampler)
+    cut = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg, stream)
+    assert cut.budget_hit
+    assert np.array_equal(cut.plan.inputs, warm.inputs)
+    assert (cut.f_evals, cut.cost_evals, cut.improvements) == (0, 0, 0)
+    assert cut.j_sub == warm_cost(bench, x0, warm)
+    return cut, stream
+
+
 def cart_solver_cfg(**kw):
     defaults = dict(horizon=10, samples_per_step=10,
                     sampler=SamplerConfig(scheme="halton", seed=3))
@@ -269,80 +286,96 @@ class TestImprovePlan:
         assert np.array_equal(cut.states, rollout(cart10.model, cart_x0, cut.plan))
 
     def test_budget_spent_on_draws_returns_the_warm_start(self, cart10, cart_x0, monkeypatch):
-        # Readings: solve start, then one before each of the ten draws; a
-        # 3.5-tick budget expires before the fourth draw.
-        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg())
-        ticks = itertools.count()
-        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-        cut = improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg(time_budget=3.5))
-        assert cut.budget_hit
-        assert np.array_equal(cut.plan.inputs, warm.inputs)
-        assert (cut.f_evals, cut.cost_evals, cut.improvements) == (0, 0, 0)
-        assert cut.j_sub == warm_cost(cart10, cart_x0, warm)
+        # Readings: solve start, then the one poll before the draw; a
+        # 0.5-tick budget expires there, so nothing is drawn.
+        _, stream = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 0.5)
+        assert stream.counter == 0
+
+    def test_budget_spent_in_the_first_pass_returns_the_warm_start(self, cart10, cart_x0,
+                                                                   monkeypatch):
+        # After the draw, one reading per batched step of the first pass; a
+        # 3.5-tick budget expires after its second step, before any decision.
+        _, stream = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 3.5)
+        assert stream.counter == 100
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
            st.sampled_from(["grid", "random", "halton"]))
     @settings(max_examples=60, deadline=None)
-    def test_window_size_never_changes_the_result(self, plant, horizon, seed, counts, scheme):
+    def test_round_width_never_changes_the_result(self, plant, horizon, seed, counts, scheme):
+        # A row-step budget of 1 resumes one position per round, a huge one
+        # every undecided position; each equals the sequential sweep.
         counts = counts[:horizon]
+        bench, x0, warm, cfg, result = solve_from_random_start(
+            plant, horizon, seed, counts, scheme)
+        tally = {"f_evals": 0, "cost_evals": 0}
+        expected_plan, expected = brute_force_backward_sweep(bench, x0, warm, counts,
+                                                             cfg.sampler, tally)
+        assert np.array_equal(result.plan.inputs, expected_plan.inputs)
+        assert result.j_sub == expected
+        assert (result.f_evals, result.cost_evals) == (tally["f_evals"], tally["cost_evals"])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_window_size", lambda decided, accepted: 1)
-            bench, x0, warm, cfg, sequential = solve_from_random_start(
-                plant, horizon, seed, counts, scheme)
-            for k in (2, 3, horizon):
-                mp.setattr(solver, "_window_size", lambda decided, accepted: k)
-                result = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
-                assert np.array_equal(result.plan.inputs, sequential.plan.inputs)
-                assert np.array_equal(result.states, sequential.states)
-                assert (result.j_sub, result.f_evals, result.cost_evals, result.improvements,
-                        result.budget_hit) == (sequential.j_sub, sequential.f_evals,
-                                               sequential.cost_evals, sequential.improvements,
-                                               sequential.budget_hit)
+            for row_steps in (1, 10 ** 9):
+                mp.setattr(solver, "_ROUND_ROW_STEPS", row_steps)
+                other = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
+                assert np.array_equal(other.plan.inputs, result.plan.inputs)
+                assert np.array_equal(other.states, result.states)
+                assert (other.j_sub, other.f_evals, other.cost_evals, other.improvements,
+                        other.budget_hit) == (result.j_sub, result.f_evals, result.cost_evals,
+                                              result.improvements, result.budget_hit)
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           st.sampled_from(["grid", "random", "halton"]))
+           st.sampled_from(["grid", "random", "halton"]), st.sampled_from([1, None, 10 ** 9]))
     @settings(max_examples=60, deadline=None)
-    def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme):
-        # The module docstring's bound: at most K_max * sum_j n_j (N - j_low)
-        # row steps, K_max the largest window used and j_low the drawn
-        # position K_max - 1 places after j in the sweep's order (or the
-        # last one).  The copied model keeps the original one-row step, so
-        # the entry rollout is not counted.
+    def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme,
+                                                  row_steps):
+        # The module docstring's bound: at most
+        # sum_j n_j (N - j + sum over accepted a > j of (N - a)) row steps,
+        # whatever the round width.  An accepted input is strictly
+        # cheaper, so the accepted positions are where the plan left the warm
+        # start.  The copied model keeps the original one-row step, so the
+        # entry rollout is not counted.
         counts = counts[:horizon]
         bench, x0, warm, cfg, _ = solve_from_random_start(plant, horizon, seed, counts, scheme)
-        rows, sizes = [], []
+        rows = []
         counted = dataclasses.replace(
             bench.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
             or bench.model.batch_step(xs, us))
-        window_size = solver._window_size
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_window_size",
-                       lambda decided, accepted: sizes.append(window_size(decided, accepted))
-                       or sizes[-1])
+            if row_steps is not None:
+                mp.setattr(solver, "_ROUND_ROW_STEPS", row_steps)
             result = improve_plan(x0, warm, counted, bench.constraints, bench.cost, cfg)
-        drawn = [j for j in range(horizon - 1, -1, -1) if counts[j]]
-        k_max = min(max(sizes, default=1), len(drawn))
-        bound = k_max * sum(counts[j] * (horizon - drawn[min(i + k_max - 1, len(drawn) - 1)])
-                            for i, j in enumerate(drawn))
+        accepted = [j for j in range(horizon)
+                    if not np.array_equal(result.plan.inputs[j], warm.inputs[j])]
+        assert len(accepted) == result.improvements
+        bound = sum(n * (horizon - j + sum(horizon - a for a in accepted if a > j))
+                    for j, n in enumerate(counts))
         assert result.f_evals <= sum(rows) <= bound
-        if all(counts):
-            assert bound <= k_max * sum(n * (horizon - j + k_max - 1)
-                                        for j, n in enumerate(counts))
+        assert bound <= sum(n * (horizon - j) * (1 + len(accepted)) for j, n in enumerate(counts))
 
-    def test_window_size_follows_the_acceptance_rate(self):
-        # About the positions decided per acceptance, smoothed: two positions
-        # before anything is known, more while nothing is accepted.
-        assert [solver._window_size(d, a) for d, a in ((0, 0), (2, 0), (8, 0), (4, 1),
-                                                       (10, 5), (9, 9))] == [2, 4, 10, 3, 2, 2]
+    def test_a_solve_that_accepts_nothing_makes_one_pass(self, cart10):
+        # From the origin the zero plan costs 0, so no candidate is strictly
+        # cheaper: the first pass, from the lowest drawn position 3, is the
+        # whole solve, one batched step per time index, in which the rows of
+        # position j step N - j times.
+        rows = []
+        model = dataclasses.replace(
+            cart10.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
+            or cart10.model.batch_step(xs, us))
+        cfg = cart_solver_cfg(samples_per_step=[0, 0, 0] + [10] * 7)
+        result = improve_plan(np.zeros(2), Plan(np.zeros((10, 1))), model, cart10.constraints,
+                              cart10.cost, cfg)
+        assert result.improvements == 0 and result.j_sub == 0.0
+        assert len(rows) == 10 - 3
+        assert rows == [10 * (t - 2) for t in range(3, 10)]
+        assert result.f_evals == sum(rows)  # no candidate violates from here
 
     def test_windows_make_fewer_batched_calls_than_the_sequential_sweep(self):
         # The sequential sweep at N = 50, ten samples everywhere, makes one
         # batched step per position and time index its rows reach: 1275
-        # calls from this start, where no position's rows all fail.
+        # calls from this start, where no position's rows all fail.  The
+        # resumed rounds make fewer.
         config = ExperimentConfig.load(CONFIG_DIR / "cart_horizon_050.json")
         bench, cfg, x0 = _assemble(config)
         warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
