@@ -91,11 +91,15 @@ def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     A row's value depends only on that row and its weight, not on the batch
     size or the row's position (an einsum contraction does not have this
     property), so a one-row call gives the same bits as the row of a batched
-    call.  The k columns of (d W) * d are added left to right from +0.0, the
-    order and start of ``sum(axis=-1)``, which numpy serves row by row at
-    these k; here each column add is one pass over the batch.
+    call.  The k columns of (d W) * d are added left to right from +0.0,
+    the order and start of ``sum(axis=-1)``, so both give the same bits.
+    Numpy's sum goes row by row over so short an axis, while each column
+    add is one pass over the batch: from 64 rows the adds are faster, below
+    that the one sum call is.
     """
     q = (d @ w) * d
+    if q.size < 64 * q.shape[-1]:
+        return q.sum(axis=-1)
     total = q[..., 0] + 0.0  # from +0.0: a row of -0.0 columns sums to +0.0
     for col in range(1, q.shape[-1]):
         total += q[..., col]

@@ -272,11 +272,12 @@ class TestQuadraticRows:
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
-        d = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+    @pytest.mark.parametrize("width", [1, 64, 1024])  # the one-sum and the column-add widths
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self, width):
+        d = np.tile([-0.0, -0.0], (width, 1))
         w = -np.eye(2)
-        assert np.signbit((d @ w) * d)[1].all()  # both columns of row 1 are -0.0
-        assert _quadratic_rows(d, w).view(np.uint64).tolist() == [0, 0]
+        assert np.signbit((d @ w) * d).all()  # both columns of every row are -0.0
+        assert not _quadratic_rows(d, w).view(np.uint64).any()
 
 
 class TestCheckFeasible:
