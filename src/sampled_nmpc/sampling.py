@@ -5,7 +5,7 @@ draws and Halton low-discrepancy points, each mapped affinely onto the box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:
     return draw_blocks(state, box, (count,))
 
 
-def draw_blocks(state: SamplerState, box: BoxSet, counts) -> np.ndarray:
+def draw_blocks(state: SamplerState, box: BoxSet, counts: Sequence[int]) -> np.ndarray:
     """Consecutive draws of ``counts[0]``, ``counts[1]``, ... samples as one
     (sum(counts), dim) array: bit for bit the rows that ``draw_samples``
     returns for each count in turn, with the counter left where those calls

@@ -37,13 +37,15 @@ steps, and always at least one position; it decides its positions down to
 its acceptance, or all of them, and the next round resumes from the last
 accepted position.  A solve that accepts nothing makes N - j_low calls.
 
-Every cost is one call of ``core.fold_costs``, which adds stage costs left to
-right from a start stage and a per-row base and then the terminal cost: the
-warm start's from stage 0, which also gives its prefix (the running sum
-before each stage); the first pass's from j_low with the base prefix[j_low],
-which keeps every row's running cost at every stage; and a resumed round's
-from j_a, each row's base being its running cost at j_a.  So a candidate's
-total is the sum ``evaluate_cost`` forms for its plan, bit for bit.
+Every cost comes from ``core.fold_costs``, which adds stage costs left to
+right from a start stage and a base, one for all rows or one per row, and
+then the terminal cost: the warm start's from stage 0, which also gives its
+prefix (the running sum before each stage); the first pass's, one call per
+group of positions from the group's lowest position j with the base
+prefix[j], which keeps every row's running cost at every stage from there
+(``_first_pass_costs``); and a resumed round's from j_a, each row's base
+being its running cost at j_a.  So a candidate's total is the sum
+``evaluate_cost`` forms for its plan, bit for bit.
 
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
 counts, taken from each decided row's last round.  A candidate at position
@@ -134,10 +136,12 @@ _ORACLE_STREAM_TAG = 1
 _ORACLE_PROBE = 64
 _ORACLE_BATCH = 1024
 # A resumed round takes positions while rows * (N - j_a) stays within this
-# many row steps.  At these widths a batched call costs about its fixed
-# overhead, so wider rounds save calls, but a round re-steps the rows of
-# every position below its acceptance; unbounded rounds slowed the long
-# horizons (the sweep that chose this value is in the CHANGES entry).
+# many row steps, and the first pass prices its rows in groups under the
+# same bound.  A narrow batched call costs about its fixed overhead, so
+# wider rounds save calls, but a round re-steps the rows of every position
+# below its acceptance, and a wide fold runs out of cache.  In process,
+# 2048 slowed cart_horizon_100 and 8192 or more slowed cart_horizon_050 and
+# the first solves against 4096; no config with N <= 10 reaches the bound.
 _ROUND_ROW_STEPS = 4096
 
 
@@ -264,10 +268,9 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
     ``fold_costs`` give the reference and its cost prefix.  All samples are
-    drawn in one call.  A first pass steps every candidate row from the
-    lowest drawn position and prices it with one ``fold_costs`` call; the
-    highest position with a strictly cheaper feasible row accepts its
-    cheapest.  Each later round resumes the undecided rows at the last
+    drawn in one call.  A first pass steps every candidate row from its own
+    position and prices it; the highest position with a strictly cheaper
+    feasible row accepts its cheapest.  Each later round resumes the undecided rows at the last
     accepted position, from their own states and running costs there.
     The returned cost never exceeds the warm start's cost, and the returned
     plan, which carries the returned states, is feasible even when the time
@@ -330,7 +333,7 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         viol = np.full(block[-1], big_n + 1)
         run = None
 
-        t0, lo, hi = j_low, 0, len(positions)  # the first pass: every row from j_low
+        t0, lo, hi = j_low, 0, len(positions)  # the first pass: every position
         while lo < len(positions):
             rows = slice(block[lo], block[hi])
             first_bad = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline,
@@ -407,7 +410,7 @@ def _first_pass_costs(cost: CostSpec, prefix: Sequence[float], xs: np.ndarray,
 
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
                constraints: ConstraintSpec, deadline: Optional[float],
-               held: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+               held: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
     """Step the time-major rows from xs[0] through inputs us (T, B, m) into
     xs[1:] and return each row's first violating index among states 1..T
     (state T against the terminal set), T + 1 where it has none; None when
@@ -419,7 +422,7 @@ def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
 
 def _stepped_mask(xs: np.ndarray, us: np.ndarray, model: PlantModel,
                   constraints: ConstraintSpec, deadline: Optional[float],
-                  held: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+                  held: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
     """``_step_rows``' stepping, returning its (T + 1, B) mask instead: row k
     - 1 says whether state k passes (state T the terminal set), and row T is
     all False, so that a row's argmin over time is its first violation."""
