@@ -68,8 +68,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
+        if not isinstance(self.config_id, str):
+            raise ConfigError(f"config_id must be a string, got {self.config_id!r}")
         if not self.config_id:
             raise ConfigError("config_id must be nonempty")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
+        if not isinstance(self.improve_initial, bool):
+            raise ConfigError(
+                f"improve_initial must be true or false, got {self.improve_initial!r}")
+        budget = self.time_budget_ms
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                                   or not np.isfinite(budget)):
+            raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
         if self.plant not in PLANT_IDS:
             raise ConfigError(f"plant must be one of {PLANT_IDS}, got {self.plant!r}")
         for name in ("horizon", "steps", "lanes", "oracle_budget"):
@@ -120,17 +131,6 @@ class ExperimentConfig:
         seed = sampler_raw.get("seed", 0)
         if not _is_integer(seed):
             raise ConfigError(f"sampler.seed must be an integer, got {seed!r}")
-        if not isinstance(data.get("improve_initial", True), bool):
-            raise ConfigError(
-                f"improve_initial must be true or false, got {data['improve_initial']!r}")
-        budget = data.get("time_budget_ms")
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
-                                   or not np.isfinite(budget)):
-            raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
-        if not isinstance(data["config_id"], str):
-            raise ConfigError(f"config_id must be a string, got {data['config_id']!r}")
-        if not isinstance(data.get("out_dir", ""), (str, type(None))):
-            raise ConfigError(f"out_dir must be a string or null, got {data['out_dir']!r}")
         try:
             sampler = SamplerConfig(**sampler_raw)
             return cls(sampler=sampler, **data)

@@ -163,6 +163,7 @@ def draw_blocks(state: SamplerState, box: BoxSet, counts: Sequence[int]) -> np.n
     leave it.  Random and Halton points continue one stream, so they are one
     draw; the grid restarts at each draw, so it stacks one unit grid per count.
     """
+    counts = tuple(counts)  # a one-shot iterable is read once
     for count in counts:
         if not _is_integer(count) or count < 0:
             raise ContractViolationError(f"count must be a nonnegative integer, got {count!r}")

@@ -9,43 +9,41 @@ plan.  The cheapest strictly-improving feasible candidate (lowest sample
 index on ties; the reference survives ties) becomes the reference for the
 next position.
 
-That sequential sweep is computed as one tensor in resumed rounds.  All of
-the solve's samples come from one ``draw_blocks`` call, in the sweep's order.
+That sequential sweep is computed as one tensor in rounds.  All of the
+solve's samples come from one ``draw_blocks`` call, in the sweep's order.
 The solve holds one (N, R, m) input tensor and one (N + 1, R, n) state
 tensor, indexed by absolute time, with R = sum_j n_j rows, highest position
 first; row b holds the reference inputs except its own sample at its
-position.  Every kernel gives a row the same bits whatever the batch around
-it, so up to its own position a row repeats the reference states bit for
-bit: the tensor starts as the reference trajectory, and the first round, one
-full pass, steps the rows from their own positions to the horizon's end, one
-``batch_step`` call per time index from j_low, the lowest drawn position
-(the rows of the positions above the time index are its leading rows, and
-stay as they are).  It then makes one row-wise mask call for the states
-before the end and one for the end states (``_step_rows``, whose stepping
-and masking the oracle search shares).  The highest position with a
-strictly cheaper feasible row accepts its cheapest, and every position
-above it is decided exactly as the sequential sweep decides it.
+position.  Both start as the reference.  Every kernel gives a row the same
+bits whatever the batch around it, so a row repeats the reference states up
+to its start: its own position before its first round, the last accepted
+position after it.
 
-Once position j_a accepts, no input below j_a changes again in the solve,
-so every undecided row's states, first violation and running cost up to j_a
-stay valid.  The accepted input is written into column j_a of the undecided
-rows, and the next round resumes them at j_a, from their own states there:
-N - j_a calls, masking states j_a + 1..N only (a row whose first violation
-is at or before j_a keeps it).  A round takes the undecided positions from
-the top while its rows times N - j_a stay within ``_ROUND_ROW_STEPS`` row
-steps, and always at least one position; it decides its positions down to
-its acceptance, or all of them, and the next round resumes from the last
-accepted position.  A solve that accepts nothing makes N - j_low calls.
+Each round steps its rows from their starts to the horizon's end, one
+``batch_step`` call per time index from the lowest start, and masks them in
+two row-wise calls, one for the states before the end and one for the end
+states (``_step_rows``, which the oracle search shares).  The highest
+position with a strictly cheaper feasible row accepts its cheapest, which
+decides every position down to it as the sequential sweep does; a round
+with no such row decides all its positions.  No input below an accepted j_a
+changes again, so the undecided rows keep their states, first violations
+and running costs up to j_a: j_a's input is written into them, and j_a
+becomes their start (a row whose first violation is at or before j_a keeps
+it).  One width rule, ``_round_width``, takes positions from the top while
+their rows times N minus their lowest start stay within
+``_ROUND_ROW_STEPS``, and at least one.  The first round holds every
+position; each later one takes the undecided positions under the rule.  A
+solve that accepts nothing makes N - j_low calls, j_low the lowest drawn
+position.
 
 Every cost comes from ``core.fold_costs``, which adds stage costs left to
-right from a start stage and a base, one for all rows or one per row, and
-then the terminal cost: the warm start's from stage 0, which also gives its
-prefix (the running sum before each stage); the first pass's, one call per
-group of positions from the group's lowest position j with the base
-prefix[j], which keeps every row's running cost at every stage from there
-(``_first_pass_costs``); and a resumed round's from j_a, each row's base
-being its running cost at j_a.  So a candidate's total is the sum
-``evaluate_cost`` forms for its plan, bit for bit.
+right from a start stage and a base, one for all rows or one per row, then
+the terminal cost.  Every row starts with the warm start's running costs,
+its fold from stage 0.  A round prices its rows in groups under the width
+rule, each from its lowest start with the rows' running costs there as
+bases, and keeps their running costs from there; a later round is one
+group.  So a candidate's total is the sum ``evaluate_cost`` forms for its
+plan, bit for bit.
 
 ``f_evals``, ``cost_evals`` and ``improvements`` are the sequential sweep's
 counts, taken from each decided row's last round.  A candidate at position
@@ -53,7 +51,7 @@ j counts the steps from j to its first violating state, and a feasible one
 all N - j steps and one cost evaluation, so a solve where no candidate
 violates counts the paper's sum_j (N - j) n_j and sum_j n_j exactly.  These
 are counts, not the steps made: every row steps to the horizon's end.  The
-rows of position j step N - j times in the first pass, the paper's count,
+rows of position j step N - j times in the first round, the paper's count,
 and N - a times in each later round that holds them, where a is the
 accepted position the round resumes from; the rounds that hold j resume
 from distinct accepted positions above j.  So, beyond a rolled out warm
@@ -76,7 +74,7 @@ whatever the batch, so the two agree bit for bit.
 The time budget is polled once before the draw and after each batched
 step.  A round cut short decides none of its positions, so they keep the
 reference, and a budget that expires before the draw or during the first
-pass returns the warm start: an interrupted solve still returns a feasible
+round returns the warm start: an interrupted solve still returns a feasible
 plan no worse than the warm start, and its counters cover the decided
 positions only.
 """
@@ -85,6 +83,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -135,13 +134,14 @@ _ORACLE_STREAM_TAG = 1
 # start's plan without stepping a full batch; a hard start pays one more call.
 _ORACLE_PROBE = 64
 _ORACLE_BATCH = 1024
-# A resumed round takes positions while rows * (N - j_a) stays within this
-# many row steps, and the first pass prices its rows in groups under the
-# same bound.  A narrow batched call costs about its fixed overhead, so
-# wider rounds save calls, but a round re-steps the rows of every position
-# below its acceptance, and a wide fold runs out of cache.  In process,
-# 2048 slowed cart_horizon_100 and 8192 or more slowed cart_horizon_050 and
-# the first solves against 4096; no config with N <= 10 reaches the bound.
+# A round after the first takes positions while their rows times N minus
+# their lowest start stay within this many row steps, and every round prices
+# its rows in groups under the same rule (``_round_width``).  A narrow
+# batched call costs about its fixed overhead, so wider rounds save calls,
+# but a round re-steps the rows of every position below its acceptance, and
+# a wide fold runs out of cache.  In process, 2048 slowed cart_horizon_100
+# and 8192 or more slowed cart_horizon_050 and the first solves against
+# 4096; no config with N <= 10 reaches the bound.
 _ROUND_ROW_STEPS = 4096
 
 
@@ -262,19 +262,20 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                  constraints: ConstraintSpec, cost: CostSpec, cfg: SolverConfig,
                  sampler_state: Optional[SamplerState] = None) -> SolveResult:
     """Run one backward sweep of single-position sample replacements,
-    evaluated as one tensor in resumed rounds (see the module docstring).
+    evaluated as one tensor in rounds (see the module docstring).
 
     The warm start's trajectory from x (the one it carries, see the module
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
-    ``fold_costs`` give the reference and its cost prefix.  All samples are
-    drawn in one call.  A first pass steps every candidate row from its own
-    position and prices it; the highest position with a strictly cheaper
-    feasible row accepts its cheapest.  Each later round resumes the undecided rows at the last
-    accepted position, from their own states and running costs there.
-    The returned cost never exceeds the warm start's cost, and the returned
-    plan, which carries the returned states, is feasible even when the time
-    budget interrupts the sweep.
+    ``fold_costs`` give the reference and its running costs.  All samples
+    are drawn in one call.  Each round steps its rows from their starts,
+    masks and prices them, and the highest position with a strictly cheaper
+    feasible row accepts its cheapest.  The first round holds every
+    position; each later one resumes the undecided positions that the width
+    rule takes at the last accepted position.  The returned cost never
+    exceeds the warm start's cost, and the returned plan, which carries the
+    returned states, is feasible even when the time budget interrupts the
+    sweep.
     """
     t_start = time.perf_counter()
     deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
@@ -297,9 +298,10 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
 
     ref_inputs = warm.inputs.copy()
     ref_states = warm_states.copy()
-    # prefix[i] is the warm start's stage costs 0..i-1 added left to right.
-    *prefix, j_ref = fold_costs(cost, 0, 0.0, ref_states[:, np.newaxis],
-                                ref_inputs[:, np.newaxis])[:, 0]
+    # ref_run[t, 0] is the warm start's stage costs 0..t-1 added left to
+    # right, ref_run[-1, 0] its cost.
+    ref_run = fold_costs(cost, 0, 0.0, ref_states[:, np.newaxis], ref_inputs[:, np.newaxis])
+    j_ref = ref_run[-1, 0]
 
     counts = cfg.sample_counts
     positions = [j for j in range(big_n - 1, -1, -1) if counts[j]]
@@ -319,42 +321,46 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
         # element by element): row b holds the reference inputs except its
         # own sample at pos[b].  viol[b] is the index of row b's first
         # violating state in its latest round, N + 1 while it has none;
-        # run[t - j_low, b] is its running cost before stage t.
+        # run[t, b] is its running cost before stage t, the warm start's
+        # until a fold prices it.  start[i] is the time from which the rows
+        # of positions[i] step next.
         block = [0, *itertools.accumulate(sizes)]
         pos = np.repeat(positions, sizes)
-        j_low = positions[-1]
         us = np.repeat(ref_inputs[:, np.newaxis], block[-1], axis=1)
         us[pos, np.arange(block[-1])] = samples
         xs = np.repeat(ref_states[:, np.newaxis], block[-1], axis=1)
-        # In the first pass the rows of the positions above t step nothing at
-        # time t: they still hold the reference, whose states they repeat.
-        above = len(positions) - np.searchsorted(positions[::-1], np.arange(j_low, big_n), "right")
-        held = np.asarray(block)[above].tolist()
         viol = np.full(block[-1], big_n + 1)
-        run = None
+        run = np.repeat(ref_run, block[-1], axis=1)
+        start = positions.copy()
 
-        t0, lo, hi = j_low, 0, len(positions)  # the first pass: every position
+        lo, hi = 0, len(positions)  # the first round holds every position
         while lo < len(positions):
-            rows = slice(block[lo], block[hi])
-            first_bad = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline,
-                                   held if run is None else None)
-            if first_bad is None:
+            t0, rows = start[hi - 1], slice(block[lo], block[hi])
+            # Step k leaves the rows of the positions that start after t0 + k
+            # (in the first round): they still repeat the reference there.
+            held = None if start[lo] == t0 else [
+                block[bisect.bisect_left(start, -t, lo, hi, key=operator.neg)] - block[lo]
+                for t in range(t0, big_n)]
+            ok = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline, held)
+            if ok is None:
                 budget_hit = True
                 break
-            viol[rows] = np.where(viol[rows] <= t0, viol[rows], t0 + first_bad)
+            viol[rows] = np.where(viol[rows] <= t0, viol[rows], t0 + 1 + ok.argmin(axis=0))
+            h = lo
             with np.errstate(over="ignore", invalid="ignore"):  # rows that left the state set
-                if run is None:
-                    run = _first_pass_costs(cost, prefix, xs, us, positions, block)
-                    totals = run[-1]
-                else:
-                    totals = fold_costs(cost, t0, run[t0 - j_low, rows], xs[t0:, rows],
-                                        us[t0:, rows])[-1]
+                while h < hi:  # price the rows in groups, each from its lowest start
+                    g, h = h, _round_width(block, start, h, big_n)
+                    j, grp = start[h - 1], slice(block[g], block[h])
+                    run[j:, grp] = fold_costs(cost, j, run[j, grp], xs[j:, grp], us[j:, grp])
+            totals = run[-1, rows]
             better = np.flatnonzero((viol[rows] > big_n) & (totals < j_ref))
             if better.size:
                 # The highest position with a cheaper row accepts its first
                 # minimum (lowest sample index on ties), which decides every
-                # position down to it; the undecided rows take its input.
-                j_a = pos[rows.start + better[0]]
+                # position down to it; the undecided rows take its input
+                # and step next from it (a Python int: start's arithmetic
+                # and slicing are faster on it than on a numpy scalar).
+                j_a = int(pos[rows.start + better[0]])
                 lo = positions.index(j_a, lo) + 1
                 better = better[better < block[lo] - rows.start]
                 win = better[np.argmin(totals[better])]
@@ -363,13 +369,11 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                 j_ref = totals[win]
                 improvements += 1
                 us[j_a, block[lo]:] = ref_inputs[j_a]
-                t0 = j_a
+                start[lo:] = [j_a] * (len(positions) - lo)
             else:
                 lo = hi
-            # The next round resumes at t0 = j_a: undecided positions from the
-            # top while rows * (N - t0) stays within the row-step budget.
-            fit = bisect.bisect_right(block, block[lo] + _ROUND_ROW_STEPS // (big_n - t0)) - 1
-            hi = min(max(fit, lo + 1), len(positions))
+            if lo < len(positions):
+                hi = _round_width(block, start, lo, big_n)
 
         # The counters are the sequential sweep's, over the decided positions.
         swept = slice(0, block[lo])
@@ -383,49 +387,29 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                        budget_hit=budget_hit)
 
 
-def _first_pass_costs(cost: CostSpec, prefix: Sequence[float], xs: np.ndarray,
-                      us: np.ndarray, positions: Sequence[int], block: Sequence[int]) -> np.ndarray:
-    """The first pass's running costs: entry [t - j_low, b] is row b's cost
-    before stage t, for every stage t from the lowest position of b's group
-    on (the entries below it are never set).  A group is consecutive
-    positions, taken from the top while its rows times its stages stay
-    within ``_ROUND_ROW_STEPS``, and is priced by one ``fold_costs`` call from
-    its lowest position with the warm start's prefix there as base: below
-    their positions the rows repeat the warm start, so that gives the bits of
-    a fold from stage 0, without pricing the stages the rows hold the
-    reference at, and a narrow fold's arrays stay in cache."""
-    big_n, j_low = us.shape[0], positions[-1]
-    run = np.empty((big_n + 2 - j_low, block[-1]), dtype=np.float64)
-    lo = 0
-    while lo < len(positions):
-        hi = lo + 1
-        while hi < len(positions) and ((block[hi + 1] - block[lo]) * (big_n - positions[hi])
-                                       <= _ROUND_ROW_STEPS):
-            hi += 1
-        j, rows = positions[hi - 1], slice(block[lo], block[hi])
-        run[j - j_low:, rows] = fold_costs(cost, j, prefix[j], xs[j:, rows], us[j:, rows])
-        lo = hi
-    return run
+def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int) -> int:
+    """The end hi of the positions from lo that one round or one fold group
+    takes: while their rows, block[lo]:block[hi], times N - start[hi - 1],
+    their lowest start, stay within ``_ROUND_ROW_STEPS`` row steps, and at
+    least lo + 1."""
+    if start[lo] == start[-1]:  # one start from lo on: bisect the rows
+        fit = bisect.bisect_right(block, block[lo] + _ROUND_ROW_STEPS // (big_n - start[lo])) - 1
+        return max(fit, lo + 1)
+    hi = lo + 1
+    while hi < len(start) and (block[hi + 1] - block[lo]) * (big_n - start[hi]) <= _ROUND_ROW_STEPS:
+        hi += 1
+    return hi
 
 
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
                constraints: ConstraintSpec, deadline: Optional[float],
                held: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
     """Step the time-major rows from xs[0] through inputs us (T, B, m) into
-    xs[1:] and return each row's first violating index among states 1..T
-    (state T against the terminal set), T + 1 where it has none; None when
-    the deadline passes, polled after each step.  With ``held``, step k
-    leaves rows [:held[k]] as they are: the caller has set them already."""
-    ok = _stepped_mask(xs, us, model, constraints, deadline, held)
-    return None if ok is None else ok.argmin(axis=0) + 1
-
-
-def _stepped_mask(xs: np.ndarray, us: np.ndarray, model: PlantModel,
-                  constraints: ConstraintSpec, deadline: Optional[float],
-                  held: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
-    """``_step_rows``' stepping, returning its (T + 1, B) mask instead: row k
-    - 1 says whether state k passes (state T the terminal set), and row T is
-    all False, so that a row's argmin over time is its first violation."""
+    xs[1:] and return their (T + 1, B) mask: row k - 1 says whether state k
+    passes (state T the terminal set), and row T is all False, so that a
+    row's argmin over time is its first violation.  None when the deadline
+    passes, polled after each step.  With ``held``, step k leaves rows
+    [:held[k]] as they are: the caller has set them already."""
     big_t, width, n = us.shape[0], us.shape[1], xs.shape[2]
     # Every row steps to its end; silence any overflow of rows that left the
     # state set, the masks below exclude them.
@@ -485,7 +469,7 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         sequences = flat.reshape(batch, big_n, model.m)
         xs = np.empty((big_n + 1, batch, model.n), dtype=np.float64)
         xs[0] = x
-        ok = _stepped_mask(xs, sequences.transpose(1, 0, 2), model, constraints, None)
+        ok = _step_rows(xs, sequences.transpose(1, 0, 2), model, constraints, None)
         hits = np.flatnonzero(ok[:big_n].all(axis=0))
         if hits.size:
             return _SteppedPlan(sequences[hits[0]], _frozen(xs[:, hits[0]].copy()), model)

@@ -116,6 +116,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("name, value", [
+        ("improve_initial", "false"), ("improve_initial", 1), ("time_budget_ms", True),
+        ("time_budget_ms", "5"), ("time_budget_ms", float("nan")), ("time_budget_ms", float("inf")),
+        ("config_id", 5), ("out_dir", 5)])
+    def test_malformed_fields_rejected_by_the_constructor(self, name, value):
+        # The checks a JSON file meets hold for a config built in Python.
+        with pytest.raises(ConfigError, match=name):
+            cart_config(**{name: value})
+
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):
             cart_config(plant="pendulum")
@@ -352,6 +361,16 @@ class TestCli:
         assert resolved["sampler"]["seed"] == 11
         assert resolved["lanes"] == 2
         assert resolved["time_budget_ms"] == 500.0
+
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_a_budget_override_meets_the_config_checks(self, tmp_path, capsys, budget):
+        path = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out),
+                         "--budget-ms", budget]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "time_budget_ms" in error["message"]
+        assert not out.exists()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -239,16 +239,19 @@ class TestDrawBlocks:
     @settings(max_examples=80, deadline=None)
     def test_one_call_equals_a_draw_per_count(self, scheme, seed, dim, counter, counts):
         # From a stream already at ``counter`` (a continued one), with zero
-        # counts and repeated counts among the blocks.
+        # counts and repeated counts among the blocks, given as a list and as
+        # a one-shot iterator.
         box = BoxSet(-np.arange(1.0, dim + 1), np.arange(2.0, dim + 2))
         config = SamplerConfig(scheme=scheme, seed=seed)
         one, each = SamplerState(config, counter=counter), SamplerState(config, counter=counter)
+        once = SamplerState(config, counter=counter)
         block = draw_blocks(one, box, counts)
         parts = [draw_samples(each, box, c) for c in counts]
         expected = np.concatenate(parts) if parts else np.empty((0, dim))
         assert block.shape == (sum(counts), dim)
         assert block.tobytes() == expected.tobytes()
-        assert one.counter == each.counter
+        assert draw_blocks(once, box, iter(counts)).tobytes() == expected.tobytes()
+        assert one.counter == each.counter == once.counter
         # Both streams continue from the same place.
         assert draw_samples(one, box, 3).tobytes() == draw_samples(each, box, 3).tobytes()
 

@@ -293,18 +293,22 @@ class TestImprovePlan:
 
     def test_budget_spent_in_the_first_pass_returns_the_warm_start(self, cart10, cart_x0,
                                                                    monkeypatch):
-        # After the draw, one reading per batched step of the first pass; a
+        # After the draw, one reading per batched step of the first round; a
         # 3.5-tick budget expires after its second step, before any decision.
         _, stream = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 3.5)
         assert stream.counter == 100
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           st.sampled_from(["grid", "random", "halton"]))
+           st.sampled_from(["grid", "random", "halton"]), st.integers(1, 250))
     @settings(max_examples=60, deadline=None)
-    def test_round_width_never_changes_the_result(self, plant, horizon, seed, counts, scheme):
-        # A row-step budget of 1 resumes one position per round, a huge one
-        # every undecided position; each equals the sequential sweep.
+    @example("cart-spring", 6, 1, [6] * 6, "halton", 50)  # both kinds of partial width
+    def test_round_width_never_changes_the_result(self, plant, horizon, seed, counts, scheme,
+                                                   mid_steps):
+        # A row-step budget of 1 prices and resumes one position at a time, a
+        # huge one every position; one in between folds groups of several
+        # positions in the first round and resumes several in a later one.
+        # Each equals the sequential sweep.
         counts = counts[:horizon]
         bench, x0, warm, cfg, result = solve_from_random_start(
             plant, horizon, seed, counts, scheme)
@@ -315,7 +319,7 @@ class TestImprovePlan:
         assert result.j_sub == expected
         assert (result.f_evals, result.cost_evals) == (tally["f_evals"], tally["cost_evals"])
         with pytest.MonkeyPatch.context() as mp:
-            for row_steps in (1, 10 ** 9):
+            for row_steps in (1, mid_steps, 10 ** 9):
                 mp.setattr(solver, "_ROUND_ROW_STEPS", row_steps)
                 other = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg)
                 assert np.array_equal(other.plan.inputs, result.plan.inputs)
@@ -326,8 +330,10 @@ class TestImprovePlan:
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           st.sampled_from(["grid", "random", "halton"]), st.sampled_from([1, None, 10 ** 9]))
+           st.sampled_from(["grid", "random", "halton"]),
+           st.sampled_from([1, None, 10 ** 9]) | st.integers(1, 250))
     @settings(max_examples=60, deadline=None)
+    @example("cart-spring", 6, 1, [6] * 6, "halton", 50)
     def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme,
                                                   row_steps):
         # The module docstring's bound: at most
@@ -356,7 +362,7 @@ class TestImprovePlan:
 
     def test_a_solve_that_accepts_nothing_makes_one_pass(self, cart10):
         # From the origin the zero plan costs 0, so no candidate is strictly
-        # cheaper: the first pass, from the lowest drawn position 3, is the
+        # cheaper: the first round, from the lowest drawn position 3, is the
         # whole solve, one batched step per time index, in which the rows of
         # position j step N - j times.
         rows = []
@@ -480,7 +486,9 @@ class TestStepRows:
         xs[0] = x0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first = solver._step_rows(xs, us, bench.model, bench.constraints, None)
+            ok = solver._step_rows(xs, us, bench.model, bench.constraints, None)
+        assert ok.shape == (horizon + 1, width) and not ok[horizon].any()
+        first = ok.argmin(axis=0) + 1
         for b in range(width):
             states, expected = first_violation_by_rollout(bench, x0, us[:, b])
             assert first[b] == expected
@@ -496,7 +504,8 @@ class TestStepRows:
         xs = np.zeros((11, 1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first = solver._step_rows(xs, us, cart10.model, cart10.constraints, None)
+            ok = solver._step_rows(xs, us, cart10.model, cart10.constraints, None)
+        first = ok.argmin(axis=0) + 1
         assert first.tolist() == [2]
         assert not np.isfinite(xs[-1]).all()
 
