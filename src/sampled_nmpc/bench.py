@@ -23,7 +23,7 @@ import numpy as np
 from . import complexity
 from .core import Plan, _is_integer, _numbers
 from .errors import ConfigError, SampledNmpcError
-from .models import Benchmark, PLANT_IDS, make_benchmark
+from .models import Benchmark, make_benchmark
 from .sampling import SamplerConfig
 from .solver import RunLog, SolverConfig, closed_loop
 
@@ -46,7 +46,9 @@ CSV_FLOAT_FORMAT = ".17g"  # enough digits to round-trip doubles exactly
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One closed-loop experiment, loadable from and dumpable to JSON."""
+    """One closed-loop experiment, loadable from and dumpable to JSON.  The
+    constructor checks its own fields, then assembles the run so that the
+    plant, solver and sampler check theirs; each rejection is a ConfigError."""
 
     config_id: str
     plant: str
@@ -74,31 +76,12 @@ class ExperimentConfig:
             raise ConfigError("config_id must be nonempty")
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if not isinstance(self.improve_initial, bool):
-            raise ConfigError(
-                f"improve_initial must be true or false, got {self.improve_initial!r}")
+        if not _is_integer(self.steps) or self.steps < 0:
+            raise ConfigError(f"steps must be a nonnegative integer, got {self.steps!r}")
         budget = self.time_budget_ms
         if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
                                    or not np.isfinite(budget)):
             raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
-        if self.plant not in PLANT_IDS:
-            raise ConfigError(f"plant must be one of {PLANT_IDS}, got {self.plant!r}")
-        for name in ("horizon", "steps", "lanes", "oracle_budget"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.steps < 0:
-            raise ConfigError("steps must be nonnegative")
-        counts = self.samples_per_step
-        if _is_integer(counts):
-            counts = int(counts)
-        elif isinstance(counts, (list, tuple)) and all(map(_is_integer, counts)):
-            counts = tuple(int(c) for c in counts)
-        else:
-            raise ConfigError(
-                f"samples_per_step must be an integer or a sequence of integers, got {counts!r}")
-        object.__setattr__(self, "samples_per_step", counts)
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
         plan = self.initial_plan
@@ -107,6 +90,12 @@ class ExperimentConfig:
                 raise ConfigError(f"initial_plan must hold rows of numbers, got {plan!r}")
             object.__setattr__(self, "initial_plan",
                                tuple(_numbers(row, "initial_plan") for row in plan))
+        _, solver_cfg, _ = _assemble(self)
+        for name in ("horizon", "steps", "lanes", "oracle_budget"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        counts = self.samples_per_step
+        object.__setattr__(self, "samples_per_step",
+                           int(counts) if _is_integer(counts) else solver_cfg.sample_counts)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -115,24 +104,18 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"config_id", "plant", "horizon", "steps"} - set(raw)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
         data = dict(raw)
-        for key in ("sampler", "model_overrides"):
-            if not isinstance(data.get(key, {}), dict):
-                raise ConfigError(f"{key} must be a JSON object")
         sampler_raw = data.pop("sampler", {})
+        if not isinstance(sampler_raw, dict):
+            raise ConfigError("sampler must be a JSON object")
         unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
         if unknown:
             raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
-        # __post_init__ checks the integer fields; the seed is named here
-        # because SamplerConfig's own message does not say where it sits.
-        seed = sampler_raw.get("seed", 0)
-        if not _is_integer(seed):
-            raise ConfigError(f"sampler.seed must be an integer, got {seed!r}")
         try:
             sampler = SamplerConfig(**sampler_raw)
+        except ValueError as exc:  # its message names the field, not where it sits
+            raise ConfigError(f"sampler.{exc}") from exc
+        try:
             return cls(sampler=sampler, **data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -148,14 +131,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        if not isinstance(self.samples_per_step, int):
-            data["samples_per_step"] = list(self.samples_per_step)
-        if self.initial_state is not None:
-            data["initial_state"] = list(self.initial_state)
-        if self.initial_plan is not None:
-            data["initial_plan"] = [list(row) for row in self.initial_plan]
-        return data
+        return asdict(self)  # json writes its tuples as lists
 
     def with_overrides(self, seed: Optional[int] = None, lanes: Optional[int] = None,
                        budget_ms: Optional[float] = None) -> "ExperimentConfig":
@@ -212,6 +188,9 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if mode == "terminal-controller" and bench.model.terminal_law is None:
+        raise ConfigError(
+            f"warm_start_mode terminal-controller: plant {config.plant} has no terminal law")
     x0 = np.asarray(config.initial_state if config.initial_state is not None
                     else bench.default_x0, dtype=np.float64)
     if x0.shape != (bench.model.n,):

@@ -314,6 +314,8 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     """
     if not _is_integer(horizon) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not isinstance(overrides, (dict, type(None))):
+        raise ConfigError(f"model_overrides must be a JSON object (a dict), got {overrides!r}")
     overrides = dict(overrides or {})
 
     def pop_terminal(default):

@@ -181,6 +181,8 @@ class SolverConfig:
         budget, real = self.time_budget, isinstance(self.time_budget, (float, np.floating))
         if budget is not None and not ((real or _is_integer(budget)) and budget > 0):  # NaN too
             raise ConfigError(f"time_budget must be a positive number when set, got {budget!r}")
+        if not isinstance(self.sampler, SamplerConfig):
+            raise ConfigError(f"sampler must be a SamplerConfig, got {self.sampler!r}")
         if self.initial_plan is not None and not isinstance(self.initial_plan, Plan):
             raise ConfigError(f"initial_plan must be a Plan, got {self.initial_plan!r}")
         if self.oracle_budget < 0:

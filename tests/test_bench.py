@@ -119,7 +119,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name, value", [
         ("improve_initial", "false"), ("improve_initial", 1), ("time_budget_ms", True),
         ("time_budget_ms", "5"), ("time_budget_ms", float("nan")), ("time_budget_ms", float("inf")),
-        ("config_id", 5), ("out_dir", 5)])
+        ("config_id", 5), ("out_dir", 5), ("sampler", {"scheme": "random"}),
+        ("sampler", "halton"), ("model_overrides", [("ts", 0.5)]),
+        ("initial_state", (1.0, 2.0, 3.0))])
     def test_malformed_fields_rejected_by_the_constructor(self, name, value):
         # The checks a JSON file meets hold for a config built in Python.
         with pytest.raises(ConfigError, match=name):
@@ -382,8 +384,43 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_sweep_with_a_malformed_config_exits_2_and_runs_nothing(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(cart_config(config_id="good").to_dict()))
+        raw = cart_config(config_id="bad").to_dict()
+        raw["model_overrides"] = {"ts": "x"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(good), "--config", str(bad),
+                         "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_a_mode_the_plant_has_no_law_for_exits_2(self, tmp_path, capsys):
+        # The robot has no terminal law: refused at load, before any period
+        # runs, and in a finished run's resolved config by validate.
+        raw = ExperimentConfig("wmr", "wmr", 5, 2).to_dict()
+        raw["warm_start_mode"] = "terminal-controller"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "terminal law" in error["message"]
+        assert not out.exists()
+        artifacts = run_experiment(ExperimentConfig("wmr", "wmr", 5, 2), str(out))
+        resolved = json.loads(artifacts.resolved_config_path.read_text())
+        resolved["warm_start_mode"] = "terminal-controller"
+        artifacts.resolved_config_path.write_text(json.dumps(resolved))
+        assert cli_main(["validate", str(artifacts.run_dir)]) == 2
+        assert "terminal law" in json.loads(capsys.readouterr().err)["message"]
+
     def test_provided_mode_exits_2(self, tmp_path):
-        path = self.write_config(tmp_path, warm_start_mode="provided")
+        raw = cart_config().to_dict()
+        raw["warm_start_mode"] = "provided"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("key, value", [
@@ -411,7 +448,8 @@ class TestCli:
         {"center": [0.0, 3.0], "radius": 1.0, "axes": [0, 7]},
         {"center": [0.0, 3.0], "radius": 1.0, "shape": "disc"}])
     def test_malformed_wmr_obstacle_exits_2(self, tmp_path, capsys, obstacle):
-        raw = ExperimentConfig("wmr", "wmr", 5, 2, model_overrides={"obstacle": obstacle}).to_dict()
+        raw = ExperimentConfig("wmr", "wmr", 5, 2).to_dict()
+        raw["model_overrides"] = {"obstacle": obstacle}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

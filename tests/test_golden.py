@@ -1,6 +1,7 @@
 """Output-digest guard: every shipped config must reproduce its recorded
 ``steps.csv`` bit for bit, apart from the wall-clock ``elapsed_ms`` column,
-and the oracle search its recorded first plans from hard cart starts.
+with a log that ``validate_run`` finds clean, and the oracle search its
+recorded first plans from hard cart starts.
 
 A change that alters outputs on purpose records the new digests here and
 says which configs moved and why.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from sampled_nmpc import SamplerConfig, SolverConfig, draw_samples, find_oracle, make_benchmark
-from sampled_nmpc.bench import ExperimentConfig, run_experiment
+from sampled_nmpc.bench import ExperimentConfig, run_experiment, validate_run
 from sampled_nmpc.solver import _oracle_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -60,6 +61,7 @@ def test_steps_csv_matches_the_recorded_digest(name, tmp_path):
     config = ExperimentConfig.load(CONFIG_DIR / f"{name}.json")
     artifacts = run_experiment(config, str(tmp_path))
     assert steps_digest(artifacts.csv_path) == GOLDEN_STEPS_SHA256[name]
+    assert validate_run(artifacts.run_dir) == []
 
 
 @pytest.mark.parametrize("start, seed", sorted(GOLDEN_ORACLE_PLANS))

@@ -213,6 +213,11 @@ class TestBenchmarkAssembly:
         with pytest.raises(ConfigError):
             make_benchmark("cart-spring", 5, {"spring": 2.0})
 
+    def test_overrides_must_be_a_dict(self):
+        # dict() would read a list of pairs as overrides
+        with pytest.raises(ConfigError, match="model_overrides"):
+            make_benchmark("cart-spring", 3, [("ts", 0.5)])
+
     @pytest.mark.parametrize("plant, overrides", [
         ("cart-spring", {"ts": True}), ("cart-spring", {"mass": "1.0"}),
         ("cart-spring", {"terminal_level": True}), ("cart-spring", {"terminal_level": "4.7"}),

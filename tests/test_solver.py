@@ -985,7 +985,8 @@ class TestSolverConfigValidation:
         ("improve_initial", "no"), ("improve_initial", 1.0), ("improve_initial", 0),
         ("improve_initial", None),
         ("time_budget", True), ("time_budget", "5"), ("time_budget", [1.0]),
-        ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1)))])
+        ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1))),
+        ("sampler", "halton"), ("sampler", {"scheme": "random"})])
     def test_rejects_wrong_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"horizon": 3, field: value})
