@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,26 @@ def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
 def _check_symmetric(m: np.ndarray, name: str) -> None:
     if not np.all(np.abs(m - m.T) <= _SYM_TOL):
         raise ContractViolationError(f"{name} must be symmetric to {_SYM_TOL}")
+
+
+def _symmetric_stack(mats: Sequence[np.ndarray], k: int, name: str) -> np.ndarray:
+    """Stack (k, k) matrices into one (N, k, k) array, checking their shapes,
+    then the stack's finiteness and symmetry in one pass each; an error names
+    the first offending index, as ``name[j]``."""
+    for j, mat in enumerate(mats):
+        if mat.shape != (k, k):
+            raise ContractViolationError(f"{name}[{j}] must have shape ({k}, {k}), got {mat.shape}")
+    stack = np.stack(mats)
+    _name_first(~np.isfinite(stack).all(axis=(1, 2)), name, "must be finite")
+    _name_first(~(np.abs(stack - stack.transpose(0, 2, 1)) <= _SYM_TOL).all(axis=(1, 2)), name,
+                f"must be symmetric to {_SYM_TOL}")
+    return stack
+
+
+def _name_first(bad: np.ndarray, name: str, what: str) -> None:
+    """Raise for the first index where ``bad`` holds, as ``name[j] what``."""
+    if bad.any():
+        raise ContractViolationError(f"{name}[{int(np.argmax(bad))}] {what}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -349,24 +369,20 @@ class CostSpec:
             raise ContractViolationError("need equal, nonzero counts of Q and R stage weights")
         n = qs[0].shape[0]
         m = rs[0].shape[0]
-        for j, q in enumerate(qs):
-            _as_matrix(q, n, n, f"Q[{j}]")
-            _check_symmetric(q, f"Q[{j}]")
-            if np.min(np.linalg.eigvalsh(q)) < -_SYM_TOL:
-                raise ContractViolationError(f"Q[{j}] must be positive semidefinite")
-        for j, r in enumerate(rs):
-            _as_matrix(r, m, m, f"R[{j}]")
-            _check_symmetric(r, f"R[{j}]")
-            if np.min(np.linalg.eigvalsh(r)) <= 0.0:
-                raise ContractViolationError(f"R[{j}] must be positive definite")
+        q_stack = _symmetric_stack(qs, n, "Q")
+        r_stack = _symmetric_stack(rs, m, "R")
+        _name_first(np.linalg.eigvalsh(q_stack).min(axis=1) < -_SYM_TOL, "Q",
+                    "must be positive semidefinite")
+        _name_first(np.linalg.eigvalsh(r_stack).min(axis=1) <= 0.0, "R",
+                    "must be positive definite")
         p = _as_matrix(self.terminal_weight, n, n, "terminal weight")
         _check_symmetric(p, "terminal weight")
         if np.min(np.linalg.eigvalsh(p)) <= 0.0:
             raise ContractViolationError("terminal weight must be positive definite")
         x_ref = as_vector(self.reference[0], n, "state reference")
         u_ref = as_vector(self.reference[1], m, "input reference")
-        object.__setattr__(self, "stage_state_weights", _frozen(np.stack(qs)))
-        object.__setattr__(self, "stage_input_weights", _frozen(np.stack(rs)))
+        object.__setattr__(self, "stage_state_weights", _frozen(q_stack))
+        object.__setattr__(self, "stage_input_weights", _frozen(r_stack))
         object.__setattr__(self, "terminal_weight", _frozen(p.copy()))
         object.__setattr__(self, "reference", (_frozen(x_ref), _frozen(u_ref)))
 

@@ -141,8 +141,13 @@ def _halton_unit(start_index: int, count: int, dim: int) -> np.ndarray:
 
 
 def _map_to_box(unit: np.ndarray, box: BoxSet) -> np.ndarray:
+    """Map fresh unit points onto the box in place: the bits of
+    ``np.clip(lo + unit * (hi - lo), lo, hi)`` without its temporaries."""
     lo, hi = box.lower, box.upper
-    return np.clip(lo + unit * (hi - lo), lo, hi)
+    unit *= hi - lo
+    unit += lo
+    np.maximum(unit, lo, out=unit)
+    return np.minimum(unit, hi, out=unit)
 
 
 def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:

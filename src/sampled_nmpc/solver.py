@@ -60,10 +60,14 @@ start's N, a solve makes at most sum_j n_j (N - j + sum_{a in A, a > j}
 sum_j n_j (N - j) (1 + |A|).
 
 Feasibility is tested with the row kernels that ``check_feasible``
-applies, two mask calls per round or oracle batch.  ``improve_plan``'s
-entry ``check_feasible`` of the warm start's trajectory is the one
-certificate of every warm start, and the sweep's masks certify each
-candidate it accepts.  A plan built here carries the trajectory its
+applies, two mask calls per round or oracle probe.  An oracle batch larger
+than the probe masks each step's newest states instead and drops its failed
+rows once at most half of them are alive, finishing the last few dozen
+like a probe, so its work follows the sequences still feasible rather than
+the batch size.  ``improve_plan``'s entry ``check_feasible`` of the warm
+start's trajectory is the one certificate of every warm start (a first
+period left unimproved takes the same entry), and the sweep's masks
+certify each candidate it accepts.  A plan built here carries the trajectory its
 model stepped: the oracle's batch row, a solve's reference, or the previous
 prediction shifted plus one step of the appended input.  The entry check
 takes it when the model object is the same and x is its first state bit for
@@ -85,7 +89,7 @@ import bisect
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -282,27 +286,11 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     t_start = time.perf_counter()
     deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
     big_n = cfg.horizon
-    if warm.horizon != big_n:
-        raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
-    if cost.horizon != big_n:
-        raise ContractViolationError("cost horizon disagrees with solver horizon")
-    x = as_vector(x, model.n, "state")
+    warm_states, ref_run = _certified(x, warm, model, constraints, cost, big_n)
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
-
-    carried = (isinstance(warm, _SteppedPlan) and warm.model is model
-               and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
-    warm_states = warm.states if carried else rollout(model, x, warm)
-    report = check_feasible(constraints, warm_states, warm)
-    if not report.feasible:
-        raise InfeasibleWarmStartError(
-            f"warm start violates {report.violation_kind} at index {report.violation_index}")
-
     ref_inputs = warm.inputs.copy()
     ref_states = warm_states.copy()
-    # ref_run[t, 0] is the warm start's stage costs 0..t-1 added left to
-    # right, ref_run[-1, 0] its cost.
-    ref_run = fold_costs(cost, 0, 0.0, ref_states[:, np.newaxis], ref_inputs[:, np.newaxis])
     j_ref = ref_run[-1, 0]
 
     counts = cfg.sample_counts
@@ -389,6 +377,40 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                        budget_hit=budget_hit)
 
 
+def _certified(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
+               cost: CostSpec, big_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A solve's entry: the warm start's (N+1, n) trajectory from x (the one
+    it carries, see the module docstring, else a rollout), checked, and its
+    running costs (N+1, 1): row t is its stage costs 0..t-1 added left to
+    right, the last row its cost.  Raises InfeasibleWarmStartError if the
+    trajectory is infeasible."""
+    if warm.horizon != big_n:
+        raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
+    if cost.horizon != big_n:
+        raise ContractViolationError("cost horizon disagrees with solver horizon")
+    x = as_vector(x, model.n, "state")
+    carried = (isinstance(warm, _SteppedPlan) and warm.model is model
+               and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
+    states = warm.states if carried else rollout(model, x, warm)
+    report = check_feasible(constraints, states, warm)
+    if not report.feasible:
+        raise InfeasibleWarmStartError(
+            f"warm start violates {report.violation_kind} at index {report.violation_index}")
+    return states, fold_costs(cost, 0, 0.0, states[:, np.newaxis], warm.inputs[:, np.newaxis])
+
+
+def _unimproved(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
+                cost: CostSpec, big_n: int) -> SolveResult:
+    """The result ``improve_plan`` returns for a solve with no samples: the
+    warm start, certified and priced by the same entry, and no work."""
+    t_start = time.perf_counter()
+    states, run = _certified(x, warm, model, constraints, cost, big_n)
+    states = _frozen(states.copy())
+    return SolveResult(plan=_SteppedPlan(warm.inputs, states, model), states=states,
+                       j_sub=float(run[-1, 0]), f_evals=0, cost_evals=0, improvements=0,
+                       elapsed=time.perf_counter() - t_start, budget_hit=False)
+
+
 def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int) -> int:
     """The end hi of the positions from lo that one round or one fold group
     takes: while their rows, block[lo]:block[hi], times N - start[hi - 1],
@@ -438,6 +460,52 @@ def _oracle_stream(cfg: SolverConfig) -> SamplerState:
                                       seed=derive_seed(cfg.sampler.seed, _ORACLE_STREAM_TAG)))
 
 
+def _first_feasible(x: np.ndarray, sequences: np.ndarray, model: PlantModel,
+                    constraints: ConstraintSpec) -> Optional[tuple[int, np.ndarray]]:
+    """The index of the first of the (B, N, m) ``sequences`` that is feasible
+    from x and its (N + 1, n) states, or None.
+
+    At most ``_ORACLE_PROBE`` rows step the whole horizon and are masked at
+    once (``_step_rows``).  More rows mask each step's newest states and keep
+    a running alive mask; once at most half of the rows held are alive, only
+    the alive ones are kept, in order, with their states so far, and once at
+    most ``_ORACLE_PROBE`` are kept ``_step_rows`` finishes them.  A batch
+    whose rows have all failed ends at once.  Every kernel gives a row the
+    same bits whatever the batch, so the states are the row's rollout."""
+    big_n = sequences.shape[1]
+    rows = np.arange(sequences.shape[0])  # the batch index of each row held
+    us = sequences.transpose(1, 0, 2)
+    xs = np.empty((big_n + 1, rows.size, model.n), dtype=np.float64)
+    xs[0] = x
+    alive = np.ones(rows.size, dtype=bool)
+    k = 0
+    # Dead rows step on until they are dropped; silence their overflow, the
+    # alive mask excludes them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size > _ORACLE_PROBE:
+            xs[k + 1] = model.batch_step(xs[k], us[k])
+            k += 1
+            if k == big_n:
+                alive &= constraints.terminal_ok_rows(xs[k])
+            else:
+                alive &= constraints.states_ok_rows(xs[k])
+            live = np.flatnonzero(alive)
+            if not live.size:
+                return None
+            if k == big_n:
+                return int(rows[live[0]]), xs[:, live[0]].copy()
+            if 2 * live.size <= rows.size:
+                rows, us, alive = rows[live], us[:, live], alive[live]
+                kept = np.empty((big_n + 1, live.size, model.n), dtype=np.float64)
+                kept[:k + 1] = xs[:k + 1, live]
+                xs = kept
+        ok = _step_rows(xs[k:], us[k:], model, constraints, None)
+    hits = np.flatnonzero(ok[:big_n - k].all(axis=0))
+    if not hits.size:
+        return None
+    return int(rows[hits[0]]), xs[:, hits[0]].copy()
+
+
 def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
                 cost: CostSpec, cfg: SolverConfig) -> Plan:
     """Draw random full input sequences until one is feasible from x.
@@ -447,9 +515,13 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
     ``_ORACLE_BATCH``, each continuing the stream; the first sequence in
     stream order whose states pass the state set and whose end state passes
     the terminal set is returned, so the result does not depend on the
-    batching.  Each batch steps every sequence the whole horizon and masks
-    all its states at once; the plan carries its row's states, the bits a
-    rollout gives, which ``improve_plan``'s entry check certifies.  Sampled
+    batching.  The probe steps every sequence the whole horizon and masks
+    all its states at once; a full batch masks each step's newest states,
+    drops its failed sequences once at most half of those it holds are
+    alive, finishes the last ``_ORACLE_PROBE`` or fewer as the probe does,
+    and ends as soon as none is alive.  The plan carries its row's states,
+    the bits a rollout gives, which ``improve_plan``'s entry check
+    certifies.  Sampled
     inputs lie in the input box by construction.  Deterministic for a given
     seed; raises NoOracleError when ``cfg.oracle_budget`` sequences hold no
     feasible one (including a budget of zero).
@@ -469,12 +541,9 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         remaining -= batch
         flat = draw_samples(stream, constraints.input_box, batch * big_n)
         sequences = flat.reshape(batch, big_n, model.m)
-        xs = np.empty((big_n + 1, batch, model.n), dtype=np.float64)
-        xs[0] = x
-        ok = _step_rows(xs, sequences.transpose(1, 0, 2), model, constraints, None)
-        hits = np.flatnonzero(ok[:big_n].all(axis=0))
-        if hits.size:
-            return _SteppedPlan(sequences[hits[0]], _frozen(xs[:, hits[0]].copy()), model)
+        hit = _first_feasible(x, sequences, model, constraints)
+        if hit is not None:
+            return _SteppedPlan(sequences[hit[0]], _frozen(hit[1]), model)
     raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
 
 
@@ -531,8 +600,9 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     """Simulate the receding-horizon loop for ``steps`` applied inputs.
 
     The first step starts from ``cfg.initial_plan`` when one is given, else
-    from a random oracle, optionally improving it (without improvement, a
-    solve with no samples certifies and prices it); every later step shifts
+    from a random oracle, optionally improving it (without improvement,
+    ``improve_plan``'s entry certifies and prices it, and the result is the
+    one a solve with no samples returns); every later step shifts
     the previous solution into a warm start and improves that.  Per-step
     elapsed times include warm-start (and oracle) construction.
     """
@@ -549,11 +619,12 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
         if k == 0:
             warm = (cfg.initial_plan if cfg.initial_plan is not None
                     else find_oracle(x, model, constraints, cost, cfg))
-            solve_cfg = cfg if cfg.improve_initial else replace(cfg, samples_per_step=0)
         else:
             warm = make_warm_start(prev, x, model, constraints, cfg, sampler_state)
-            solve_cfg = cfg
-        result = improve_plan(x, warm, model, constraints, cost, solve_cfg, sampler_state)
+        if k == 0 and not cfg.improve_initial:
+            result = _unimproved(x, warm, model, constraints, cost, cfg.horizon)
+        else:
+            result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
         elapsed = time.perf_counter() - t0
         u = result.plan.inputs[0].copy()
         records.append(StepRecord(k=k, state=x.copy(), applied_input=u,

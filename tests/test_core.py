@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -496,6 +497,20 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError):
             CostSpec((np.eye(2),) * 2, ([[1.0]],) * 2,
                      np.array([[1.0, 2.0], [2.0, 1.0]]) * -1.0, (np.zeros(2), np.zeros(1)))
+
+    @pytest.mark.parametrize("which,bad,message", [
+        ("Q", np.diag([1.0, -1.0]), "Q[3] must be positive semidefinite"),
+        ("Q", np.array([[1.0, 0.5], [0.0, 1.0]]), "Q[3] must be symmetric"),
+        ("Q", np.array([[1.0, np.nan], [np.nan, 1.0]]), "Q[3] must be finite"),
+        ("Q", np.eye(3), "Q[3] must have shape (2, 2)"),
+        ("R", np.array([[0.0]]), "R[3] must be positive definite"),
+    ], ids=["not-psd", "asymmetric", "not-finite", "wrong-shape", "r-not-pd"])
+    def test_cost_spec_names_the_first_offending_stage_weight(self, which, bad, message):
+        qs, rs = [np.eye(2)] * 6, [np.eye(1)] * 6
+        stack = qs if which == "Q" else rs
+        stack[3] = stack[5] = bad
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            CostSpec(qs, rs, np.eye(2), (np.zeros(2), np.zeros(1)))
 
     @pytest.mark.parametrize("plant", PLANT_IDS)
     def test_cost_spec_rebuilt_from_its_fields_prices_the_same(self, plant):

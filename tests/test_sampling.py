@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from sampled_nmpc import BoxSet, SamplerConfig, SamplerState, draw_samples, radical_inverse
 from sampled_nmpc.errors import ContractViolationError
-from sampled_nmpc.sampling import derive_seed, draw_blocks, first_primes
+from sampled_nmpc.sampling import (_grid_unit, _halton_unit, derive_seed, draw_blocks,
+                                   first_primes)
 
 
 def unit_box(dim):
@@ -254,6 +255,31 @@ class TestDrawBlocks:
         assert one.counter == each.counter == once.counter
         # Both streams continue from the same place.
         assert draw_samples(one, box, 3).tobytes() == draw_samples(each, box, 3).tobytes()
+
+    @given(st.sampled_from(["grid", "random", "halton"]), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 300), st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=3))
+    @example("random", 5, 0, [7, 3], [(-2.0, 0.0), (1.5, 3.0)])
+    @example("grid", 0, 0, [4, 9], [(0.25, 0.0), (-1.0, 2.0)])
+    @example("halton", 1, 11, [5], [(-0.0, 0.0)])
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_clipped_affine_map_of_the_unit_points(self, scheme, seed, counter,
+                                                                counts, sides):
+        # Each side is (lower bound, width); a zero width is a degenerate side.
+        lo = np.array([side[0] for side in sides])
+        hi = lo + np.array([side[1] for side in sides])
+        dim, total = lo.size, sum(counts)
+        config = SamplerConfig(scheme=scheme, seed=seed)
+        if scheme == "grid":
+            unit = np.concatenate([_grid_unit(c, dim) for c in counts])
+        elif scheme == "halton":
+            unit = _halton_unit(counter + 1, total, dim)
+        else:
+            unit = SamplerState(config, counter=counter)._generator_for(dim).random((total, dim))
+        expected = np.clip(lo + unit * (hi - lo), lo, hi)
+        drawn = draw_blocks(SamplerState(config, counter=counter), BoxSet(lo, hi), counts)
+        assert drawn.shape == expected.shape
+        assert drawn.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("counts", [[3, -1], [2, 1.5], [True]])
     def test_malformed_counts_rejected(self, counts):

@@ -568,6 +568,18 @@ class TestFindOracle:
     @example("cart-spring", 5, 2356, [0.14, 0.33, 0.0], 1088)
     @example("cart-spring", 5, 5467, [0.14, 0.33, 0.0], 1088)
     @example("cart-spring", 5, 5467, [0.14, 0.33, 0.0], 1089)
+    # From (-0.3, -4.8) on cart-cold's hard segment at N = 20 (a velocity
+    # below the sampled box), most sequences leave the state box at state 2
+    # and full batches drop their failed rows; these seeds put the first
+    # feasible one at row 1168 (second full batch) and 2368 (third), and a
+    # budget of 2500 cuts the third batch after 388 rows, before row 2368 of
+    # seed 19 and row 2944 of seed 0.
+    @example("cart-spring", 20, 8, [2.6 / 5.8, -0.1, 0.0], 3136)
+    @example("cart-spring", 20, 19, [2.6 / 5.8, -0.1, 0.0], 3136)
+    @example("cart-spring", 20, 19, [2.6 / 5.8, -0.1, 0.0], 2500)
+    @example("cart-spring", 20, 0, [2.6 / 5.8, -0.1, 0.0], 2500)
+    # From (0, -5.5) every sequence of the full batch leaves the box at state 2.
+    @example("cart-spring", 20, 1, [0.5, -0.1875, 0.0], 1088)
     def test_returns_the_first_feasible_sequence_of_its_stream(self, plant, horizon, seed,
                                                                where, budget):
         # The budgets straddle the edges of the batches: a 64-sequence probe,
@@ -595,6 +607,30 @@ class TestFindOracle:
         rows.clear()  # construction checks the equilibrium once
         find_oracle(np.zeros(2), spy, cart10.constraints, cart10.cost, cart_solver_cfg())
         assert rows and max(rows) <= 64
+
+    def test_a_full_batch_steps_only_its_live_sequences(self, monkeypatch):
+        bench, big_n = make_benchmark("cart-spring", 20, None), 20
+        rows, masks = [], []
+        model, states_ok_rows = bench.model, type(bench.constraints).states_ok_rows
+        spy = dataclasses.replace(
+            model, batch_step=lambda xs, us: rows.append(xs.shape[0]) or model.batch_step(xs, us),
+            step=None)
+        monkeypatch.setattr(type(bench.constraints), "states_ok_rows",
+                            lambda self, xs: masks.append(xs.shape[0]) or states_ok_rows(self, xs))
+        # A hard start (see the examples above): neither the probe nor the
+        # full batch holds a feasible sequence.
+        cfg = SolverConfig(horizon=big_n, oracle_budget=1088,
+                           sampler=SamplerConfig(scheme="random", seed=8))
+        rows.clear()  # construction checks the equilibrium once
+        with pytest.raises(NoOracleError):
+            find_oracle(np.array([-0.3, -4.8]), spy, bench.constraints, bench.cost, cfg)
+        assert rows[:big_n] == [64] * big_n
+        assert 1024 < sum(rows[big_n:]) < 1024 * big_n // 4
+        # An easy start checks its state, then masks the probe's states at once.
+        masks.clear()
+        find_oracle(np.zeros(2), spy, bench.constraints, bench.cost,
+                    SolverConfig(horizon=big_n, sampler=SamplerConfig(scheme="random", seed=3)))
+        assert masks == [1, (big_n - 1) * 64]
 
 
 class TestMakeWarmStart:
@@ -939,9 +975,27 @@ class TestClosedLoop:
         assert log.records[0].j_sub == warm_cost(cart10, cart_x0, oracle)
         assert log.records[0].f_evals == 0
 
+    @pytest.mark.parametrize("carried", [True, False], ids=["carried", "plain"])
+    def test_an_unimproved_period_is_a_solve_with_no_samples(self, cart10, cart_x0, carried):
+        cfg = cart_solver_cfg(time_budget=1e-12)
+        oracle = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
+        warm = oracle if carried else Plan(oracle.inputs)
+        args = (cart_x0, warm, cart10.model, cart10.constraints, cart10.cost)
+        got = solver._unimproved(*args, cfg.horizon)
+        want = improve_plan(*args, dataclasses.replace(cfg, samples_per_step=0))
+        for name in ("j_sub", "f_evals", "cost_evals", "improvements", "budget_hit"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.budget_hit is False
+        assert got.plan.inputs.tobytes() == want.plan.inputs.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert not got.states.flags.writeable
+        # The plan carries its states, so the next warm start shifts them.
+        assert got.plan.states is got.states and got.plan.model is cart10.model
+
     def test_improve_initial_off_never_reports_budget_hit(self, cart10, cart_x0):
-        # the first period runs a sweep with no samples, which never polls
-        # the deadline, so an expired budget is reported only from period 1
+        # the first period only certifies and prices its warm start, which
+        # never polls the deadline, so an expired budget is reported only
+        # from period 1
         cfg = cart_solver_cfg(improve_initial=False, time_budget=1e-12)
         log = closed_loop(cart10.model, cart10.constraints, cart10.cost, cfg, cart_x0, 2)
         first, second = log.records
