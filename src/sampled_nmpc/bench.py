@@ -79,9 +79,11 @@ class ExperimentConfig:
         if not _is_integer(self.steps) or self.steps < 0:
             raise ConfigError(f"steps must be a nonnegative integer, got {self.steps!r}")
         budget = self.time_budget_ms
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
-                                   or not np.isfinite(budget)):
+        real = isinstance(budget, (float, np.floating)) or _is_integer(budget)
+        if budget is not None and not (real and np.isfinite(budget)):
             raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
+        if isinstance(budget, np.generic):  # a Python number, so that to_dict() serialises
+            object.__setattr__(self, "time_budget_ms", budget.item())
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
         plan = self.initial_plan

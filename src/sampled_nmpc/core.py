@@ -79,6 +79,16 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
         raise ContractViolationError(f"{name} must be symmetric to {_SYM_TOL}")
 
 
+def _matrices(mats, name: str) -> tuple[np.ndarray, ...]:
+    """Matrices as float64 arrays; anything else raises ContractViolationError naming ``name``."""
+    try:
+        arrs = tuple(np.asarray(w, dtype=np.float64) for w in mats)
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"{name} must be a sequence of matrices, got {mats!r}") from None
+    _name_first(np.array([a.ndim != 2 for a in arrs], dtype=bool), name, "must be a matrix")
+    return arrs
+
+
 def _symmetric_stack(mats: Sequence[np.ndarray], k: int, name: str) -> np.ndarray:
     """Stack (k, k) matrices into one (N, k, k) array, checking their shapes,
     then the stack's finiteness and symmetry in one pass each; an error names
@@ -363,8 +373,8 @@ class CostSpec:
     reference: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        qs = tuple(np.asarray(q, dtype=np.float64) for q in self.stage_state_weights)
-        rs = tuple(np.asarray(r, dtype=np.float64) for r in self.stage_input_weights)
+        qs = _matrices(self.stage_state_weights, "stage_state_weights")
+        rs = _matrices(self.stage_input_weights, "stage_input_weights")
         if len(qs) != len(rs) or len(qs) < 1:
             raise ContractViolationError("need equal, nonzero counts of Q and R stage weights")
         n = qs[0].shape[0]
@@ -379,8 +389,13 @@ class CostSpec:
         _check_symmetric(p, "terminal weight")
         if np.min(np.linalg.eigvalsh(p)) <= 0.0:
             raise ContractViolationError("terminal weight must be positive definite")
-        x_ref = as_vector(self.reference[0], n, "state reference")
-        u_ref = as_vector(self.reference[1], m, "input reference")
+        try:
+            x_ref, u_ref = self.reference
+        except (TypeError, ValueError):
+            raise ContractViolationError(
+                f"reference must be a (state, input) pair, got {self.reference!r}") from None
+        x_ref = as_vector(x_ref, n, "state reference")
+        u_ref = as_vector(u_ref, m, "input reference")
         object.__setattr__(self, "stage_state_weights", _frozen(q_stack))
         object.__setattr__(self, "stage_input_weights", _frozen(r_stack))
         object.__setattr__(self, "terminal_weight", _frozen(p.copy()))

@@ -66,14 +66,14 @@ rows once at most half of them are alive, finishing the last few dozen
 like a probe, so its work follows the sequences still feasible rather than
 the batch size.  ``improve_plan``'s entry ``check_feasible`` of the warm
 start's trajectory is the one certificate of every warm start (a first
-period left unimproved takes the same entry), and the sweep's masks
-certify each candidate it accepts.  A plan built here carries the trajectory its
-model stepped: the oracle's batch row, a solve's reference, or the previous
-prediction shifted plus one step of the appended input.  The entry check
-takes it when the model object is the same and x is its first state bit for
-bit, and rolls the plan out otherwise (a caller's plan, another model, a
-measured state off the prediction); every kernel gives a row the same bits
-whatever the batch, so the two agree bit for bit.
+period left unimproved is the same solve with no samples), and the sweep's
+masks certify each candidate it accepts.  A plan built here carries the
+trajectory its model stepped: the oracle's batch row, a solve's reference,
+or the previous prediction shifted plus one step of the appended input.
+The entry check takes it when the model object is the same and x is its
+first state bit for bit, and rolls the plan out otherwise (a caller's plan,
+another model, a measured state off the prediction); every kernel gives a
+row the same bits whatever the batch, so the two agree bit for bit.
 
 The time budget is polled once before the draw and after each batched
 step.  A round cut short decides none of its positions, so they keep the
@@ -281,23 +281,42 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     rule takes at the last accepted position.  The returned cost never
     exceeds the warm start's cost, and the returned plan, which carries the
     returned states, is feasible even when the time budget interrupts the
-    sweep.
+    sweep.  With no samples it returns the warm start, certified and
+    priced, and counts no work.
     """
+    return _solve(x, warm, model, constraints, cost, cfg, cfg.sample_counts, sampler_state)
+
+
+def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
+           cost: CostSpec, cfg: SolverConfig, counts: Sequence[int],
+           sampler_state: Optional[SamplerState]) -> SolveResult:
+    """``improve_plan`` with its sample counts given apart from ``cfg``: empty
+    counts draw nothing, the solve of a period left unimproved."""
     t_start = time.perf_counter()
     deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
     big_n = cfg.horizon
-    warm_states, ref_run = _certified(x, warm, model, constraints, cost, big_n)
+    if warm.horizon != big_n:
+        raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
+    if cost.horizon != big_n:
+        raise ContractViolationError("cost horizon disagrees with solver horizon")
+    x = as_vector(x, model.n, "state")
+    carried = (isinstance(warm, _SteppedPlan) and warm.model is model
+               and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
+    warm_states = warm.states if carried else rollout(model, x, warm)
+    report = check_feasible(constraints, warm_states, warm)
+    if not report.feasible:
+        raise InfeasibleWarmStartError(
+            f"warm start violates {report.violation_kind} at index {report.violation_index}")
+    # Row t of the running costs is the stage costs 0..t-1, the last row the cost.
+    ref_run = fold_costs(cost, 0, 0.0, warm_states[:, np.newaxis], warm.inputs[:, np.newaxis])
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
     ref_inputs = warm.inputs.copy()
     ref_states = warm_states.copy()
     j_ref = ref_run[-1, 0]
 
-    counts = cfg.sample_counts
-    positions = [j for j in range(big_n - 1, -1, -1) if counts[j]]
-    f_evals = 0
-    cost_evals = 0
-    improvements = 0
+    positions = [j for j in range(len(counts) - 1, -1, -1) if counts[j]]
+    f_evals = cost_evals = improvements = 0
     budget_hit = bool(positions) and deadline is not None and time.perf_counter() >= deadline
     if positions and not budget_hit:
         sizes = [counts[j] for j in positions]
@@ -377,52 +396,15 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
                        budget_hit=budget_hit)
 
 
-def _certified(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
-               cost: CostSpec, big_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A solve's entry: the warm start's (N+1, n) trajectory from x (the one
-    it carries, see the module docstring, else a rollout), checked, and its
-    running costs (N+1, 1): row t is its stage costs 0..t-1 added left to
-    right, the last row its cost.  Raises InfeasibleWarmStartError if the
-    trajectory is infeasible."""
-    if warm.horizon != big_n:
-        raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
-    if cost.horizon != big_n:
-        raise ContractViolationError("cost horizon disagrees with solver horizon")
-    x = as_vector(x, model.n, "state")
-    carried = (isinstance(warm, _SteppedPlan) and warm.model is model
-               and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
-    states = warm.states if carried else rollout(model, x, warm)
-    report = check_feasible(constraints, states, warm)
-    if not report.feasible:
-        raise InfeasibleWarmStartError(
-            f"warm start violates {report.violation_kind} at index {report.violation_index}")
-    return states, fold_costs(cost, 0, 0.0, states[:, np.newaxis], warm.inputs[:, np.newaxis])
-
-
-def _unimproved(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
-                cost: CostSpec, big_n: int) -> SolveResult:
-    """The result ``improve_plan`` returns for a solve with no samples: the
-    warm start, certified and priced by the same entry, and no work."""
-    t_start = time.perf_counter()
-    states, run = _certified(x, warm, model, constraints, cost, big_n)
-    states = _frozen(states.copy())
-    return SolveResult(plan=_SteppedPlan(warm.inputs, states, model), states=states,
-                       j_sub=float(run[-1, 0]), f_evals=0, cost_evals=0, improvements=0,
-                       elapsed=time.perf_counter() - t_start, budget_hit=False)
-
-
 def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int) -> int:
     """The end hi of the positions from lo that one round or one fold group
     takes: while their rows, block[lo]:block[hi], times N - start[hi - 1],
     their lowest start, stay within ``_ROUND_ROW_STEPS`` row steps, and at
-    least lo + 1."""
-    if start[lo] == start[-1]:  # one start from lo on: bisect the rows
-        fit = bisect.bisect_right(block, block[lo] + _ROUND_ROW_STEPS // (big_n - start[lo])) - 1
-        return max(fit, lo + 1)
-    hi = lo + 1
-    while hi < len(start) and (block[hi + 1] - block[lo]) * (big_n - start[hi]) <= _ROUND_ROW_STEPS:
-        hi += 1
-    return hi
+    least lo + 1.  From lo on the starts descend or are all equal, so the
+    product grows with hi."""
+    fit = bisect.bisect_right(range(lo + 1, len(start) + 1), _ROUND_ROW_STEPS,
+                              key=lambda hi: (block[hi] - block[lo]) * (big_n - start[hi - 1]))
+    return lo + max(fit, 1)
 
 
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
@@ -600,11 +582,11 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     """Simulate the receding-horizon loop for ``steps`` applied inputs.
 
     The first step starts from ``cfg.initial_plan`` when one is given, else
-    from a random oracle, optionally improving it (without improvement,
-    ``improve_plan``'s entry certifies and prices it, and the result is the
-    one a solve with no samples returns); every later step shifts
-    the previous solution into a warm start and improves that.  Per-step
-    elapsed times include warm-start (and oracle) construction.
+    from a random oracle, optionally improving it (without improvement, the
+    period is the same solve with no samples, which certifies and prices
+    the warm start); every later step shifts the previous solution into a
+    warm start and improves that.  Per-step elapsed times include
+    warm-start (and oracle) construction.
     """
     x = as_vector(x0, model.n, "initial state")
     if not _is_integer(steps) or steps < 0:
@@ -622,7 +604,7 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
         else:
             warm = make_warm_start(prev, x, model, constraints, cfg, sampler_state)
         if k == 0 and not cfg.improve_initial:
-            result = _unimproved(x, warm, model, constraints, cost, cfg.horizon)
+            result = _solve(x, warm, model, constraints, cost, cfg, (), sampler_state)
         else:
             result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
         elapsed = time.perf_counter() - t0

@@ -497,6 +497,15 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError):
             CostSpec((np.eye(2),) * 2, ([[1.0]],) * 2,
                      np.array([[1.0, 2.0], [2.0, 1.0]]) * -1.0, (np.zeros(2), np.zeros(1)))
+        # Malformed arguments raise the typed error, naming the argument.
+        eye, ref = (np.eye(2),) * 2, (np.zeros(2), np.zeros(1))
+        for args, name in [(((np.array(1.0),) * 2, ([[1.0]],) * 2, np.eye(2), ref),
+                            "stage_state_weights[0]"),
+                           ((5, ([[1.0]],) * 2, np.eye(2), ref), "stage_state_weights"),
+                           ((eye, 5, np.eye(2), ref), "stage_input_weights"),
+                           ((eye, ([[1.0]],) * 2, np.eye(2), (np.zeros(2),)), "reference")]:
+            with pytest.raises(ContractViolationError, match=re.escape(name)):
+                CostSpec(*args)
 
     @pytest.mark.parametrize("which,bad,message", [
         ("Q", np.diag([1.0, -1.0]), "Q[3] must be positive semidefinite"),

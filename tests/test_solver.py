@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import warnings
@@ -87,6 +88,20 @@ START_WINDOWS = {
     "buck-boost": ([19.0, 0.2], [21.0, 0.8]),
     "wmr": ([-1.0, 5.0, -1.0], [1.0, 7.0, 1.0]),
 }
+
+
+def two_branch_round_width(block, start, lo, big_n):
+    """Reference for ``solver._round_width``: the width rule as it was, a
+    bisect of the rows when the starts from lo on are equal, else a scan."""
+    if start[lo] == start[-1]:  # one start from lo on: bisect the rows
+        fit = bisect.bisect_right(block,
+                                  block[lo] + solver._ROUND_ROW_STEPS // (big_n - start[lo])) - 1
+        return max(fit, lo + 1)
+    hi = lo + 1
+    while (hi < len(start) and (block[hi + 1] - block[lo]) * (big_n - start[hi])
+           <= solver._ROUND_ROW_STEPS):
+        hi += 1
+    return hi
 
 
 def solve_from_random_start(plant, horizon, seed, counts, scheme, overrides=None):
@@ -327,6 +342,27 @@ class TestImprovePlan:
                 assert (other.j_sub, other.f_evals, other.cost_evals, other.improvements,
                         other.budget_hit) == (result.j_sub, result.f_evals, result.cost_evals,
                                               result.improvements, result.budget_hit)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_width_is_the_two_branch_rule(self, data):
+        # From lo on the starts are the positions, descending (first round),
+        # or all equal (after an acceptance); the one bisect takes the hi the
+        # row bisect and the scan took, for every lo and row-step budget.
+        big_n = data.draw(st.integers(1, 100))
+        positions = sorted(data.draw(st.lists(st.integers(0, big_n - 1), min_size=1,
+                                              max_size=big_n, unique=True)), reverse=True)
+        sizes = data.draw(st.lists(st.integers(1, 600), min_size=len(positions),
+                                   max_size=len(positions)))
+        block = [0, *itertools.accumulate(sizes)]
+        resumed = data.draw(st.integers(0, big_n - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            for row_steps in (1, 7, 4096, 10 ** 9):
+                mp.setattr(solver, "_ROUND_ROW_STEPS", row_steps)
+                for lo in range(len(positions)):
+                    for start in (positions, positions[:lo] + [resumed] * (len(positions) - lo)):
+                        assert (solver._round_width(block, start, lo, big_n)
+                                == two_branch_round_width(block, start, lo, big_n))
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
@@ -976,21 +1012,25 @@ class TestClosedLoop:
         assert log.records[0].f_evals == 0
 
     @pytest.mark.parametrize("carried", [True, False], ids=["carried", "plain"])
-    def test_an_unimproved_period_is_a_solve_with_no_samples(self, cart10, cart_x0, carried):
-        cfg = cart_solver_cfg(time_budget=1e-12)
-        oracle = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
-        warm = oracle if carried else Plan(oracle.inputs)
-        args = (cart_x0, warm, cart10.model, cart10.constraints, cart10.cost)
-        got = solver._unimproved(*args, cfg.horizon)
-        want = improve_plan(*args, dataclasses.replace(cfg, samples_per_step=0))
-        for name in ("j_sub", "f_evals", "cost_evals", "improvements", "budget_hit"):
-            assert getattr(got, name) == getattr(want, name)
-        assert got.budget_hit is False
-        assert got.plan.inputs.tobytes() == want.plan.inputs.tobytes()
-        assert got.states.tobytes() == want.states.tobytes()
-        assert not got.states.flags.writeable
-        # The plan carries its states, so the next warm start shifts them.
-        assert got.plan.states is got.states and got.plan.model is cart10.model
+    def test_an_unimproved_period_is_a_solve_with_no_samples(self, carried):
+        # closed_loop's unimproved first period passes empty counts, which
+        # must give what a config drawing no samples gives, on every plant.
+        for plant, horizon in (("cart-spring", 10), ("buck-boost", 10), ("wmr", 5)):
+            bench = make_benchmark(plant, horizon, None)
+            x0, cfg = bench.default_x0, SolverConfig(horizon=horizon, time_budget=1e-12)
+            oracle = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
+            warm = oracle if carried else Plan(oracle.inputs)
+            args = (x0, warm, bench.model, bench.constraints, bench.cost, cfg)
+            got = solver._solve(*args, (), SamplerState(cfg.sampler))
+            want = improve_plan(*args[:-1], dataclasses.replace(cfg, samples_per_step=0))
+            for name in ("j_sub", "f_evals", "cost_evals", "improvements", "budget_hit"):
+                assert getattr(got, name) == getattr(want, name)
+            assert got.budget_hit is False
+            assert got.plan.inputs.tobytes() == want.plan.inputs.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
+            assert not got.states.flags.writeable
+            # The plan carries its states, so the next warm start shifts them.
+            assert got.plan.states is got.states and got.plan.model is bench.model
 
     def test_improve_initial_off_never_reports_budget_hit(self, cart10, cart_x0):
         # the first period only certifies and prices its warm start, which
