@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import complexity
-from .core import Plan, _is_integer, _numbers
+from .core import Plan, _finite, _is_integer, _numbers
 from .errors import ConfigError, SampledNmpcError
 from .models import Benchmark, make_benchmark
 from .sampling import SamplerConfig
@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise ConfigError(f"steps must be a nonnegative integer, got {self.steps!r}")
         budget = self.time_budget_ms
         real = isinstance(budget, (float, np.floating)) or _is_integer(budget)
-        if budget is not None and not (real and np.isfinite(budget)):
+        if budget is not None and not (real and _finite(budget)):
             raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
         if isinstance(budget, np.generic):  # a Python number, so that to_dict() serialises
             object.__setattr__(self, "time_budget_ms", budget.item())

@@ -37,9 +37,17 @@ _SYM_TOL = 1e-12
 _EQUILIBRIUM_TOL = 1e-9
 
 
+def _floats(v, name: str) -> np.ndarray:
+    """``v`` as a float64 array, else ContractViolationError naming ``name``."""
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # a string, a ragged nesting, 10**400
+        raise ContractViolationError(f"{name} must hold numbers, got {v!r}") from None
+
+
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally enforcing its length."""
-    arr = np.asarray(v, dtype=np.float64)
+    arr = _floats(v, name)
     if arr.ndim != 1:
         raise ContractViolationError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -54,19 +62,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, False for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _numbers(values, name: str = "values") -> tuple[float, ...]:
     """A list, tuple or 1-D array of finite real numbers as floats; anything
-    else, a string, a bool, NaN or an infinity included, raises ConfigError
-    naming ``name``."""
+    else, a string, a bool, NaN, an infinity or 10**400 included, raises
+    ConfigError naming ``name``."""
     if not (isinstance(values, (list, tuple, np.ndarray)) and all(
             isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and math.isfinite(v) for v in values)):
+            and _finite(v) for v in values)):
         raise ConfigError(f"{name} must hold finite numbers, got {values!r}")
     return tuple(map(float, values))
 
 
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
+    arr = _floats(m, name)
     if arr.shape != (rows, cols):
         raise ContractViolationError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -209,20 +209,16 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
     printed feedback gain, and step back inside the set without increasing the
     quadratic value.  Reproduces the shipped BUCK_TERMINAL_LEVEL constant.
     """
-    model = buck_boost_model(p)
-    box_lo = np.array([-0.1, 0.0])
-    box_hi = np.array([22.5, 3.0])
-    chol = np.linalg.cholesky(BUCK_P)
-    to_boundary = np.linalg.inv(chol.T)
+    model, constraints = buck_boost_model(p), _buck_constraints(None)
+    to_boundary = np.linalg.inv(np.linalg.cholesky(BUCK_P).T)
     angles = np.linspace(0.0, 2.0 * math.pi, boundary_points, endpoint=False)
     circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     def level_ok(level: float) -> bool:
         xs = BUCK_X_EQ + math.sqrt(level) * circle @ to_boundary.T
-        if not (np.all(xs >= box_lo) and np.all(xs <= box_hi)):
-            return False
         us = BUCK_U_EQ + (xs - BUCK_X_EQ) @ BUCK_K.T
-        if not (np.all(us >= 0.0) and np.all(us <= 1.0)):
+        if not (constraints.state_box.contains_rows(xs).all()
+                and constraints.input_box.contains_rows(us).all()):
             return False
         nxt = model.batch_step(xs, us)
         v_now = _quadratic_rows(xs - BUCK_X_EQ, BUCK_P)
@@ -242,10 +238,7 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         return lo
     for _ in range(bisection_steps):
         mid = 0.5 * (lo + hi)
-        if level_ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if level_ok(mid) else (lo, mid)
     return lo
 
 

@@ -60,11 +60,11 @@ start's N, a solve makes at most sum_j n_j (N - j + sum_{a in A, a > j}
 sum_j n_j (N - j) (1 + |A|).
 
 Feasibility is tested with the row kernels that ``check_feasible``
-applies, two mask calls per round or oracle probe.  An oracle batch larger
-than the probe masks each step's newest states instead and drops its failed
-rows once at most half of them are alive, finishing the last few dozen
-like a probe, so its work follows the sequences still feasible rather than
-the batch size.  ``improve_plan``'s entry ``check_feasible`` of the warm
+applies, two mask calls per round.  One random search, ``_search``, finds
+both the oracle's plan and the feasible-sample append, its horizon-1 case;
+a batch larger than ``_ORACLE_PROBE`` masks each step's newest states and
+drops its failed rows once at most half are alive, so its work follows the
+live sequences.  ``improve_plan``'s entry ``check_feasible`` of the warm
 start's trajectory is the one certificate of every warm start (a first
 period left unimproved is the same solve with no samples), and the sweep's
 masks certify each candidate it accepts.  A plan built here carries the
@@ -90,7 +90,7 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +99,7 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
+    _finite,
     _frozen,
     _is_integer,
     as_vector,
@@ -138,6 +139,8 @@ _ORACLE_STREAM_TAG = 1
 # start's plan without stepping a full batch; a hard start pays one more call.
 _ORACLE_PROBE = 64
 _ORACLE_BATCH = 1024
+# The feasible-sample append searches its one-step inputs in batches of this size.
+_APPEND_BATCH = 256
 # A round after the first takes positions while their rows times N minus
 # their lowest start stay within this many row steps, and every round prices
 # its rows in groups under the same rule (``_round_width``).  A narrow
@@ -182,8 +185,9 @@ class SolverConfig:
             raise ConfigError("lanes must be >= 1")
         if not isinstance(self.improve_initial, bool):
             raise ConfigError("improve_initial must be True or False")
-        budget, real = self.time_budget, isinstance(self.time_budget, (float, np.floating))
-        if budget is not None and not ((real or _is_integer(budget)) and budget > 0):  # NaN too
+        budget = self.time_budget  # a float may be infinite, an integer must fit in one
+        real = isinstance(budget, (float, np.floating)) or _is_integer(budget) and _finite(budget)
+        if budget is not None and not (real and budget > 0):  # NaN too
             raise ConfigError(f"time_budget must be a positive number when set, got {budget!r}")
         if not isinstance(self.sampler, SamplerConfig):
             raise ConfigError(f"sampler must be a SamplerConfig, got {self.sampler!r}")
@@ -442,71 +446,66 @@ def _oracle_stream(cfg: SolverConfig) -> SamplerState:
                                       seed=derive_seed(cfg.sampler.seed, _ORACLE_STREAM_TAG)))
 
 
-def _first_feasible(x: np.ndarray, sequences: np.ndarray, model: PlantModel,
-                    constraints: ConstraintSpec) -> Optional[tuple[int, np.ndarray]]:
-    """The index of the first of the (B, N, m) ``sequences`` that is feasible
-    from x and its (N + 1, n) states, or None.
+def _search(x: np.ndarray, stream: SamplerState, sizes: Iterator[int], budget: int,
+            horizon: int, model: PlantModel,
+            constraints: ConstraintSpec) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The first of ``budget`` (horizon, m) input sequences drawn from
+    ``stream`` that is feasible from x, with its (horizon + 1, n) states, or
+    None.  The sequences are drawn in batches of the ``sizes`` in turn.
 
-    At most ``_ORACLE_PROBE`` rows step the whole horizon and are masked at
-    once (``_step_rows``).  More rows mask each step's newest states and keep
-    a running alive mask; once at most half of the rows held are alive, only
-    the alive ones are kept, in order, with their states so far, and once at
-    most ``_ORACLE_PROBE`` are kept ``_step_rows`` finishes them.  A batch
-    whose rows have all failed ends at once.  Every kernel gives a row the
-    same bits whatever the batch, so the states are the row's rollout."""
-    big_n = sequences.shape[1]
-    rows = np.arange(sequences.shape[0])  # the batch index of each row held
-    us = sequences.transpose(1, 0, 2)
-    xs = np.empty((big_n + 1, rows.size, model.n), dtype=np.float64)
-    xs[0] = x
-    alive = np.ones(rows.size, dtype=bool)
-    k = 0
-    # Dead rows step on until they are dropped; silence their overflow, the
-    # alive mask excludes them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while rows.size > _ORACLE_PROBE:
-            xs[k + 1] = model.batch_step(xs[k], us[k])
-            k += 1
-            if k == big_n:
-                alive &= constraints.terminal_ok_rows(xs[k])
-            else:
-                alive &= constraints.states_ok_rows(xs[k])
-            live = np.flatnonzero(alive)
-            if not live.size:
-                return None
-            if k == big_n:
-                return int(rows[live[0]]), xs[:, live[0]].copy()
-            if 2 * live.size <= rows.size:
-                rows, us, alive = rows[live], us[:, live], alive[live]
-                kept = np.empty((big_n + 1, live.size, model.n), dtype=np.float64)
-                kept[:k + 1] = xs[:k + 1, live]
-                xs = kept
-        ok = _step_rows(xs[k:], us[k:], model, constraints, None)
-    hits = np.flatnonzero(ok[:big_n - k].all(axis=0))
-    if not hits.size:
-        return None
-    return int(rows[hits[0]]), xs[:, hits[0]].copy()
+    A batch of at most ``_ORACLE_PROBE`` rows steps the whole horizon and is
+    masked at once (``_step_rows``).  More rows mask each step's newest
+    states and keep a running alive mask; once at most half of the rows held
+    are alive, only the alive ones are kept, in order, with their states so
+    far, and once at most ``_ORACLE_PROBE`` are kept ``_step_rows`` finishes
+    them.  A batch whose rows have all failed ends at once.  Every kernel
+    gives a row the same bits whatever the batch, so the states are the
+    row's rollout and the result does not depend on the batching."""
+    while budget > 0:
+        batch = min(budget, next(sizes))
+        budget -= batch
+        sequences = draw_samples(stream, constraints.input_box, batch * horizon).reshape(
+            batch, horizon, model.m)
+        rows = np.arange(batch)  # the batch index of each row held
+        us = sequences.transpose(1, 0, 2)
+        xs = np.empty((horizon + 1, batch, model.n), dtype=np.float64)
+        xs[0] = x
+        alive = np.ones(batch, dtype=bool)
+        k = 0
+        # Dead rows step on until they are dropped; silence their overflow,
+        # the alive mask excludes them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while rows.size > _ORACLE_PROBE and k < horizon:
+                xs[k + 1] = model.batch_step(xs[k], us[k])
+                k += 1
+                alive &= (constraints.terminal_ok_rows(xs[k]) if k == horizon
+                          else constraints.states_ok_rows(xs[k]))
+                if k < horizon and 2 * np.count_nonzero(alive) <= rows.size:
+                    live = np.flatnonzero(alive)
+                    rows, us, alive = rows[live], us[:, live], alive[live]
+                    kept = np.empty((horizon + 1, live.size, model.n), dtype=np.float64)
+                    kept[:k + 1] = xs[:k + 1, live]
+                    xs = kept
+            if rows.size and k < horizon:
+                ok = _step_rows(xs[k:], us[k:], model, constraints, None)
+                alive = ok[:horizon - k].all(axis=0)
+        hits = np.flatnonzero(alive)
+        if hits.size:
+            return sequences[rows[hits[0]]], xs[:, hits[0]].copy()
+    return None
 
 
 def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
                 cost: CostSpec, cfg: SolverConfig) -> Plan:
     """Draw random full input sequences until one is feasible from x.
 
-    Sequences come from the oracle's own random stream and are searched in
-    batches, a probe of ``_ORACLE_PROBE`` sequences and then batches of
-    ``_ORACLE_BATCH``, each continuing the stream; the first sequence in
-    stream order whose states pass the state set and whose end state passes
-    the terminal set is returned, so the result does not depend on the
-    batching.  The probe steps every sequence the whole horizon and masks
-    all its states at once; a full batch masks each step's newest states,
-    drops its failed sequences once at most half of those it holds are
-    alive, finishes the last ``_ORACLE_PROBE`` or fewer as the probe does,
-    and ends as soon as none is alive.  The plan carries its row's states,
-    the bits a rollout gives, which ``improve_plan``'s entry check
-    certifies.  Sampled
-    inputs lie in the input box by construction.  Deterministic for a given
-    seed; raises NoOracleError when ``cfg.oracle_budget`` sequences hold no
-    feasible one (including a budget of zero).
+    ``_search`` draws them from the oracle's own random stream, a probe of
+    ``_ORACLE_PROBE`` sequences and then batches of ``_ORACLE_BATCH``, and
+    returns the first in stream order whose states pass the state set and
+    whose end state passes the terminal set.  The plan carries that row's
+    states, which ``improve_plan``'s entry check certifies.  Deterministic
+    for a given seed; raises NoOracleError when ``cfg.oracle_budget``
+    sequences hold no feasible one (including a budget of zero).
     """
     del cost  # the oracle only needs feasibility
     x = as_vector(x, model.n, "state")
@@ -514,19 +513,12 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
         raise NoOracleError("oracle budget is zero")
     if not constraints.state_ok(x):
         raise NoOracleError(f"initial state {x} violates the state constraints")
-    big_n = cfg.horizon
-    stream = _oracle_stream(cfg)
-    remaining = cfg.oracle_budget
     sizes = itertools.chain([_ORACLE_PROBE], itertools.repeat(_ORACLE_BATCH))
-    while remaining > 0:
-        batch = min(remaining, next(sizes))
-        remaining -= batch
-        flat = draw_samples(stream, constraints.input_box, batch * big_n)
-        sequences = flat.reshape(batch, big_n, model.m)
-        hit = _first_feasible(x, sequences, model, constraints)
-        if hit is not None:
-            return _SteppedPlan(sequences[hit[0]], _frozen(hit[1]), model)
-    raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
+    hit = _search(x, _oracle_stream(cfg), sizes, cfg.oracle_budget, cfg.horizon, model,
+                  constraints)
+    if hit is None:
+        raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
+    return _SteppedPlan(hit[0], _frozen(hit[1]), model)
 
 
 def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
@@ -536,13 +528,14 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     predicted end state ``prev.states[-1]``.
 
     Mode 'terminal-controller' appends the terminal law there;
-    'feasible-sample' appends the first sampled input that steps it into the
-    terminal set, raising WarmStartFailureError when the search budget runs
-    out.  After a solve with this model object the plan carries
-    ``prev.states[1:]`` and the appended input's step, one one-row
-    ``batch_step`` for the terminal law.  x_new is the state the plan will be
-    certified from: ``improve_plan`` raises InfeasibleWarmStartError if the
-    shift is infeasible from x_new.
+    'feasible-sample' appends the first input of the improvement stream that
+    steps it into the terminal set: the oracle's ``_search`` at horizon 1,
+    in batches of ``_APPEND_BATCH``, raising WarmStartFailureError when
+    ``max(cfg.oracle_budget, 1)`` samples hold none.  After a solve with
+    this model object the plan carries ``prev.states[1:]`` and the appended
+    input's step, one one-row ``batch_step`` for the terminal law.  x_new is
+    the state the plan will be certified from: ``improve_plan`` raises
+    InfeasibleWarmStartError if the shift is infeasible from x_new.
     """
     as_vector(x_new, model.n, "state")
     end = prev.states[-1]
@@ -550,31 +543,26 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
         if model.terminal_law is None:
             raise NoTerminalLawError(f"plant {model.name or '?'} has no terminal law")
         return _shifted(prev, model.terminal_law(end), model)
-    if sampler_state is None:
-        sampler_state = SamplerState(cfg.sampler)
-    remaining = max(cfg.oracle_budget, 1)
-    while remaining > 0:
-        batch = min(remaining, 256)
-        remaining -= batch
-        appends = draw_samples(sampler_state, constraints.input_box, batch)
-        finals = model.batch_step(np.broadcast_to(end, (batch, model.n)).copy(), appends)
-        hits = np.flatnonzero(constraints.terminal_ok_rows(finals))
-        if hits.size:
-            return _shifted(prev, appends[hits[0]], model, finals[hits[0]])
-    raise WarmStartFailureError(f"no feasible appended input within {cfg.oracle_budget} samples")
+    hit = _search(end, sampler_state or SamplerState(cfg.sampler), itertools.repeat(_APPEND_BATCH),
+                  max(cfg.oracle_budget, 1), 1, model, constraints)
+    if hit is None:
+        raise WarmStartFailureError(
+            f"no feasible appended input within {cfg.oracle_budget} samples")
+    return _shifted(prev, hit[0][0], model, hit[1][1])
 
 
 def _shifted(prev: SolveResult, appended: np.ndarray, model: PlantModel,
              final: Optional[np.ndarray] = None) -> Plan:
     """prev's plan shifted with ``appended`` last; if its plan carries prev.states
     from this model, so does the shift, ending in ``final`` (else stepped)."""
-    plan = shift_plan(prev.plan, appended)
     if not (isinstance(prev.plan, _SteppedPlan) and prev.plan.model is model
             and prev.plan.states is prev.states):
-        return plan
+        return shift_plan(prev.plan, appended)
+    appended = as_vector(appended, model.m, "appended input")[np.newaxis]
     if final is None:
-        final = model.batch_step(prev.states[-1:], plan.inputs[-1:])[0]
-    return _SteppedPlan(plan.inputs, _frozen(np.vstack([prev.states[1:], final])), model)
+        final = model.batch_step(prev.states[-1:], appended)[0]
+    return _SteppedPlan(np.vstack([prev.plan.inputs[1:], appended]),
+                        _frozen(np.vstack([prev.states[1:], final])), model)
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,

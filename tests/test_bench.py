@@ -112,7 +112,8 @@ class TestExperimentConfig:
                                              ("initial_state", "12"),
                                              ("initial_plan", [[1.0], [True]]),
                                              ("initial_state", [float("nan"), 0.0]),
-                                             ("initial_plan", [[1.0], [-float("inf")]])])
+                                             ("initial_plan", [[1.0], [-float("inf")]]),
+                                             ("initial_state", [10 ** 400, 0.0])])
     def test_malformed_initial_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             cart_config(**{name: value})
@@ -126,7 +127,8 @@ class TestExperimentConfig:
         ("time_budget_ms", "5"), ("time_budget_ms", float("nan")), ("time_budget_ms", float("inf")),
         ("config_id", 5), ("out_dir", 5), ("sampler", {"scheme": "random"}),
         ("sampler", "halton"), ("model_overrides", [("ts", 0.5)]),
-        ("initial_state", (1.0, 2.0, 3.0))])
+        ("initial_state", (1.0, 2.0, 3.0)),
+        pytest.param("time_budget_ms", 10 ** 400, id="time_budget_ms-10**400")])
     def test_malformed_fields_rejected_by_the_constructor(self, name, value):
         # The checks a JSON file meets hold for a config built in Python.
         with pytest.raises(ConfigError, match=name):
@@ -437,8 +439,10 @@ class TestCli:
         ("sampler", {"seed": 1.5}), ("improve_initial", "false"), ("improve_initial", 1),
         ("time_budget_ms", True), ("time_budget_ms", "5"), ("config_id", 5),
         ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan")),
-        ("model_overrides", {"ts": float("nan")}), ("initial_state", [float("inf"), 0.0])])
+        ("model_overrides", {"ts": float("nan")}), ("initial_state", [float("inf"), 0.0]),
+        ("initial_state", [10 ** 400, 0.0]), ("model_overrides", {"ts": 10 ** 400})])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
+        # 10 ** 400 is written as a 401-digit JSON integer, too large for a float.
         raw = cart_config().to_dict()
         raw[key] = value
         path = tmp_path / "config.json"

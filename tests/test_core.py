@@ -15,8 +15,10 @@ from sampled_nmpc import (
     ObstacleSet,
     Plan,
     PlantModel,
+    SolverConfig,
     check_feasible,
     evaluate_cost,
+    improve_plan,
     make_benchmark,
     rollout,
     shift_plan,
@@ -393,6 +395,27 @@ class TestTypeInvariants:
             Plan([[np.nan]])
         with pytest.raises(ContractViolationError):
             Plan(np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda b: replace(b.cost, reference=("ab", np.zeros(1))), "state reference"),
+        (lambda b: replace(b.cost, reference=(np.zeros(2), [[1.0], [2.0, 3.0]])),
+         "input reference"),
+        (lambda b: replace(b.cost, terminal_weight=[["a", "b"], ["c", "d"]]), "terminal weight"),
+        (lambda b: EllipsoidSet(np.zeros(2), [["a", "b"], ["c", "d"]], 1.0), "ellipsoid shape"),
+        (lambda b: EllipsoidSet([[0.0], [0.0, 1.0]], np.eye(2), 1.0), "ellipsoid center"),
+        (lambda b: rollout(b.model, "ab", Plan(np.zeros((3, 1)))), "initial state"),
+        (lambda b: rollout(b.model, [10 ** 400, 0.0], Plan(np.zeros((3, 1)))), "initial state"),
+        (lambda b: shift_plan(Plan(np.zeros((3, 1))), ["x"]), "appended input"),
+        (lambda b: improve_plan("ab", Plan(np.zeros((3, 1))), b.model, b.constraints, b.cost,
+                                SolverConfig(horizon=3)), "state"),
+        (lambda b: PlantModel(n=1, m=1, batch_step=lambda xs, us: xs,
+                              equilibrium=(["a"], [0.0])), "equilibrium state"),
+    ], ids=["reference-string", "reference-ragged", "terminal-weight-strings",
+            "ellipsoid-shape-strings", "ellipsoid-center-ragged", "rollout-string",
+            "rollout-overflow", "shift-string", "improve-string", "equilibrium-string"])
+    def test_malformed_numbers_raise_the_typed_error_naming_the_argument(self, build, name):
+        with pytest.raises(ContractViolationError, match=name):
+            build(make_benchmark("cart-spring", 3, None))
 
     def test_plan_is_immutable(self):
         plan = Plan([[1.0]])

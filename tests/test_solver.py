@@ -35,6 +35,7 @@ from sampled_nmpc.errors import (
 )
 from sampled_nmpc import solver
 from sampled_nmpc.bench import ExperimentConfig, _assemble
+from sampled_nmpc.sampling import draw_blocks
 from sampled_nmpc.solver import SolveResult
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -142,6 +143,23 @@ def first_feasible_in_stream(bench, x0, cfg):
                 if check_feasible(bench.constraints, rollout(bench.model, x0, plan), plan).feasible:
                     return plan
     raise NoOracleError("no feasible sequence in the budget")
+
+
+def first_feasible_append(bench, end, stream, budget):
+    """Independent reference for the feasible-sample append: the whole budget
+    drawn in one call, in the append's batches of 256 (a grid restarts at
+    each), then one ``model.step`` of each sample from ``end`` in stream
+    order.  Returns the first input whose step passes the terminal set, or
+    None, and the samples drawn through that input's batch."""
+    sizes = [256] * (budget // 256) + [budget % 256] * (budget % 256 > 0)
+    samples = draw_blocks(stream, bench.constraints.input_box, sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = (i for i, u in enumerate(samples)
+                if bench.constraints.terminal_ok(bench.model.step(end, u)))
+        first = next(hits, None)
+    if first is None:
+        return None, budget
+    return samples[first], min(budget, 256 * (first // 256 + 1))
 
 
 def first_violation_by_rollout(bench, x0, inputs):
@@ -763,6 +781,47 @@ class TestMakeWarmStart:
             make_warm_start(far, x_new, model, cart10.constraints, cfg)
         assert calls == {"step": 0, "batch_step": 4}
 
+    @given(st.sampled_from(sorted(NEAR_STATE_SETS)), st.sampled_from(["grid", "random", "halton"]),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 1000),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           st.sampled_from([0, 1, 64, 65, 256, 257, 300]))
+    @settings(max_examples=60, deadline=None)
+    # From cart (0.70, -3.5) about one input in 300 steps into the terminal
+    # set.  Random seed 0 puts the first such sample at stream index 64,
+    # seed 18 at 284 (in the 44-sample tail of a budget of 300), and seed 3
+    # has none among the first 300.
+    @example("cart-spring", "random", 0, 0, [0.6207, 0.0625, 0.0], 64)
+    @example("cart-spring", "random", 0, 0, [0.6207, 0.0625, 0.0], 65)
+    @example("cart-spring", "random", 0, 0, [0.6207, 0.0625, 0.0], 300)
+    @example("cart-spring", "random", 18, 0, [0.6207, 0.0625, 0.0], 257)
+    @example("cart-spring", "random", 18, 0, [0.6207, 0.0625, 0.0], 300)
+    @example("cart-spring", "random", 3, 0, [0.6207, 0.0625, 0.0], 300)
+    @example("cart-spring", "grid", 0, 0, [0.6207, 0.0625, 0.0], 300)
+    @example("cart-spring", "halton", 0, 0, [0.6207, 0.0625, 0.0], 300)
+    def test_feasible_sample_appends_the_first_input_into_the_terminal_set(
+            self, plant, scheme, seed, counter, where, budget):
+        # The budgets straddle the edges of the 256-sample batches; a budget
+        # of 0 still draws one sample.
+        bench = make_benchmark(plant, 3, None)
+        lo, hi = (np.array(v) for v in NEAR_STATE_SETS[plant])
+        end = lo + np.array(where[:lo.size]) * (hi - lo)
+        model, n = bench.model, bench.model.n
+        cfg = SolverConfig(horizon=3, sampler=SamplerConfig(scheme=scheme, seed=seed),
+                           warm_start_mode="feasible-sample", oracle_budget=budget)
+        prev = SolveResult(plan=Plan(np.zeros((3, model.m))),
+                           states=np.vstack([np.zeros((3, n)), end]), j_sub=0.0, f_evals=0,
+                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+        expected, drawn = first_feasible_append(
+            bench, end, SamplerState(cfg.sampler, counter=counter), max(budget, 1))
+        stream = SamplerState(cfg.sampler, counter=counter)
+        if expected is None:
+            with pytest.raises(WarmStartFailureError):
+                make_warm_start(prev, end, model, bench.constraints, cfg, stream)
+        else:
+            warm = make_warm_start(prev, end, model, bench.constraints, cfg, stream)
+            assert warm.inputs[-1].tobytes() == expected.tobytes()
+        assert stream.counter == counter + drawn
+
     def test_measured_state_off_the_prediction(self, cart10, cart_x0):
         # The appended input is taken at the predicted end state whatever the
         # measured state; improve_plan certifies the shift from that state.
@@ -1080,7 +1139,8 @@ class TestSolverConfigValidation:
         ("improve_initial", None),
         ("time_budget", True), ("time_budget", "5"), ("time_budget", [1.0]),
         ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1))),
-        ("sampler", "halton"), ("sampler", {"scheme": "random"})])
+        ("sampler", "halton"), ("sampler", {"scheme": "random"}),
+        pytest.param("time_budget", 10 ** 400, id="time_budget-10**400")])
     def test_rejects_wrong_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"horizon": 3, field: value})
