@@ -45,6 +45,14 @@ def _floats(v, name: str) -> np.ndarray:
         raise ContractViolationError(f"{name} must hold numbers, got {v!r}") from None
 
 
+def _number(v, name: str) -> float:
+    """``v`` as one float, else ContractViolationError naming ``name``."""
+    arr = _floats(v, name)
+    if arr.ndim:
+        raise ContractViolationError(f"{name} must be one number, got {v!r}")
+    return float(arr)
+
+
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally enforcing its length."""
     arr = _floats(v, name)
@@ -138,14 +146,10 @@ def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     size or the row's position (an einsum contraction does not have this
     property), so a one-row call gives the same bits as the row of a batched
     call.  The k columns of (d W) * d are added left to right from +0.0,
-    the order and start of ``sum(axis=-1)``, so both give the same bits.
-    Numpy's sum goes row by row over so short an axis, while each column
-    add is one pass over the batch: from 64 rows the adds are faster, below
-    that the one sum call is.
+    the order and start of ``sum(axis=-1)``, so both give the same bits; each
+    column add is one pass over the batch.
     """
     q = (d @ w) * d
-    if q.size < 64 * q.shape[-1]:
-        return q.sum(axis=-1)
     total = q[..., 0] + 0.0  # from +0.0: a row of -0.0 columns sums to +0.0
     for col in range(1, q.shape[-1]):
         total += q[..., col]
@@ -159,7 +163,7 @@ class Plan:
     inputs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.inputs, dtype=np.float64)
+        arr = _floats(self.inputs, "plan")
         if arr.ndim == 1:  # allow a list of scalars for m == 1
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1:
@@ -234,8 +238,8 @@ class BoxSet:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64)
-        hi = np.asarray(self.upper, dtype=np.float64)
+        lo = _floats(self.lower, "box lower")
+        hi = _floats(self.upper, "box upper")
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ContractViolationError("box bounds must be 1-D arrays of equal length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
@@ -255,9 +259,6 @@ class BoxSet:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-    def contains(self, v: np.ndarray) -> bool:
-        return bool(self.contains_rows(v[np.newaxis])[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized membership over stacked rows, as a fresh bool array."""
@@ -282,14 +283,12 @@ class EllipsoidSet:
         _check_symmetric(s, "ellipsoid shape")
         if np.min(np.linalg.eigvalsh(s)) <= 0.0:
             raise ContractViolationError("ellipsoid shape must be positive definite")
-        if not (self.level > 0.0):
+        level = _number(self.level, "ellipsoid level")
+        if not level > 0.0:
             raise ContractViolationError("ellipsoid level must be positive")
         object.__setattr__(self, "center", _frozen(c))
         object.__setattr__(self, "shape", _frozen(s.copy()))
-        object.__setattr__(self, "level", float(self.level))
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(self.contains_rows(x[np.newaxis])[0])
+        object.__setattr__(self, "level", level)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         return _quadratic_rows(rows - self.center, self.shape) <= self.level
@@ -306,14 +305,16 @@ class ObstacleSet:
 
     def __post_init__(self):
         c = as_vector(self.center, 2, "obstacle center")
-        if not (self.radius > 0.0):
+        radius = _number(self.radius, "obstacle radius")
+        if not radius > 0.0:
             raise ContractViolationError("obstacle radius must be positive")
+        axes = self.axes
+        if not (isinstance(axes, (tuple, list)) and len(axes) == 2
+                and all(map(_is_integer, axes))):
+            raise ContractViolationError(f"obstacle axes must be two integers, got {axes!r}")
         object.__setattr__(self, "center", _frozen(c))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "axes", (int(self.axes[0]), int(self.axes[1])))
-
-    def admits(self, x: np.ndarray) -> bool:
-        return bool(self.admits_rows(x[np.newaxis])[0])
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "axes", (int(axes[0]), int(axes[1])))
 
     def admits_rows(self, rows: np.ndarray) -> np.ndarray:
         a, b = self.axes
@@ -347,18 +348,18 @@ class ConstraintSpec:
             raise ContractViolationError("terminal set dimension must match the state box")
 
     def input_ok(self, u: np.ndarray) -> bool:
-        return self.input_box.contains(u)
+        return bool(self.input_box.contains_rows(u[np.newaxis])[0])
 
     def state_ok(self, x: np.ndarray) -> bool:
         return bool(self.states_ok_rows(x[np.newaxis])[0])
 
     def state_violation_kind(self, x: np.ndarray) -> Optional[str]:
         """None when admissible, else which part of the state set failed."""
-        if not self.state_box.contains(x):
+        row = x[np.newaxis]
+        if not self.state_box.contains_rows(row)[0]:
             return "state-box"
-        for obs in self.obstacles:
-            if not obs.admits(x):
-                return "obstacle"
+        if not all(obs.admits_rows(row)[0] for obs in self.obstacles):
+            return "obstacle"
         return None
 
     def terminal_ok(self, x: np.ndarray) -> bool:

@@ -10,6 +10,7 @@ per model, and a call writes each successor column into one fresh (B, n) array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -305,8 +306,8 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     ``terminal_level`` (a number, or null to drop the terminal constraint) and,
     for the robot, ``obstacle`` ({center: [a, b], radius: r, axes: [i, j]}).
     """
-    if not _is_integer(horizon) or horizon < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not _is_integer(horizon) or not 1 <= horizon <= sys.maxsize:  # the cost stacks N weights
+        raise ConfigError(f"horizon must be an integer in [1, {sys.maxsize}], got {horizon!r}")
     if not isinstance(overrides, (dict, type(None))):
         raise ConfigError(f"model_overrides must be a JSON object (a dict), got {overrides!r}")
     overrides = dict(overrides or {})

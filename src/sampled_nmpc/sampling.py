@@ -95,8 +95,7 @@ class SamplerState:
 
     def _generator_for(self, dim: int) -> np.random.Generator:
         if self._gen is None:
-            key = np.random.SeedSequence((self.config.seed, 0)).generate_state(2, np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._gen = np.random.Generator(np.random.Philox((self.config.seed, 0)))
             self._dim = dim
             # Each double takes one 64-bit Philox output and one block holds
             # four: jump whole blocks, then discard the rest of a partial one.

@@ -19,22 +19,24 @@ bits whatever the batch around it, so a row repeats the reference states up
 to its start: its own position before its first round, the last accepted
 position after it.
 
-Each round steps its rows from their starts to the horizon's end, one
-``batch_step`` call per time index from the lowest start, and masks them in
-two row-wise calls, one for the states before the end and one for the end
-states (``_step_rows``, which the oracle search shares).  The highest
-position with a strictly cheaper feasible row accepts its cheapest, which
-decides every position down to it as the sequential sweep does; a round
-with no such row decides all its positions.  No input below an accepted j_a
-changes again, so the undecided rows keep their states, first violations
-and running costs up to j_a: j_a's input is written into them, and j_a
-becomes their start (a row whose first violation is at or before j_a keeps
-it).  One width rule, ``_round_width``, takes positions from the top while
-their rows times N minus their lowest start stay within
-``_ROUND_ROW_STEPS``, and at least one.  The first round holds every
-position; each later one takes the undecided positions under the rule.  A
-solve that accepts nothing makes N - j_low calls, j_low the lowest drawn
-position.
+Each round steps all its rows from the round's lowest start to the
+horizon's end, one ``batch_step`` call per time index, and masks them in two
+row-wise calls, one for the states before the end and one for the end
+states (``_step_rows``, which the oracle search shares).  Below its own
+start a row holds the reference inputs, so by the ``PlantModel`` contract
+it re-derives the reference states there bit for bit.  The highest position
+with a strictly cheaper feasible row accepts its cheapest, which decides
+every position down to it as the sequential sweep does; a round with no
+such row decides all its positions.  No input below an accepted j_a changes
+again, so the undecided rows keep their states, first violations and
+running costs up to j_a: j_a's input is written into them, and j_a becomes
+their start (a row whose first violation is at or before j_a keeps it).
+One width rule, ``_round_width``, takes positions from the top while their
+rows times N minus their lowest start stay within ``_ROUND_ROW_STEPS``, and
+at least one.  The first round holds every position, so it steps all R
+rows from j_low, the lowest drawn position: R (N - j_low) row steps in
+N - j_low calls.  Each later round takes the undecided positions under the
+rule.  A solve that accepts nothing makes those N - j_low calls only.
 
 Every cost comes from ``core.fold_costs``, which adds stage costs left to
 right from a start stage and a base, one for all rows or one per row, then
@@ -51,13 +53,12 @@ j counts the steps from j to its first violating state, and a feasible one
 all N - j steps and one cost evaluation, so a solve where no candidate
 violates counts the paper's sum_j (N - j) n_j and sum_j n_j exactly.  These
 are counts, not the steps made: every row steps to the horizon's end.  The
-rows of position j step N - j times in the first round, the paper's count,
-and N - a times in each later round that holds them, where a is the
-accepted position the round resumes from; the rounds that hold j resume
-from distinct accepted positions above j.  So, beyond a rolled out warm
-start's N, a solve makes at most sum_j n_j (N - j + sum_{a in A, a > j}
-(N - a)) row steps, A the accepted positions, which is at most
-sum_j n_j (N - j) (1 + |A|).
+rows of position j step N - j_low times in the first round, and N - a times
+in each later round that holds them, where a is the accepted position the
+round resumes from; the rounds that hold j resume from distinct accepted
+positions above j.  So, beyond a rolled out warm start's N, a solve makes at
+most sum_j n_j (N - j_low + sum_{a in A, a > j} (N - a)) row steps, A the
+accepted positions, which is at most R (N - j_low) (1 + |A|).
 
 Feasibility is tested with the row kernels that ``check_feasible``
 applies, two mask calls per round.  One random search, ``_search``, finds
@@ -87,7 +88,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -278,9 +278,9 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
     ``fold_costs`` give the reference and its running costs.  All samples
-    are drawn in one call.  Each round steps its rows from their starts,
-    masks and prices them, and the highest position with a strictly cheaper
-    feasible row accepts its cheapest.  The first round holds every
+    are drawn in one call.  Each round steps all its rows from its lowest
+    start, masks and prices them, and the highest position with a strictly
+    cheaper feasible row accepts its cheapest.  The first round holds every
     position; each later one resumes the undecided positions that the width
     rule takes at the last accepted position.  The returned cost never
     exceeds the warm start's cost, and the returned plan, which carries the
@@ -348,13 +348,10 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
 
         lo, hi = 0, len(positions)  # the first round holds every position
         while lo < len(positions):
+            # Every row steps from the round's lowest start t0: from t0 to its
+            # own start a row re-derives the reference states, bit for bit.
             t0, rows = start[hi - 1], slice(block[lo], block[hi])
-            # Step k leaves the rows of the positions that start after t0 + k
-            # (in the first round): they still repeat the reference there.
-            held = None if start[lo] == t0 else [
-                block[bisect.bisect_left(start, -t, lo, hi, key=operator.neg)] - block[lo]
-                for t in range(t0, big_n)]
-            ok = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline, held)
+            ok = _step_rows(xs[t0:, rows], us[t0:, rows], model, constraints, deadline)
             if ok is None:
                 budget_hit = True
                 break
@@ -412,24 +409,19 @@ def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int
 
 
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
-               constraints: ConstraintSpec, deadline: Optional[float],
-               held: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
-    """Step the time-major rows from xs[0] through inputs us (T, B, m) into
-    xs[1:] and return their (T + 1, B) mask: row k - 1 says whether state k
-    passes (state T the terminal set), and row T is all False, so that a
-    row's argmin over time is its first violation.  None when the deadline
-    passes, polled after each step.  With ``held``, step k leaves rows
-    [:held[k]] as they are: the caller has set them already."""
+               constraints: ConstraintSpec, deadline: Optional[float]) -> Optional[np.ndarray]:
+    """Step all the time-major rows from xs[0] through inputs us (T, B, m)
+    into xs[1:], one ``batch_step`` call per time index, and return their
+    (T + 1, B) mask: row k - 1 says whether state k passes (state T the
+    terminal set), and row T is all False, so that a row's argmin over time
+    is its first violation.  None when the deadline passes, polled after
+    each step."""
     big_t, width, n = us.shape[0], us.shape[1], xs.shape[2]
     # Every row steps to its end; silence any overflow of rows that left the
     # state set, the masks below exclude them.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(big_t):
-            if held is None:
-                xs[k + 1] = model.batch_step(xs[k], us[k])
-            else:
-                h = held[k]
-                xs[k + 1, h:] = model.batch_step(xs[k, h:], us[k, h:])
+            xs[k + 1] = model.batch_step(xs[k], us[k])
             if deadline is not None and time.perf_counter() >= deadline:
                 return None
         ok = np.zeros((big_t + 1, width), dtype=bool)
@@ -547,7 +539,7 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
                   max(cfg.oracle_budget, 1), 1, model, constraints)
     if hit is None:
         raise WarmStartFailureError(
-            f"no feasible appended input within {cfg.oracle_budget} samples")
+            f"no feasible appended input within {max(cfg.oracle_budget, 1)} samples")
     return _shifted(prev, hit[0][0], model, hit[1][1])
 
 

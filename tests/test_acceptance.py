@@ -222,7 +222,7 @@ def test_criterion_08_terminal_ingredients():
         x_next = bench.model.step(x, u)
         ok &= (ellipsoid_value(ell, x_next) + bench.cost.stage_cost(0, x, u)
                <= ellipsoid_value(ell, x) + 1e-9)
-        ok &= ell.contains(x_next)
+        ok &= ell.contains_rows(x_next[np.newaxis])[0]
         ok &= -4.5 <= u[0] <= 4.5
     elapsed = time.perf_counter() - t0
     report(8, "terminal cost decrease, invariance and admissible feedback",

@@ -382,6 +382,18 @@ class TestCli:
         assert error["error"] == "ConfigError" and "time_budget_ms" in error["message"]
         assert not out.exists()
 
+    def test_a_horizon_too_large_for_an_index_exits_2(self, tmp_path, capsys):
+        # Written as a 401-digit JSON integer: it names the field and writes nothing.
+        raw = cart_config().to_dict()
+        raw["horizon"] = 10 ** 400
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "horizon" in error["message"]
+        assert not out.exists()
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text(json.dumps(cart_config(config_id="a").to_dict()))

@@ -275,7 +275,7 @@ class TestQuadraticRows:
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("width", [1, 64, 1024])  # the one-sum and the column-add widths
+    @pytest.mark.parametrize("width", [1, 64, 1024])
     def test_a_row_of_negative_zeros_sums_to_positive_zero(self, width):
         d = np.tile([-0.0, -0.0], (width, 1))
         w = -np.eye(2)
@@ -410,9 +410,17 @@ class TestTypeInvariants:
                                 SolverConfig(horizon=3)), "state"),
         (lambda b: PlantModel(n=1, m=1, batch_step=lambda xs, us: xs,
                               equilibrium=(["a"], [0.0])), "equilibrium state"),
+        (lambda b: Plan([["a"]]), "plan"),
+        (lambda b: Plan([[1.0], [1.0, 2.0]]), "plan"),
+        (lambda b: BoxSet(["a"], ["b"]), "box lower"),
+        (lambda b: EllipsoidSet(np.zeros(2), np.eye(2), "x"), "ellipsoid level"),
+        (lambda b: ObstacleSet(np.zeros(2), "r"), "obstacle radius"),
+        (lambda b: ObstacleSet(np.zeros(2), 1.0, "a"), "obstacle axes"),
     ], ids=["reference-string", "reference-ragged", "terminal-weight-strings",
             "ellipsoid-shape-strings", "ellipsoid-center-ragged", "rollout-string",
-            "rollout-overflow", "shift-string", "improve-string", "equilibrium-string"])
+            "rollout-overflow", "shift-string", "improve-string", "equilibrium-string",
+            "plan-string", "plan-ragged", "box-strings", "ellipsoid-level-string",
+            "obstacle-radius-string", "obstacle-axes-string"])
     def test_malformed_numbers_raise_the_typed_error_naming_the_argument(self, build, name):
         with pytest.raises(ContractViolationError, match=name):
             build(make_benchmark("cart-spring", 3, None))
@@ -440,8 +448,8 @@ class TestTypeInvariants:
 
     def test_box_membership_is_closed(self):
         box = BoxSet(np.array([-1.0]), np.array([1.0]))
-        assert box.contains(np.array([1.0])) and box.contains(np.array([-1.0]))
-        assert not box.contains(np.array([1.0000000000000002]))
+        assert box.contains_rows(np.array([[1.0], [-1.0]])).all()
+        assert not box.contains_rows(np.array([[1.0000000000000002]]))[0]
         assert box.is_bounded
         for lo, hi in (([-1.0, 0.0], [1.0, np.inf]), ([-np.inf], [np.inf])):
             assert not BoxSet(np.array(lo), np.array(hi)).is_bounded  # half- and unbounded
@@ -490,13 +498,12 @@ class TestTypeInvariants:
 
     def test_ellipsoid_membership_rule(self):
         ell = EllipsoidSet(np.array([1.0, 0.0]), np.diag([1.0, 4.0]), 1.0)
-        assert ell.contains(np.array([2.0, 0.0]))
-        assert not ell.contains(np.array([2.0, 0.3]))
+        assert ell.contains_rows(np.array([[2.0, 0.0], [2.0, 0.3]])).tolist() == [True, False]
 
     def test_obstacle_exclusion_rule(self):
         obs = ObstacleSet(np.array([0.0, 3.0]), 1.0)
-        assert obs.admits(np.array([1.0, 3.0, 0.0]))  # on the boundary counts as clear
-        assert not obs.admits(np.array([0.5, 3.0, 0.0]))
+        rows = np.array([[1.0, 3.0, 0.0], [0.5, 3.0, 0.0]])
+        assert obs.admits_rows(rows).tolist() == [True, False]  # the boundary counts as clear
 
     @pytest.mark.parametrize("axes", [(0, 3), (0, 7), (-1, 0), (1, 1)])
     def test_constraint_spec_rejects_obstacle_axes_outside_the_state(self, wmr5, axes):

@@ -67,12 +67,9 @@ def halton_points_in_ellipsoid(ellipsoid, count):
     state = SamplerState(SamplerConfig(scheme="halton"))
     points = []
     while len(points) < count:
-        for candidate in draw_samples(state, box, 256):
-            if ellipsoid.contains(candidate):
-                points.append(candidate)
-                if len(points) == count:
-                    break
-    return np.array(points)
+        batch = draw_samples(state, box, 256)
+        points.extend(batch[ellipsoid.contains_rows(batch)])
+    return np.array(points[:count])
 
 
 class TestCartSpring:
@@ -98,10 +95,10 @@ class TestCartSpring:
     def test_terminal_set_membership(self):
         ell = terminal_set("cart-spring")
         assert ell.level == CART_TERMINAL_LEVEL
-        assert ell.contains(np.zeros(2))
+        assert ell.contains_rows(np.zeros((1, 2)))[0]
         # quadratic value at (1, 0) is the top-left weight, above the level
         assert ellipsoid_value(ell, np.array([1.0, 0.0])) == CART_P[0, 0] > CART_TERMINAL_LEVEL
-        assert not ell.contains(np.array([1.0, 0.0]))
+        assert not ell.contains_rows(np.array([[1.0, 0.0]]))[0]
 
     def test_terminal_set_sits_inside_position_bounds(self):
         half_width = math.sqrt(CART_TERMINAL_LEVEL * np.linalg.inv(CART_P)[0, 0])
@@ -119,7 +116,7 @@ class TestCartSpring:
             x_next = model.step(x, u)
             assert (ellipsoid_value(ell, x_next) + cost.stage_cost(0, x, u)
                     <= ellipsoid_value(ell, x) + 1e-9)
-            assert ell.contains(x_next)
+            assert ell.contains_rows(x_next[np.newaxis])[0]
 
     def test_params_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -146,7 +143,7 @@ class TestBuckBoost:
 
     def test_terminal_set_centered_at_equilibrium(self):
         ell = terminal_set("buck-boost")
-        assert ell.contains(BUCK_X_EQ)
+        assert ell.contains_rows(BUCK_X_EQ[np.newaxis])[0]
         assert ell.level == BUCK_TERMINAL_LEVEL
 
     def test_shipped_level_matches_calibration(self):
@@ -163,7 +160,7 @@ class TestBuckBoost:
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
             x_next = model.step(x, u)
             assert ellipsoid_value(ell, x_next) <= ellipsoid_value(ell, x)
-            assert ell.contains(x_next)
+            assert ell.contains_rows(x_next[np.newaxis])[0]
 
     def test_terminal_set_sits_inside_state_box(self):
         box = bounding_box(terminal_set("buck-boost"))
@@ -281,7 +278,8 @@ class TestBenchmarkAssembly:
         with pytest.raises(ConfigError, match="obstacle"):
             make_benchmark("wmr", 5, {"obstacle": spec})
 
-    @pytest.mark.parametrize("horizon", [2.5, "3", True, 0, None])
+    @pytest.mark.parametrize("horizon", [2.5, "3", True, 0, None,
+                                         pytest.param(10 ** 400, id="10**400")])
     def test_malformed_horizon_rejected(self, horizon):
         with pytest.raises(ConfigError, match="horizon"):
             make_benchmark("cart-spring", horizon)

@@ -120,6 +120,19 @@ class TestRandomScheme:
         b = draw_samples(SamplerState(SamplerConfig(scheme="random", seed=9)), box, 5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("counter", [0, 1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_the_stream_is_philox_keyed_from_the_seed_sequence(self, seed, dim, counter):
+        # The key is SeedSequence((seed, 0))'s first two 64-bit words, the
+        # key that Philox((seed, 0)) derives; counters 0-5 at dims 1 and 2
+        # start inside and across Philox's four-double blocks.
+        key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        gen.random(counter * dim)
+        stream = SamplerState(SamplerConfig(scheme="random", seed=seed), counter=counter)
+        assert np.array_equal(draw_samples(stream, unit_box(dim), 6), gen.random((6, dim)))
+
     def test_reconstruction_mid_stream(self):
         box = unit_box(2)
         live = SamplerState(SamplerConfig(scheme="random", seed=5))

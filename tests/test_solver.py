@@ -391,8 +391,8 @@ class TestImprovePlan:
     def test_row_steps_stay_within_the_work_bound(self, plant, horizon, seed, counts, scheme,
                                                   row_steps):
         # The module docstring's bound: at most
-        # sum_j n_j (N - j + sum over accepted a > j of (N - a)) row steps,
-        # whatever the round width.  An accepted input is strictly
+        # sum_j n_j (N - j_low + sum over accepted a > j of (N - a)) row
+        # steps, j_low the lowest drawn position, whatever the round width.  An accepted input is strictly
         # cheaper, so the accepted positions are where the plan left the warm
         # start.  The copied model keeps the original one-row step, so the
         # entry rollout is not counted.
@@ -409,16 +409,17 @@ class TestImprovePlan:
         accepted = [j for j in range(horizon)
                     if not np.array_equal(result.plan.inputs[j], warm.inputs[j])]
         assert len(accepted) == result.improvements
-        bound = sum(n * (horizon - j + sum(horizon - a for a in accepted if a > j))
+        j_low = next((j for j, n in enumerate(counts) if n), horizon)
+        bound = sum(n * (horizon - j_low + sum(horizon - a for a in accepted if a > j))
                     for j, n in enumerate(counts))
         assert result.f_evals <= sum(rows) <= bound
-        assert bound <= sum(n * (horizon - j) * (1 + len(accepted)) for j, n in enumerate(counts))
+        assert bound <= sum(counts) * (horizon - j_low) * (1 + len(accepted))
 
     def test_a_solve_that_accepts_nothing_makes_one_pass(self, cart10):
         # From the origin the zero plan costs 0, so no candidate is strictly
         # cheaper: the first round, from the lowest drawn position 3, is the
-        # whole solve, one batched step per time index, in which the rows of
-        # position j step N - j times.
+        # whole solve, one batched step of all 70 rows per time index from 3.
+        # The counters stay the sequential sweep's: position j counts N - j.
         rows = []
         model = dataclasses.replace(
             cart10.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
@@ -427,9 +428,8 @@ class TestImprovePlan:
         result = improve_plan(np.zeros(2), Plan(np.zeros((10, 1))), model, cart10.constraints,
                               cart10.cost, cfg)
         assert result.improvements == 0 and result.j_sub == 0.0
-        assert len(rows) == 10 - 3
-        assert rows == [10 * (t - 2) for t in range(3, 10)]
-        assert result.f_evals == sum(rows)  # no candidate violates from here
+        assert rows == [70] * (10 - 3)
+        assert result.f_evals == sum((10 - j) * 10 for j in range(3, 10))  # none violates
 
     def test_windows_make_fewer_batched_calls_than_the_sequential_sweep(self):
         # The sequential sweep at N = 50, ten samples everywhere, makes one
@@ -780,6 +780,16 @@ class TestMakeWarmStart:
         with pytest.raises(WarmStartFailureError):
             make_warm_start(far, x_new, model, cart10.constraints, cfg)
         assert calls == {"step": 0, "batch_step": 4}
+
+    @pytest.mark.parametrize("budget, searched", [(0, 1), (1, 1), (600, 600)])
+    def test_a_failed_append_reports_the_samples_it_searched(self, cart10, cart_x0, budget,
+                                                             searched):
+        # A budget of 0 still searches one sample.
+        cfg = cart_solver_cfg(warm_start_mode="feasible-sample", oracle_budget=budget)
+        prev = self._solve(cart10, cart_x0, cart_solver_cfg())
+        far = dataclasses.replace(prev, states=np.vstack([prev.states[:-1], [[2.6, 3.0]]]))
+        with pytest.raises(WarmStartFailureError, match=f"within {searched} samples$"):
+            make_warm_start(far, cart_x0, cart10.model, cart10.constraints, cfg)
 
     @given(st.sampled_from(sorted(NEAR_STATE_SETS)), st.sampled_from(["grid", "random", "halton"]),
            st.integers(0, 2 ** 32 - 1), st.integers(0, 1000),
