@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import complexity
-from .core import Plan, _finite, _is_integer, _numbers
+from .core import Plan, _floats, _integer
 from .errors import ConfigError, SampledNmpcError
-from .models import Benchmark, make_benchmark
+from .models import _MAX_FLOATS, Benchmark, make_benchmark
 from .sampling import SamplerConfig
-from .solver import RunLog, SolverConfig, closed_loop
+from .solver import _ORACLE_BATCH, RunLog, SolverConfig, closed_loop
 
 __all__ = [
     "ExperimentConfig",
@@ -76,28 +76,25 @@ class ExperimentConfig:
             raise ConfigError("config_id must be nonempty")
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if not _is_integer(self.steps) or self.steps < 0:
-            raise ConfigError(f"steps must be a nonnegative integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps", 0, error=ConfigError))
         budget = self.time_budget_ms
-        real = isinstance(budget, (float, np.floating)) or _is_integer(budget)
-        if budget is not None and not (real and _finite(budget)):
-            raise ConfigError(f"time_budget_ms must be a finite number or null, got {budget!r}")
-        if isinstance(budget, np.generic):  # a Python number, so that to_dict() serialises
-            object.__setattr__(self, "time_budget_ms", budget.item())
+        if budget is not None:
+            _floats(budget, "time_budget_ms", (), ConfigError)
+            if isinstance(budget, np.generic):  # a Python number, so that to_dict() serialises
+                object.__setattr__(self, "time_budget_ms", budget.item())
+        # Plain tuples of Python floats, so that to_dict() serialises.
         if self.initial_state is not None:
-            object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
-        plan = self.initial_plan
-        if plan is not None:
-            if not isinstance(plan, (list, tuple, np.ndarray)):
-                raise ConfigError(f"initial_plan must hold rows of numbers, got {plan!r}")
-            object.__setattr__(self, "initial_plan",
-                               tuple(_numbers(row, "initial_plan") for row in plan))
+            object.__setattr__(self, "initial_state", tuple(
+                _floats(self.initial_state, "initial_state", (None,), ConfigError).tolist()))
+        if self.initial_plan is not None:
+            object.__setattr__(self, "initial_plan", tuple(map(tuple, _floats(
+                self.initial_plan, "initial_plan", (None, None), ConfigError).tolist())))
         _, solver_cfg, _ = _assemble(self)
-        for name in ("horizon", "steps", "lanes", "oracle_budget"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("horizon", "lanes", "oracle_budget"):
+            object.__setattr__(self, name, getattr(solver_cfg, name))
         counts = self.samples_per_step
         object.__setattr__(self, "samples_per_step",
-                           int(counts) if _is_integer(counts) else solver_cfg.sample_counts)
+                           int(counts) if np.isscalar(counts) else solver_cfg.sample_counts)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -171,12 +168,10 @@ def resolve_output_root(cli_out: Optional[str], config: ExperimentConfig) -> Pat
 
 def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.ndarray]:
     try:
-        # A malformed override value fails inside the plant's arithmetic.
+        # The sets and the plan built here raise ContractViolationError, a ValueError.
         bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
         mode = config.warm_start_mode or bench.default_warm_start_mode
-        initial_plan = None
-        if config.initial_plan is not None:
-            initial_plan = Plan(np.asarray(config.initial_plan, dtype=np.float64))
+        initial_plan = None if config.initial_plan is None else Plan(config.initial_plan)
         solver_cfg = SolverConfig(
             horizon=config.horizon,
             samples_per_step=config.samples_per_step,
@@ -193,6 +188,16 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
     if mode == "terminal-controller" and bench.model.terminal_law is None:
         raise ConfigError(
             f"warm_start_mode terminal-controller: plant {config.plant} has no terminal law")
+    # The solve's (N + 1, R, n) and (N, R, m) tensors and one oracle batch,
+    # in floats; make_benchmark bounds the cost weight stacks.
+    width, big_n = bench.model.n + bench.model.m, solver_cfg.horizon
+    for names, what, floats in (
+            ("samples_per_step and horizon", "the solve tensors",
+             sum(solver_cfg.sample_counts) * (big_n + 1) * width),
+            ("horizon", "an oracle batch", _ORACLE_BATCH * big_n * width)):
+        if floats > _MAX_FLOATS:
+            raise ConfigError(f"{names}: {what} would hold {floats} floats, over the limit "
+                              f"of {_MAX_FLOATS}")
     x0 = np.asarray(config.initial_state if config.initial_state is not None
                     else bench.default_x0, dtype=np.float64)
     if x0.shape != (bench.model.n,):
@@ -416,12 +421,8 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
         raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
     summary_path = run_dir / "summary.json"
     summary = _read_run_json(summary_path)
-    try:
-        final = np.array(summary["final_state"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        final = None
-    if final is None or final.shape != (model.n,):
-        raise ConfigError(f"run file {summary_path} needs a final_state of {model.n} numbers")
+    final = _floats(summary.get("final_state"), f"run file {summary_path} final_state",
+                    (model.n,), ConfigError, finite=False)
     violations = []
     for k, x, u in rows:
         kind = constraints.state_violation_kind(x)

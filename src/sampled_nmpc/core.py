@@ -9,12 +9,13 @@ closed inequalities with no floating tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
+from .errors import ContractViolationError
 
 __all__ = [
     "Plan",
@@ -37,65 +38,49 @@ _SYM_TOL = 1e-12
 _EQUILIBRIUM_TOL = 1e-9
 
 
-def _floats(v, name: str) -> np.ndarray:
-    """``v`` as a float64 array, else ContractViolationError naming ``name``."""
+def _floats(v, name: str, shape: Optional[tuple] = None, error: type = ContractViolationError,
+            finite: bool = True) -> np.ndarray:
+    """``v`` as a float64 array, else ``error`` naming ``name``: the one rule
+    for numbers from outside, in the Python API and in configs alike.
+
+    Every entry is an int or a float (numpy's included), never a bool, a
+    string, bytes or None; a nesting is regular, an integer fits in a float,
+    every entry is finite when ``finite`` is set, and the array has
+    ``shape`` when one is given (a None entry takes any length).  An ndarray
+    of integers or floats is checked by its dtype kind, without a loop over
+    its entries, so values coerced in every period cost no more than
+    ``np.asarray``."""
     try:
-        return np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # a string, a ragged nesting, 10**400
-        raise ContractViolationError(f"{name} must hold numbers, got {v!r}") from None
+        if isinstance(v, (np.ndarray, np.generic)) and v.dtype.kind in "iuf":
+            arr = np.asarray(v, dtype=np.float64)
+        else:  # a ragged nesting is an object array of lists, which are no numbers
+            items = np.asarray(v, dtype=object)
+            if not all(isinstance(e, (int, float, np.integer, np.floating))
+                       and not isinstance(e, bool) for e in items.flat):
+                raise TypeError
+            arr = items.astype(np.float64)  # OverflowError for 10**400
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must hold numbers, got {v!r}") from None
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape))):
+        raise error(f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{name} must be finite, got {v!r}")
+    return arr
 
 
-def _number(v, name: str) -> float:
-    """``v`` as one float, else ContractViolationError naming ``name``."""
-    arr = _floats(v, name)
-    if arr.ndim:
-        raise ContractViolationError(f"{name} must be one number, got {v!r}")
-    return float(arr)
+def _integer(v, name: str, lo: float, hi: float = math.inf,
+             error: type = ContractViolationError) -> int:
+    """``v`` as an int in [lo, hi], else ``error`` naming ``name``: a Python
+    or numpy integer, never a bool, a float or a string."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= int(v) <= hi:
+        return int(v)
+    raise error(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally enforcing its length."""
-    arr = _floats(v, name)
-    if arr.ndim != 1:
-        raise ContractViolationError(f"{name} must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ContractViolationError(f"{name} must have length {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolationError(f"{name} must be finite, got {arr}")
-    return arr
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """``math.isfinite``, False for an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _numbers(values, name: str = "values") -> tuple[float, ...]:
-    """A list, tuple or 1-D array of finite real numbers as floats; anything
-    else, a string, a bool, NaN, an infinity or 10**400 included, raises
-    ConfigError naming ``name``."""
-    if not (isinstance(values, (list, tuple, np.ndarray)) and all(
-            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and _finite(v) for v in values)):
-        raise ConfigError(f"{name} must hold finite numbers, got {values!r}")
-    return tuple(map(float, values))
-
-
-def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = _floats(m, name)
-    if arr.shape != (rows, cols):
-        raise ContractViolationError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolationError(f"{name} must be finite")
-    return arr
+    return _floats(v, name, (dim,))
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
@@ -104,13 +89,13 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
 
 
 def _matrices(mats, name: str) -> tuple[np.ndarray, ...]:
-    """Matrices as float64 arrays; anything else raises ContractViolationError naming ``name``."""
+    """Matrices as float64 arrays, each checked as ``name[j]``; finiteness is
+    left to ``_symmetric_stack``, one pass over the stack."""
     try:
-        arrs = tuple(np.asarray(w, dtype=np.float64) for w in mats)
-    except (TypeError, ValueError):
+        mats = tuple(mats)
+    except TypeError:
         raise ContractViolationError(f"{name} must be a sequence of matrices, got {mats!r}") from None
-    _name_first(np.array([a.ndim != 2 for a in arrs], dtype=bool), name, "must be a matrix")
-    return arrs
+    return tuple(_floats(w, f"{name}[{j}]", (None, None), finite=False) for j, w in enumerate(mats))
 
 
 def _symmetric_stack(mats: Sequence[np.ndarray], k: int, name: str) -> np.ndarray:
@@ -142,12 +127,15 @@ def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d' W d along the last axis: rows (B, k) against one (k, k) weight, or
     time-major rows (T, B, k) against a (T, k, k) stack, one weight per time.
 
-    A row's value depends only on that row and its weight, not on the batch
-    size or the row's position (an einsum contraction does not have this
-    property), so a one-row call gives the same bits as the row of a batched
-    call.  The k columns of (d W) * d are added left to right from +0.0,
-    the order and start of ``sum(axis=-1)``, so both give the same bits; each
-    column add is one pass over the batch.
+    A row's value depends only on that row and its weight: alone, in a
+    batch of any width and in a stacked call it gets the same bits (an
+    einsum contraction does not have this property).  The products d W come
+    from numpy's matmul, so from the linked BLAS, which decides their bits:
+    scipy-openblas 0.3.31 fuses multiplies and adds, so for non-diagonal
+    weights such as CART_P and BUCK_P they differ from left-to-right
+    products at most batch widths.  The k columns of (d W) * d are then
+    added left to right from +0.0, the order and start of ``sum(axis=-1)``,
+    one pass over the batch per column.
     """
     q = (d @ w) * d
     total = q[..., 0] + 0.0  # from +0.0: a row of -0.0 columns sums to +0.0
@@ -168,8 +156,6 @@ class Plan:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ContractViolationError(f"plan must stack N >= 1 inputs, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ContractViolationError("plan entries must be finite")
         object.__setattr__(self, "inputs", _frozen(arr.copy()))
 
     @property
@@ -238,14 +224,10 @@ class BoxSet:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _floats(self.lower, "box lower")
-        hi = _floats(self.upper, "box upper")
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ContractViolationError("box bounds must be 1-D arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ContractViolationError("box bounds must not be NaN")
-        if not np.all(lo <= hi):
-            raise ContractViolationError("box requires lower <= upper elementwise")
+        lo = _floats(self.lower, "box lower", (None,), finite=False)
+        hi = _floats(self.upper, "box upper", lo.shape, finite=False)
+        if not np.all(lo <= hi):  # NaN too
+            raise ContractViolationError("box requires lower <= upper elementwise, and no NaN")
         object.__setattr__(self, "lower", _frozen(lo.copy()))
         object.__setattr__(self, "upper", _frozen(hi.copy()))
         comparisons = []  # a side at its own infinity holds every entry but NaN
@@ -279,11 +261,11 @@ class EllipsoidSet:
 
     def __post_init__(self):
         c = as_vector(self.center, name="ellipsoid center")
-        s = _as_matrix(self.shape, c.shape[0], c.shape[0], "ellipsoid shape")
+        s = _floats(self.shape, "ellipsoid shape", c.shape * 2)
         _check_symmetric(s, "ellipsoid shape")
         if np.min(np.linalg.eigvalsh(s)) <= 0.0:
             raise ContractViolationError("ellipsoid shape must be positive definite")
-        level = _number(self.level, "ellipsoid level")
+        level = float(_floats(self.level, "ellipsoid level", ()))
         if not level > 0.0:
             raise ContractViolationError("ellipsoid level must be positive")
         object.__setattr__(self, "center", _frozen(c))
@@ -305,16 +287,15 @@ class ObstacleSet:
 
     def __post_init__(self):
         c = as_vector(self.center, 2, "obstacle center")
-        radius = _number(self.radius, "obstacle radius")
+        radius = float(_floats(self.radius, "obstacle radius", ()))
         if not radius > 0.0:
             raise ContractViolationError("obstacle radius must be positive")
-        axes = self.axes
-        if not (isinstance(axes, (tuple, list)) and len(axes) == 2
-                and all(map(_is_integer, axes))):
-            raise ContractViolationError(f"obstacle axes must be two integers, got {axes!r}")
+        if not (isinstance(self.axes, (tuple, list)) and len(self.axes) == 2):
+            raise ContractViolationError(f"obstacle axes must be two integers, got {self.axes!r}")
+        axes = tuple(_integer(a, "obstacle axes", -math.inf) for a in self.axes)
         object.__setattr__(self, "center", _frozen(c))
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "axes", (int(axes[0]), int(axes[1])))
+        object.__setattr__(self, "axes", axes)
 
     def admits_rows(self, rows: np.ndarray) -> np.ndarray:
         a, b = self.axes
@@ -402,7 +383,7 @@ class CostSpec:
                     "must be positive semidefinite")
         _name_first(np.linalg.eigvalsh(r_stack).min(axis=1) <= 0.0, "R",
                     "must be positive definite")
-        p = _as_matrix(self.terminal_weight, n, n, "terminal weight")
+        p = _floats(self.terminal_weight, "terminal weight", (n, n))
         _check_symmetric(p, "terminal weight")
         if np.min(np.linalg.eigvalsh(p)) <= 0.0:
             raise ContractViolationError("terminal weight must be positive definite")
@@ -421,11 +402,12 @@ class CostSpec:
     @classmethod
     def constant(cls, q, r, p, horizon: int, reference=None) -> "CostSpec":
         """Time-invariant weights Q_j = q, R_j = r over the given horizon."""
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        r = np.atleast_2d(np.asarray(r, dtype=np.float64))
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        q = np.atleast_2d(_floats(q, "stage state weight q"))
+        r = np.atleast_2d(_floats(r, "stage input weight r"))
+        p = np.atleast_2d(_floats(p, "terminal weight p"))
         if reference is None:
             reference = (np.zeros(q.shape[0]), np.zeros(r.shape[0]))
+        horizon = _integer(horizon, "horizon", 1, sys.maxsize)
         return cls((q,) * horizon, (r,) * horizon, p, reference)
 
     @property

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
-                   _is_integer, _numbers, _quadratic_rows)
+                   _floats, _integer, _quadratic_rows)
 from .errors import ConfigError
 
 __all__ = [
@@ -63,6 +63,12 @@ BUCK_U_EQ = np.array([0.81, 0.4])
 WMR_Q = np.diag([1.0, 1.0, 0.5])
 WMR_R = np.diag([0.1, 0.1])
 WMR_TERMINAL_SCALE = 50.0
+
+# The most floats that one allocation of a configured run may hold (2 GiB of
+# float64): the cost weight stacks, N (n^2 + m^2), bounded in make_benchmark,
+# and the solve tensors, R (N + 1)(n + m), and one oracle batch,
+# _ORACLE_BATCH N (n + m), bounded when an ExperimentConfig is assembled.
+_MAX_FLOATS = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,19 @@ class WmrParams:
 # plant bundles
 # ---------------------------------------------------------------------------
 
+def _check_finite(p, *constants: float) -> None:
+    """ConfigError naming the parameters of ``p`` that differ from their
+    defaults, when a constant derived from them is not finite."""
+    if not all(map(math.isfinite, constants)):
+        changed = [f.name for f in fields(p) if getattr(p, f.name) != f.default]
+        raise ConfigError(f"{type(p).__name__} {changed} give a non-finite model constant "
+                          "or equilibrium")
+
+
 def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
     ts = p.ts
     k_spring, k_damp, k_in = p.ts * (p.rho0 / p.mass), p.ts * (p.damping / p.mass), p.ts / p.mass
+    _check_finite(p, k_spring, k_damp, k_in)
 
     def batch_step(xs, us):
         x1, x2 = xs[:, 0], xs[:, 1]
@@ -147,7 +163,7 @@ def buck_equilibrium(p: BuckBoostParams = BuckBoostParams()) -> tuple[np.ndarray
     At the default parameters this reproduces the published equilibrium state
     exactly; overriding v_s or r_h moves it accordingly.
     """
-    d1, d2 = BUCK_U_EQ
+    d1, d2 = BUCK_U_EQ.tolist()  # Python floats: an overflow gives inf, not a warning
     i_l = p.v_s * d1 / (p.r_l + p.r_h * d2 * d2)
     v_c = p.r_h * d2 * i_l
     return np.array([v_c, i_l]), BUCK_U_EQ.copy()
@@ -158,6 +174,7 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
     a_vv, a_ii = 1.0 + p.ts * (-1.0 / (p.r_h * p.c_f)), 1.0 + p.ts * (-p.r_l / p.l_f)
     b_i, c1_v, c2_i = p.ts * (p.v_s / p.l_f), p.ts * (1.0 / p.c_f), p.ts * (-1.0 / p.l_f)
     x_eq, u_eq = buck_equilibrium(p)
+    _check_finite(p, a_vv, a_ii, b_i, c1_v, c2_i, *x_eq)
 
     def batch_step(xs, us):
         v_c, i_l, d2 = xs[:, 0], xs[:, 1], us[:, 1]
@@ -305,22 +322,24 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     Recognized override keys: any params field of the plant (a number), plus
     ``terminal_level`` (a number, or null to drop the terminal constraint) and,
     for the robot, ``obstacle`` ({center: [a, b], radius: r, axes: [i, j]}).
+    The horizon is bounded so that the cost weight stacks hold at most
+    ``_MAX_FLOATS`` floats, and on the robot so that its terminal weight
+    50 * 2^(N - 1) stays finite (N <= 1019).
     """
-    if not _is_integer(horizon) or not 1 <= horizon <= sys.maxsize:  # the cost stacks N weights
-        raise ConfigError(f"horizon must be an integer in [1, {sys.maxsize}], got {horizon!r}")
     if not isinstance(overrides, (dict, type(None))):
         raise ConfigError(f"model_overrides must be a JSON object (a dict), got {overrides!r}")
     overrides = dict(overrides or {})
 
     def pop_terminal(default):
         level = overrides.pop("terminal_level", default)
-        return None if level is None else _numbers((level,), "terminal_level")[0]
+        return None if level is None else float(_floats(level, "terminal_level", (), ConfigError))
 
     if plant_id == "cart-spring":
         level = pop_terminal(CART_TERMINAL_LEVEL)
-        params = _apply_params(CartSpringParams(), overrides)
-        return Benchmark(plant_id, cart_spring_model(params), _cart_constraints(level),
-                         _cart_cost(horizon), np.array([-2.5, 3.0]), "terminal-controller")
+        model = cart_spring_model(_apply_params(CartSpringParams(), overrides))
+        return Benchmark(plant_id, model, _cart_constraints(level),
+                         _cart_cost(_stages(horizon, model)), np.array([-2.5, 3.0]),
+                         "terminal-controller")
     if plant_id == "buck-boost":
         # Default runs without the terminal constraint: the calibrated
         # stand-in ellipsoid is too small to be reachable within the
@@ -328,18 +347,29 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
         # no feasible plan.  Pass terminal_level explicitly to enforce it.
         level = pop_terminal(None)
         params = _apply_params(BuckBoostParams(), overrides)
-        x_eq, _ = buck_equilibrium(params)
-        return Benchmark(plant_id, buck_boost_model(params), _buck_constraints(level),
-                         _buck_cost(horizon, params), x_eq + np.array([1.0, 2.0]),
-                         "feasible-sample")
+        model = buck_boost_model(params)
+        return Benchmark(plant_id, model, _buck_constraints(level),
+                         _buck_cost(_stages(horizon, model), params),
+                         model.equilibrium[0] + np.array([1.0, 2.0]), "feasible-sample")
     if plant_id == "wmr":
         obstacle = _default_wmr_obstacle()
         if "obstacle" in overrides:
             obstacle = _obstacle_override(overrides.pop("obstacle"), n=3)
         params = _apply_params(WmrParams(obstacle=obstacle), overrides)
-        return Benchmark(plant_id, wmr_model(params), _wmr_constraints(params.obstacle),
-                         _wmr_cost(horizon), np.array([0.0, 6.0, 0.0]), "feasible-sample")
+        model = wmr_model(params)
+        longest = math.frexp(sys.float_info.max / WMR_TERMINAL_SCALE)[1]  # 2^(N-1) <= max / 50
+        return Benchmark(plant_id, model, _wmr_constraints(params.obstacle),
+                         _wmr_cost(_stages(horizon, model, longest)), np.array([0.0, 6.0, 0.0]),
+                         "feasible-sample")
     raise ConfigError(f"unknown plant {plant_id!r}")
+
+
+def _stages(horizon, model: PlantModel, longest: float = math.inf) -> int:
+    """The horizon, if it is an integer from 1 to ``longest`` whose (N, n, n)
+    and (N, m, m) cost weight stacks hold at most ``_MAX_FLOATS`` floats;
+    else ConfigError naming it."""
+    most = min(longest, _MAX_FLOATS // (model.n ** 2 + model.m ** 2))
+    return _integer(horizon, "horizon", 1, most, ConfigError)
 
 
 def _obstacle_override(spec, n: int) -> Optional[ObstacleSet]:
@@ -349,20 +379,21 @@ def _obstacle_override(spec, n: int) -> Optional[ObstacleSet]:
         return None
     axes = spec.get("axes", (0, 1)) if isinstance(spec, dict) else None
     if not (axes is not None and {"center", "radius"} <= spec.keys() <= {"center", "radius", "axes"}
-            and isinstance(axes, (list, tuple)) and len(axes) == 2 and all(map(_is_integer, axes))
-            and 0 <= min(axes) and max(axes) < n and axes[0] != axes[1]):
+            and isinstance(axes, (list, tuple)) and len(axes) == 2
+            and len({_integer(a, "obstacle axes", 0, n - 1, ConfigError) for a in axes}) == 2):
         raise ConfigError("obstacle must be null or {center, radius} with optional axes, two "
                           f"distinct integers in [0, {n}), got {spec!r}")
-    return ObstacleSet(center=np.array(_numbers(spec["center"], "obstacle center")),
-                       radius=_numbers((spec["radius"],), "obstacle radius")[0], axes=tuple(axes))
+    return ObstacleSet(center=_floats(spec["center"], "obstacle center", (2,), ConfigError),
+                       radius=float(_floats(spec["radius"], "obstacle radius", (), ConfigError)),
+                       axes=tuple(axes))
 
 
 def _apply_params(params, overrides: dict):
-    fields = {f for f in params.__dataclass_fields__}
-    unknown = set(overrides) - fields
+    unknown = set(overrides) - {f.name for f in fields(params)}
     if unknown:
         raise ConfigError(f"unknown model overrides for {type(params).__name__}: {sorted(unknown)}")
-    values = {name: _numbers((value,), name)[0] for name, value in overrides.items()}
+    values = {name: float(_floats(value, name, (), ConfigError))
+              for name, value in overrides.items()}
     return replace(params, **values) if values else params
 
 

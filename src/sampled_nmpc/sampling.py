@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BoxSet, _is_integer
+from .core import BoxSet, _integer
 from .errors import ContractViolationError
 
 __all__ = [
@@ -68,12 +68,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ContractViolationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not _is_integer(self.seed):
-            raise ContractViolationError(f"seed must be an integer, got {self.seed!r}")
-        seed = int(self.seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ContractViolationError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2 ** 64 - 1))
 
 
 @dataclass
@@ -167,10 +162,7 @@ def draw_blocks(state: SamplerState, box: BoxSet, counts: Sequence[int]) -> np.n
     leave it.  Random and Halton points continue one stream, so they are one
     draw; the grid restarts at each draw, so it stacks one unit grid per count.
     """
-    counts = tuple(counts)  # a one-shot iterable is read once
-    for count in counts:
-        if not _is_integer(count) or count < 0:
-            raise ContractViolationError(f"count must be a nonnegative integer, got {count!r}")
+    counts = tuple(_integer(count, "count", 0) for count in counts)
     if not box.is_bounded:
         raise ContractViolationError("sampling requires a bounded box in every coordinate")
     dim = box.dim

@@ -88,6 +88,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -99,9 +101,9 @@ from .core import (
     CostSpec,
     Plan,
     PlantModel,
-    _finite,
+    _floats,
     _frozen,
-    _is_integer,
+    _integer,
     as_vector,
     check_feasible,
     evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
@@ -176,25 +178,19 @@ class SolverConfig:
     initial_plan: Optional[Plan] = None
 
     def __post_init__(self):
-        for name in ("horizon", "lanes", "oracle_budget"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.lanes < 1:
-            raise ConfigError("lanes must be >= 1")
+        for name, lo, hi in (("horizon", 1, sys.maxsize), ("lanes", 1, math.inf),
+                             ("oracle_budget", 0, math.inf)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi, ConfigError))
         if not isinstance(self.improve_initial, bool):
             raise ConfigError("improve_initial must be True or False")
-        budget = self.time_budget  # a float may be infinite, an integer must fit in one
-        real = isinstance(budget, (float, np.floating)) or _is_integer(budget) and _finite(budget)
-        if budget is not None and not (real and budget > 0):  # NaN too
+        budget = self.time_budget  # may be infinite
+        if budget is not None and not _floats(budget, "time_budget", (), ConfigError,
+                                              finite=False) > 0:  # NaN too
             raise ConfigError(f"time_budget must be a positive number when set, got {budget!r}")
         if not isinstance(self.sampler, SamplerConfig):
             raise ConfigError(f"sampler must be a SamplerConfig, got {self.sampler!r}")
         if self.initial_plan is not None and not isinstance(self.initial_plan, Plan):
             raise ConfigError(f"initial_plan must be a Plan, got {self.initial_plan!r}")
-        if self.oracle_budget < 0:
-            raise ConfigError("oracle_budget must be nonnegative")
         if self.warm_start_mode not in WARM_START_MODES:
             raise ConfigError(f"warm_start_mode must be one of {WARM_START_MODES}")
         counts = self.samples_per_step
@@ -202,14 +198,11 @@ class SolverConfig:
             counts = (counts,) * self.horizon if np.isscalar(counts) else tuple(counts)
         except TypeError:  # not iterable (None, a 0-d array): rejected below
             counts = (counts,)
-        if not all(_is_integer(c) for c in counts):
-            raise ConfigError(f"samples_per_step must be integers, got {self.samples_per_step!r}")
+        counts = tuple(_integer(c, "samples_per_step", 0, math.inf, ConfigError) for c in counts)
         if len(counts) != self.horizon:
             raise ConfigError(
                 f"samples_per_step has {len(counts)} entries for horizon {self.horizon}")
-        if any(c < 0 for c in counts):
-            raise ConfigError("sample counts must be nonnegative")
-        object.__setattr__(self, "samples_per_step", tuple(int(c) for c in counts))
+        object.__setattr__(self, "samples_per_step", counts)
 
     @property
     def sample_counts(self) -> tuple[int, ...]:
@@ -569,8 +562,7 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     warm-start (and oracle) construction.
     """
     x = as_vector(x0, model.n, "initial state")
-    if not _is_integer(steps) or steps < 0:
-        raise ContractViolationError(f"steps must be a nonnegative integer, got {steps!r}")
+    steps = _integer(steps, "steps", 0)
     sampler_state = SamplerState(cfg.sampler)
     states = np.empty((steps + 1, model.n), dtype=np.float64)
     states[0] = x

@@ -2,16 +2,23 @@ import csv
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampled_nmpc import ExperimentConfig, run_experiment, sweep, validate_run
+from sampled_nmpc import bench as bench_module
 from sampled_nmpc.bench import OUTPUT_ROOT_ENV, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
 from sampled_nmpc.errors import ConfigError
+from sampled_nmpc.models import BuckBoostParams, CartSpringParams, WmrParams
 from sampled_nmpc.sampling import SamplerConfig
+
+CONFIG_PATHS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def cart_config(**kw):
@@ -137,6 +144,17 @@ class TestExperimentConfig:
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):
             cart_config(plant="pendulum")
+
+    def test_the_size_limit_bounds_the_solve_tensors_and_the_oracle_batch(self, monkeypatch):
+        # The cart at N = 10 holds R * 11 * 3 floats in its solve tensors and
+        # 1024 * 10 * 3 = 30720 in one oracle batch; the limit is inclusive.
+        monkeypatch.setattr(bench_module, "_MAX_FLOATS", 30720)
+        assert cart_config(samples_per_step=1).samples_per_step == 1
+        with pytest.raises(ConfigError, match="^samples_per_step and horizon: the solve"):
+            cart_config(samples_per_step=94)  # 940 * 33 = 31020 floats
+        monkeypatch.setattr(bench_module, "_MAX_FLOATS", 30719)
+        with pytest.raises(ConfigError, match="^horizon: an oracle batch"):
+            cart_config(samples_per_step=1)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -394,6 +412,23 @@ class TestCli:
         assert error["error"] == "ConfigError" and "horizon" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant, key, value", [
+        ("cart-spring", "samples_per_step", 10 ** 30), ("wmr", "samples_per_step", 10 ** 30),
+        ("wmr", "horizon", 1020)])
+    def test_a_run_too_large_to_hold_exits_2_and_writes_nothing(self, tmp_path, capsys, plant,
+                                                                key, value):
+        # Sizes that fail at once even unchecked; past N = 1019 the robot's
+        # terminal weight is not finite.
+        raw = ExperimentConfig("big", plant, 5, 2).to_dict()
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and key in error["message"]
+        assert not out.exists()
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text(json.dumps(cart_config(config_id="a").to_dict()))
@@ -517,6 +552,37 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["c1_seconds"] > 0 and payload["c2_seconds"] > 0
         assert payload["predicted_seconds"]["serial_bound"] > 0
+
+
+# One field of a shipped config set to a bad value, at the top level, in the
+# sampler, in model_overrides or in a robot obstacle, or under a new key.
+BAD_VALUES = [None, True, False, -1, -2.5, float("nan"), 1e308, -1e308, 10 ** 400, "", "7",
+              "halton", [[1.0], [2.0, 3.0]], [[[0.0]]]]
+FUZZ_KEYS = {
+    "config": [f.name for f in fields(ExperimentConfig)],
+    "sampler": ["scheme", "seed"],
+    "model_overrides": sorted({f.name for p in (CartSpringParams, BuckBoostParams, WmrParams)
+                               for f in fields(p)} | {"terminal_level"}),
+    "obstacle": ["center", "radius", "axes"],
+}
+
+
+class TestLoaderFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.sampled_from(CONFIG_PATHS), st.sampled_from(sorted(FUZZ_KEYS)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_config_with_one_bad_field_loads_or_raises_config_error(self, path, where, data):
+        raw = json.loads(path.read_text())
+        target = {"config": raw, "sampler": raw.setdefault("sampler", {}),
+                  "model_overrides": raw.setdefault("model_overrides", {})}.get(where)
+        if target is None:
+            target = raw["model_overrides"]["obstacle"] = {"center": [0.0, 3.0], "radius": 1.0}
+        key = data.draw(st.sampled_from(FUZZ_KEYS[where] + ["unknown"]))
+        target[key] = data.draw(st.sampled_from(BAD_VALUES))
+        try:
+            ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            pass
 
 
 class TestShippedConfigs:

@@ -17,15 +17,16 @@ from sampled_nmpc import (
     PlantModel,
     SolverConfig,
     check_feasible,
+    closed_loop,
     evaluate_cost,
     improve_plan,
     make_benchmark,
     rollout,
     shift_plan,
 )
-from sampled_nmpc.core import _quadratic_rows, fold_costs
+from sampled_nmpc.core import _quadratic_rows, as_vector, fold_costs
 from sampled_nmpc.errors import ContractViolationError
-from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_TERMINAL_LEVEL, PLANT_IDS
+from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_P, CART_TERMINAL_LEVEL, PLANT_IDS
 from test_models import ellipsoid_value
 
 TS, RHO0, MASS, DAMPING = 0.4, 0.33, 1.0, 1.1
@@ -275,6 +276,28 @@ class TestQuadraticRows:
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    # The d @ W products come from the linked BLAS, which may fuse multiplies
+    # and adds, so their bits need not be those of left-to-right products; a
+    # row's bits must still be the same alone, in a batch of any width and in
+    # a stacked (T, B, k) call.  This is what makes j_sub equal a fresh
+    # evaluate_cost bit for bit.
+    @given(st.sampled_from(PLANT_IDS), st.just(1024) | st.integers(1, 1100),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_a_row_has_the_same_bits_alone_in_any_batch_and_stacked(self, plant, width, seed):
+        cost = make_benchmark(plant, 3, None).cost
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(width, min(width, 8), replace=False)
+        for w in (cost.stage_state_weights, cost.stage_input_weights, cost.terminal_weight[None]):
+            d = rng.standard_normal((w.shape[0], width, w.shape[-1]))
+            d *= 10.0 ** rng.integers(-3, 4, d.shape)
+            stacked = _quadratic_rows(d, w)
+            for t in range(w.shape[0]):
+                batch = _quadratic_rows(d[t], w[t])
+                alone = [_quadratic_rows(d[t, b:b + 1], w[t])[0] for b in rows]
+                assert batch.tobytes() == stacked[t].tobytes()
+                assert np.array(alone).tobytes() == batch[rows].tobytes()
+
     @pytest.mark.parametrize("width", [1, 64, 1024])
     def test_a_row_of_negative_zeros_sums_to_positive_zero(self, width):
         d = np.tile([-0.0, -0.0], (width, 1))
@@ -416,11 +439,23 @@ class TestTypeInvariants:
         (lambda b: EllipsoidSet(np.zeros(2), np.eye(2), "x"), "ellipsoid level"),
         (lambda b: ObstacleSet(np.zeros(2), "r"), "obstacle radius"),
         (lambda b: ObstacleSet(np.zeros(2), 1.0, "a"), "obstacle axes"),
+        # Numeric strings and bools are no numbers either, as in a config.
+        (lambda b: Plan([["1.5"]]), "plan"),
+        (lambda b: Plan([[True]]), "plan"),
+        (lambda b: as_vector(["1", "2"]), "vector"),
+        (lambda b: BoxSet(["-1"], ["1"]), "box lower"),
+        (lambda b: EllipsoidSet(np.zeros(2), CART_P, "4.7"), "ellipsoid level"),
+        (lambda b: CostSpec.constant("1", "1", "2", 3), "stage state weight q"),
+        (lambda b: closed_loop(b.model, b.constraints, b.cost, SolverConfig(horizon=3),
+                               ["0.1", "0"], 1), "initial state"),
     ], ids=["reference-string", "reference-ragged", "terminal-weight-strings",
             "ellipsoid-shape-strings", "ellipsoid-center-ragged", "rollout-string",
             "rollout-overflow", "shift-string", "improve-string", "equilibrium-string",
             "plan-string", "plan-ragged", "box-strings", "ellipsoid-level-string",
-            "obstacle-radius-string", "obstacle-axes-string"])
+            "obstacle-radius-string", "obstacle-axes-string", "plan-numeric-string",
+            "plan-bool", "as-vector-numeric-strings", "box-numeric-strings",
+            "ellipsoid-level-numeric-string", "cost-constant-numeric-strings",
+            "closed-loop-numeric-strings"])
     def test_malformed_numbers_raise_the_typed_error_naming_the_argument(self, build, name):
         with pytest.raises(ContractViolationError, match=name):
             build(make_benchmark("cart-spring", 3, None))

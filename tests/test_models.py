@@ -15,6 +15,7 @@ from sampled_nmpc import (
     terminal_set,
 )
 from sampled_nmpc.core import BoxSet, _quadratic_rows
+from sampled_nmpc import models
 from sampled_nmpc.errors import ConfigError
 from sampled_nmpc.models import (
     BUCK_TERMINAL_LEVEL,
@@ -283,6 +284,34 @@ class TestBenchmarkAssembly:
     def test_malformed_horizon_rejected(self, horizon):
         with pytest.raises(ConfigError, match="horizon"):
             make_benchmark("cart-spring", horizon)
+
+    def test_the_robot_horizon_ends_where_its_terminal_weight_is_finite(self):
+        # The terminal weight is 50 * 2^(N - 1) * Q: finite up to N = 1019.
+        # Tier-1 raises any RuntimeWarning, so 1019 builds without one.
+        p = make_benchmark("wmr", 1019).cost.terminal_weight
+        assert np.isfinite(p).all() and p[0, 0] == 50.0 * 2.0 ** 1018
+        for horizon in (1020, 1024, 1025):
+            with pytest.raises(ConfigError, match="horizon"):
+                make_benchmark("wmr", horizon)
+
+    @pytest.mark.parametrize("plant", PLANT_IDS)
+    def test_the_cost_weight_stacks_are_bounded_by_the_size_limit(self, monkeypatch, plant):
+        # N (n^2 + m^2) floats: a limit of ten stages' worth takes N = 10, not 11.
+        model = make_benchmark(plant, 1).model
+        monkeypatch.setattr(models, "_MAX_FLOATS", 10 * (model.n ** 2 + model.m ** 2))
+        assert make_benchmark(plant, 10).cost.horizon == 10
+        with pytest.raises(ConfigError, match="horizon"):
+            make_benchmark(plant, 11)
+
+    @pytest.mark.parametrize("plant, overrides", [
+        ("buck-boost", {"ts": 1e308}), ("buck-boost", {"v_s": 1e308}),
+        ("buck-boost", {"r_l": 1e308}), ("cart-spring", {"mass": 1e-320})])
+    def test_an_override_giving_a_non_finite_constant_is_named(self, plant, overrides):
+        # The time step, the equilibrium and the conductance terms overflow;
+        # no RuntimeWarning escapes on the way (tier-1 raises them).
+        name, = overrides
+        with pytest.raises(ConfigError, match=name):
+            make_benchmark(plant, 5, overrides)
 
     @given(st.sampled_from(PLANT_IDS), st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
