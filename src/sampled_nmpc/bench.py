@@ -171,7 +171,8 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
         # The sets and the plan built here raise ContractViolationError, a ValueError.
         bench = make_benchmark(config.plant, config.horizon, config.model_overrides)
         mode = config.warm_start_mode or bench.default_warm_start_mode
-        initial_plan = None if config.initial_plan is None else Plan(config.initial_plan)
+        initial_plan = None if config.initial_plan is None else Plan(_floats(
+            config.initial_plan, "initial_plan", (None, bench.model.m), ConfigError))
         solver_cfg = SolverConfig(
             horizon=config.horizon,
             samples_per_step=config.samples_per_step,
@@ -188,13 +189,15 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
     if mode == "terminal-controller" and bench.model.terminal_law is None:
         raise ConfigError(
             f"warm_start_mode terminal-controller: plant {config.plant} has no terminal law")
-    # The solve's (N + 1, R, n) and (N, R, m) tensors and one oracle batch,
-    # in floats; make_benchmark bounds the cost weight stacks.
+    # The solve's (N + 1, R, n) and (N, R, m) tensors, one oracle batch and
+    # the closed loop's (steps + 1, n) state log, in floats; make_benchmark
+    # bounds the cost weight stacks.
     width, big_n = bench.model.n + bench.model.m, solver_cfg.horizon
     for names, what, floats in (
             ("samples_per_step and horizon", "the solve tensors",
              sum(solver_cfg.sample_counts) * (big_n + 1) * width),
-            ("horizon", "an oracle batch", _ORACLE_BATCH * big_n * width)):
+            ("horizon", "an oracle batch", _ORACLE_BATCH * big_n * width),
+            ("steps", "the state log", (config.steps + 1) * bench.model.n)):
         if floats > _MAX_FLOATS:
             raise ConfigError(f"{names}: {what} would hold {floats} floats, over the limit "
                               f"of {_MAX_FLOATS}")

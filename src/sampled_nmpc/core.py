@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,39 +83,33 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return _floats(v, name, (dim,))
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    if not np.all(np.abs(m - m.T) <= _SYM_TOL):
-        raise ContractViolationError(f"{name} must be symmetric to {_SYM_TOL}")
-
-
-def _matrices(mats, name: str) -> tuple[np.ndarray, ...]:
-    """Matrices as float64 arrays, each checked as ``name[j]``; finiteness is
-    left to ``_symmetric_stack``, one pass over the stack."""
+def _weights(mats, name: str, k: Optional[int] = None,
+             floor: float = math.ulp(0.0)) -> np.ndarray:
+    """The one rule for a weight matrix: ``mats``, a nonempty sequence of
+    (k, k) matrices (k from the first when not given), as a (N, k, k)
+    float64 stack, else ContractViolationError naming the first offending
+    entry as ``name[j]``.  Each entry is coerced by ``_floats``, then one
+    pass over the stack per test, in order: finite, symmetric to
+    ``_SYM_TOL``, and a least eigenvalue of at least ``floor`` (the least
+    positive float by default, so positive definite; -``_SYM_TOL`` for Q)."""
     try:
         mats = tuple(mats)
-    except TypeError:
-        raise ContractViolationError(f"{name} must be a sequence of matrices, got {mats!r}") from None
-    return tuple(_floats(w, f"{name}[{j}]", (None, None), finite=False) for j, w in enumerate(mats))
-
-
-def _symmetric_stack(mats: Sequence[np.ndarray], k: int, name: str) -> np.ndarray:
-    """Stack (k, k) matrices into one (N, k, k) array, checking their shapes,
-    then the stack's finiteness and symmetry in one pass each; an error names
-    the first offending index, as ``name[j]``."""
-    for j, mat in enumerate(mats):
-        if mat.shape != (k, k):
-            raise ContractViolationError(f"{name}[{j}] must have shape ({k}, {k}), got {mat.shape}")
-    stack = np.stack(mats)
-    _name_first(~np.isfinite(stack).all(axis=(1, 2)), name, "must be finite")
-    _name_first(~(np.abs(stack - stack.transpose(0, 2, 1)) <= _SYM_TOL).all(axis=(1, 2)), name,
-                f"must be symmetric to {_SYM_TOL}")
+        first = mats[0]
+    except (TypeError, IndexError):
+        raise ContractViolationError(
+            f"{name} must be a nonempty sequence of matrices, got {mats!r}") from None
+    k = _floats(first, f"{name}[0]", (None, None), finite=False).shape[0] if k is None else k
+    stack = np.stack([_floats(w, f"{name}[{j}]", (k, k), finite=False) for j, w in enumerate(mats)])
+    for what, holds in (
+            ("must be finite", lambda: np.isfinite(stack).all(axis=(1, 2))),
+            (f"must be symmetric to {_SYM_TOL}",
+             lambda: (np.abs(stack - stack.transpose(0, 2, 1)) <= _SYM_TOL).all(axis=(1, 2))),
+            (f"must be positive {'definite' if floor > 0.0 else 'semidefinite'}",
+             lambda: np.linalg.eigvalsh(stack).min(axis=1) >= floor)):
+        ok = holds()
+        if not ok.all():
+            raise ContractViolationError(f"{name}[{int(np.argmin(ok))}] {what}")
     return stack
-
-
-def _name_first(bad: np.ndarray, name: str, what: str) -> None:
-    """Raise for the first index where ``bad`` holds, as ``name[j] what``."""
-    if bad.any():
-        raise ContractViolationError(f"{name}[{int(np.argmax(bad))}] {what}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -261,15 +255,12 @@ class EllipsoidSet:
 
     def __post_init__(self):
         c = as_vector(self.center, name="ellipsoid center")
-        s = _floats(self.shape, "ellipsoid shape", c.shape * 2)
-        _check_symmetric(s, "ellipsoid shape")
-        if np.min(np.linalg.eigvalsh(s)) <= 0.0:
-            raise ContractViolationError("ellipsoid shape must be positive definite")
+        s = _weights([self.shape], "ellipsoid shape", c.shape[0])[0]
         level = float(_floats(self.level, "ellipsoid level", ()))
         if not level > 0.0:
             raise ContractViolationError("ellipsoid level must be positive")
         object.__setattr__(self, "center", _frozen(c))
-        object.__setattr__(self, "shape", _frozen(s.copy()))
+        object.__setattr__(self, "shape", _frozen(s))
         object.__setattr__(self, "level", level)
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -371,22 +362,14 @@ class CostSpec:
     reference: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        qs = _matrices(self.stage_state_weights, "stage_state_weights")
-        rs = _matrices(self.stage_input_weights, "stage_input_weights")
-        if len(qs) != len(rs) or len(qs) < 1:
-            raise ContractViolationError("need equal, nonzero counts of Q and R stage weights")
-        n = qs[0].shape[0]
-        m = rs[0].shape[0]
-        q_stack = _symmetric_stack(qs, n, "Q")
-        r_stack = _symmetric_stack(rs, m, "R")
-        _name_first(np.linalg.eigvalsh(q_stack).min(axis=1) < -_SYM_TOL, "Q",
-                    "must be positive semidefinite")
-        _name_first(np.linalg.eigvalsh(r_stack).min(axis=1) <= 0.0, "R",
-                    "must be positive definite")
-        p = _floats(self.terminal_weight, "terminal weight", (n, n))
-        _check_symmetric(p, "terminal weight")
-        if np.min(np.linalg.eigvalsh(p)) <= 0.0:
-            raise ContractViolationError("terminal weight must be positive definite")
+        q_stack = _weights(self.stage_state_weights, "stage_state_weights", floor=-_SYM_TOL)
+        r_stack = _weights(self.stage_input_weights, "stage_input_weights")
+        if len(q_stack) != len(r_stack):
+            raise ContractViolationError(
+                f"stage_state_weights and stage_input_weights must have equal counts, "
+                f"got {len(q_stack)} and {len(r_stack)}")
+        n, m = q_stack.shape[1], r_stack.shape[1]
+        p = _weights([self.terminal_weight], "terminal weight", n)[0]
         try:
             x_ref, u_ref = self.reference
         except (TypeError, ValueError):
@@ -396,7 +379,7 @@ class CostSpec:
         u_ref = as_vector(u_ref, m, "input reference")
         object.__setattr__(self, "stage_state_weights", _frozen(q_stack))
         object.__setattr__(self, "stage_input_weights", _frozen(r_stack))
-        object.__setattr__(self, "terminal_weight", _frozen(p.copy()))
+        object.__setattr__(self, "terminal_weight", _frozen(p))
         object.__setattr__(self, "reference", (_frozen(x_ref), _frozen(u_ref)))
 
     @classmethod

@@ -120,7 +120,9 @@ class TestExperimentConfig:
                                              ("initial_plan", [[1.0], [True]]),
                                              ("initial_state", [float("nan"), 0.0]),
                                              ("initial_plan", [[1.0], [-float("inf")]]),
-                                             ("initial_state", [10 ** 400, 0.0])])
+                                             ("initial_state", [10 ** 400, 0.0]),
+                                             ("initial_plan", [[0.0]] * 3),
+                                             ("initial_plan", [[0.0, 1.0]] * 10)])
     def test_malformed_initial_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             cart_config(**{name: value})
@@ -152,6 +154,10 @@ class TestExperimentConfig:
         assert cart_config(samples_per_step=1).samples_per_step == 1
         with pytest.raises(ConfigError, match="^samples_per_step and horizon: the solve"):
             cart_config(samples_per_step=94)  # 940 * 33 = 31020 floats
+        # The closed loop's state log holds (steps + 1) * 2 floats.
+        assert cart_config(steps=15359).steps == 15359
+        with pytest.raises(ConfigError, match="^steps: the state log"):
+            cart_config(steps=15360)
         monkeypatch.setattr(bench_module, "_MAX_FLOATS", 30719)
         with pytest.raises(ConfigError, match="^horizon: an oracle batch"):
             cart_config(samples_per_step=1)
@@ -332,6 +338,18 @@ class TestValidate:
         violations = validate_run(artifacts.run_dir)
         assert [(v["k"], v["kind"]) for v in violations] == [(1, "resimulation")]
 
+    def test_out_of_bound_input_detected(self, tmp_path):
+        # the cart's input box is |u| <= 4.5
+        artifacts = run_experiment(cart_config(), str(tmp_path))
+        text = artifacts.csv_path.read_text().splitlines()
+        parts = text[2].split(",")
+        parts[3] = "4.6"
+        text[2] = ",".join(parts)
+        artifacts.csv_path.write_text("\n".join(text) + "\n")
+        violations = validate_run(artifacts.run_dir)
+        assert [(v["k"], v["kind"]) for v in violations] == [(1, "input-bound"),
+                                                               (1, "resimulation")]
+
     def test_corrupted_final_state_detected(self, tmp_path):
         artifacts = run_experiment(cart_config(), str(tmp_path))
         summary = json.loads(artifacts.summary_path.read_text())
@@ -358,7 +376,7 @@ class TestCli:
         ("config.resolved.json", None), ("steps.csv", None), ("summary.json", None),
         ("summary.json", "{not json"), ("steps.csv", "k,x0\n0,1.0\n"),
         ("summary.json", "{}"), ("summary.json", '{"final_state": ["a", "b"]}'),
-        ("summary.json", '{"final_state": [0.0]}')])
+        ("summary.json", '{"final_state": [0.0]}'), ("summary.json", "[]")])
     def test_validate_of_an_incomplete_run_exits_2(self, tmp_path, capsys, name, damage):
         path = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -375,6 +393,14 @@ class TestCli:
         incomplete.write_text("{}")
         assert cli_main(["run", "--config", str(incomplete)]) == 2
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+        listed = tmp_path / "listed.json"
+        listed.write_text("[]")
+        assert cli_main(["run", "--config", str(listed)]) == 2
+        good = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(good), "--config", str(good),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_infeasible_run_exits_3(self, tmp_path):
         path = self.write_config(tmp_path, initial_state=(2.64, 3.0), oracle_budget=8)
@@ -414,7 +440,7 @@ class TestCli:
 
     @pytest.mark.parametrize("plant, key, value", [
         ("cart-spring", "samples_per_step", 10 ** 30), ("wmr", "samples_per_step", 10 ** 30),
-        ("wmr", "horizon", 1020)])
+        ("wmr", "horizon", 1020), ("cart-spring", "steps", 10 ** 30)])
     def test_a_run_too_large_to_hold_exits_2_and_writes_nothing(self, tmp_path, capsys, plant,
                                                                 key, value):
         # Sizes that fail at once even unchecked; past N = 1019 the robot's
@@ -487,7 +513,8 @@ class TestCli:
         ("time_budget_ms", True), ("time_budget_ms", "5"), ("config_id", 5),
         ("config_id", ""), ("out_dir", 5), ("time_budget_ms", float("nan")),
         ("model_overrides", {"ts": float("nan")}), ("initial_state", [float("inf"), 0.0]),
-        ("initial_state", [10 ** 400, 0.0]), ("model_overrides", {"ts": 10 ** 400})])
+        ("initial_state", [10 ** 400, 0.0]), ("model_overrides", {"ts": 10 ** 400}),
+        ("initial_plan", [[0.0]] * 3), ("initial_plan", [[0.0, 1.0]] * 10)])
     def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
         # 10 ** 400 is written as a 401-digit JSON integer, too large for a float.
         raw = cart_config().to_dict()

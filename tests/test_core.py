@@ -448,6 +448,15 @@ class TestTypeInvariants:
         (lambda b: CostSpec.constant("1", "1", "2", 3), "stage state weight q"),
         (lambda b: closed_loop(b.model, b.constraints, b.cost, SolverConfig(horizon=3),
                                ["0.1", "0"], 1), "initial state"),
+        # Numbers out of their range, and arguments that disagree.
+        (lambda b: ObstacleSet(np.zeros(2), 0.0), "obstacle radius"),
+        (lambda b: ObstacleSet(np.zeros(2), -1.0), "obstacle radius"),
+        (lambda b: ConstraintSpec(b.constraints.state_box, b.constraints.input_box, (),
+                                  EllipsoidSet(np.zeros(3), np.eye(3), 1.0)), "terminal set"),
+        (lambda b: improve_plan(np.zeros(2), Plan(np.zeros((2, 1))), b.model, b.constraints,
+                                b.cost, SolverConfig(horizon=3)), "warm start has horizon 2"),
+        (lambda b: improve_plan(np.zeros(2), Plan(np.zeros((4, 1))), b.model, b.constraints,
+                                b.cost, SolverConfig(horizon=4)), "cost horizon"),
     ], ids=["reference-string", "reference-ragged", "terminal-weight-strings",
             "ellipsoid-shape-strings", "ellipsoid-center-ragged", "rollout-string",
             "rollout-overflow", "shift-string", "improve-string", "equilibrium-string",
@@ -455,7 +464,8 @@ class TestTypeInvariants:
             "obstacle-radius-string", "obstacle-axes-string", "plan-numeric-string",
             "plan-bool", "as-vector-numeric-strings", "box-numeric-strings",
             "ellipsoid-level-numeric-string", "cost-constant-numeric-strings",
-            "closed-loop-numeric-strings"])
+            "closed-loop-numeric-strings", "obstacle-radius-zero", "obstacle-radius-negative",
+            "terminal-set-dimension", "warm-start-horizon", "cost-horizon"])
     def test_malformed_numbers_raise_the_typed_error_naming_the_argument(self, build, name):
         with pytest.raises(ContractViolationError, match=name):
             build(make_benchmark("cart-spring", 3, None))
@@ -568,16 +578,18 @@ class TestTypeInvariants:
                             "stage_state_weights[0]"),
                            ((5, ([[1.0]],) * 2, np.eye(2), ref), "stage_state_weights"),
                            ((eye, 5, np.eye(2), ref), "stage_input_weights"),
-                           ((eye, ([[1.0]],) * 2, np.eye(2), (np.zeros(2),)), "reference")]:
+                           ((eye, ([[1.0]],) * 2, np.eye(2), (np.zeros(2),)), "reference"),
+                           ((eye, ([[1.0]],) * 3, np.eye(2), ref), "equal counts, got 2 and 3"),
+                           (((), (), np.eye(2), ref), "stage_state_weights must be a nonempty")]:
             with pytest.raises(ContractViolationError, match=re.escape(name)):
                 CostSpec(*args)
 
     @pytest.mark.parametrize("which,bad,message", [
-        ("Q", np.diag([1.0, -1.0]), "Q[3] must be positive semidefinite"),
-        ("Q", np.array([[1.0, 0.5], [0.0, 1.0]]), "Q[3] must be symmetric"),
-        ("Q", np.array([[1.0, np.nan], [np.nan, 1.0]]), "Q[3] must be finite"),
-        ("Q", np.eye(3), "Q[3] must have shape (2, 2)"),
-        ("R", np.array([[0.0]]), "R[3] must be positive definite"),
+        ("Q", np.diag([1.0, -1.0]), "stage_state_weights[3] must be positive semidefinite"),
+        ("Q", np.array([[1.0, 0.5], [0.0, 1.0]]), "stage_state_weights[3] must be symmetric"),
+        ("Q", np.array([[1.0, np.nan], [np.nan, 1.0]]), "stage_state_weights[3] must be finite"),
+        ("Q", np.eye(3), "stage_state_weights[3] must have shape (2, 2)"),
+        ("R", np.array([[0.0]]), "stage_input_weights[3] must be positive definite"),
     ], ids=["not-psd", "asymmetric", "not-finite", "wrong-shape", "r-not-pd"])
     def test_cost_spec_names_the_first_offending_stage_weight(self, which, bad, message):
         qs, rs = [np.eye(2)] * 6, [np.eye(1)] * 6
@@ -585,6 +597,30 @@ class TestTypeInvariants:
         stack[3] = stack[5] = bad
         with pytest.raises(ContractViolationError, match=re.escape(message)):
             CostSpec(qs, rs, np.eye(2), (np.zeros(2), np.zeros(1)))
+
+    @pytest.mark.parametrize("where, weight, accepted", [
+        ("Q", np.diag([1.0, -1e-12]), True), ("Q", np.diag([1.0, -1.1e-12]), False),
+        ("Q", np.diag([1.0, 0.0]), True),
+        ("R", [[5e-324]], True), ("R", [[0.0]], False),
+        ("P", np.diag([1.0, 5e-324]), True), ("P", np.diag([1.0, 0.0]), False),
+        ("S", np.diag([1.0, 5e-324]), True), ("S", np.diag([1.0, 0.0]), False),
+    ] + [(where, [[1.0, gap], [0.0, 1.0]], gap == 1e-12)
+         for where in "QPS" for gap in (1e-12, 2e-12)])
+    def test_the_weight_rule_keeps_its_bounds(self, where, weight, accepted):
+        # Q down to a least eigenvalue of -1e-12 inclusive; R, P and the
+        # ellipsoid shape only above 0.0; asymmetry up to 1e-12 inclusive.
+        build, name = {
+            "Q": (lambda w: CostSpec.constant(w, [[1.0]], np.eye(2), 3), "stage_state_weights[0]"),
+            "R": (lambda w: CostSpec.constant(np.eye(2), w, np.eye(2), 3),
+                  "stage_input_weights[0]"),
+            "P": (lambda w: CostSpec.constant(np.eye(2), [[1.0]], w, 3), "terminal weight"),
+            "S": (lambda w: EllipsoidSet(np.zeros(2), w, 1.0), "ellipsoid shape"),
+        }[where]
+        if accepted:
+            build(weight)
+        else:
+            with pytest.raises(ContractViolationError, match=re.escape(name)):
+                build(weight)
 
     @pytest.mark.parametrize("plant", PLANT_IDS)
     def test_cost_spec_rebuilt_from_its_fields_prices_the_same(self, plant):

@@ -1150,7 +1150,8 @@ class TestSolverConfigValidation:
         ("time_budget", True), ("time_budget", "5"), ("time_budget", [1.0]),
         ("initial_plan", [[0.0], [0.0], [0.0]]), ("initial_plan", np.zeros((3, 1))),
         ("sampler", "halton"), ("sampler", {"scheme": "random"}),
-        pytest.param("time_budget", 10 ** 400, id="time_budget-10**400")])
+        pytest.param("time_budget", 10 ** 400, id="time_budget-10**400"),
+        pytest.param("initial_plan", Plan(np.zeros((2, 1))), id="initial_plan-horizon-2")])
     def test_rejects_wrong_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"horizon": 3, field: value})
