@@ -25,7 +25,7 @@ from .core import Plan, _floats, _integer
 from .errors import ConfigError, SampledNmpcError
 from .models import _MAX_FLOATS, Benchmark, make_benchmark
 from .sampling import SamplerConfig
-from .solver import _ORACLE_BATCH, RunLog, SolverConfig, closed_loop
+from .solver import _ORACLE_BATCH, _RECORD_FLOATS, RunLog, SolverConfig, closed_loop
 
 __all__ = [
     "ExperimentConfig",
@@ -190,14 +190,15 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
         raise ConfigError(
             f"warm_start_mode terminal-controller: plant {config.plant} has no terminal law")
     # The solve's (N + 1, R, n) and (N, R, m) tensors, one oracle batch and
-    # the closed loop's (steps + 1, n) state log, in floats; make_benchmark
-    # bounds the cost weight stacks.
+    # the closed loop's log, its (steps + 1, n) state log and one StepRecord
+    # per step, in floats; make_benchmark bounds the cost weight stacks.
     width, big_n = bench.model.n + bench.model.m, solver_cfg.horizon
     for names, what, floats in (
             ("samples_per_step and horizon", "the solve tensors",
              sum(solver_cfg.sample_counts) * (big_n + 1) * width),
             ("horizon", "an oracle batch", _ORACLE_BATCH * big_n * width),
-            ("steps", "the state log", (config.steps + 1) * bench.model.n)):
+            ("steps", "the state log and step records",
+             (config.steps + 1) * bench.model.n + config.steps * _RECORD_FLOATS)):
         if floats > _MAX_FLOATS:
             raise ConfigError(f"{names}: {what} would hold {floats} floats, over the limit "
                               f"of {_MAX_FLOATS}")

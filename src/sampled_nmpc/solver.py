@@ -14,9 +14,12 @@ solve's samples come from one ``draw_blocks`` call, in the sweep's order.
 The solve holds one (N, R, m) input tensor and one (N + 1, R, n) state
 tensor, indexed by absolute time, with R = sum_j n_j rows, highest position
 first; row b holds the reference inputs except its own sample at its
-position.  Both start as the reference.  Every kernel gives a row the same
-bits whatever the batch around it, so a row repeats the reference states up
-to its start: its own position before its first round, the last accepted
+position.  Both start as the warm start.  The reference is the warm start
+until a row is accepted and the last accepted row after, so the solve keeps
+no other copy of it and returns that row's inputs and states, or the warm
+start's own when it accepts none.  Every kernel gives a row the same bits
+whatever the batch around it, so a row repeats the reference states up to
+its start: its own position before its first round, the last accepted
 position after it.
 
 Each round steps all its rows from the round's lowest start to the
@@ -29,8 +32,10 @@ with a strictly cheaper feasible row accepts its cheapest, which decides
 every position down to it as the sequential sweep does; a round with no
 such row decides all its positions.  No input below an accepted j_a changes
 again, so the undecided rows keep their states, first violations and
-running costs up to j_a: j_a's input is written into them, and j_a becomes
-their start (a row whose first violation is at or before j_a keeps it).
+running costs up to j_a: the accepted row's input at j_a is written into
+them, and j_a becomes their start (a row whose first violation is at or
+before j_a keeps it).  No later round writes a decided row, so the accepted
+row keeps its plan and its trajectory.
 One width rule, ``_round_width``, takes positions from the top while their
 rows times N minus their lowest start stay within ``_ROUND_ROW_STEPS``, and
 at least one.  The first round holds every position, so it steps all R
@@ -69,8 +74,9 @@ live sequences.  ``improve_plan``'s entry ``check_feasible`` of the warm
 start's trajectory is the one certificate of every warm start (a first
 period left unimproved is the same solve with no samples), and the sweep's
 masks certify each candidate it accepts.  A plan built here carries the
-trajectory its model stepped: the oracle's batch row, a solve's reference,
-or the previous prediction shifted plus one step of the appended input.
+trajectory its model stepped: the oracle's batch row, a solve's last
+accepted row, or the previous prediction shifted plus one step of the
+appended input.
 The entry check takes it when the model object is the same and x is its
 first state bit for bit, and rolls the plan out otherwise (a caller's plan,
 another model, a measured state off the prediction); every kernel gives a
@@ -155,6 +161,12 @@ _APPEND_BATCH = 256
 # prices its rows in groups rather than in one fold because a one-fold
 # first round made the cart_horizon_100 closed loop 1.12 times slower.
 _ROUND_ROW_STEPS = 4096
+# The memory one closed-loop step's StepRecord keeps, in floats: the frozen
+# object and its attribute dict, two small arrays and the boxed numbers.
+# Under tracemalloc (CPython 3.11, numpy 2.4) a run's log grew by 481-537
+# bytes per step beyond its state log on the three plants at N = 10; 80
+# floats are 640 bytes.
+_RECORD_FLOATS = 80
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,9 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     The warm start's trajectory from x (the one it carries, see the module
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
-    ``fold_costs`` give the reference and its running costs.  All samples
+    ``fold_costs`` give the reference and its running costs, and a warm
+    start whose cost is not finite (a plant or a cost whose arithmetic
+    overflows) is refused with ContractViolationError.  All samples
     are drawn in one call.  Each round steps all its rows from its lowest
     start, masks and prices them, and the highest position with a strictly
     cheaper feasible row accepts its cheapest.  The first round holds every
@@ -290,6 +304,10 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     return _solve(x, warm, model, constraints, cost, cfg, cfg.sample_counts, sampler_state)
 
 
+# Rows that leave the state set, and a plant whose arithmetic overflows, step
+# on silently: the masks exclude such rows, and the entry check refuses such a
+# warm start.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: ConstraintSpec,
            cost: CostSpec, cfg: SolverConfig, counts: Sequence[int],
            sampler_state: Optional[SamplerState]) -> SolveResult:
@@ -312,11 +330,12 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
     # Row t of the running costs is the stage costs 0..t-1, the last row the cost.
     ref_run = fold_costs(cost, 0, 0.0, warm_states[:, np.newaxis], warm.inputs[:, np.newaxis])
+    j_ref = ref_run[-1, 0]
+    if not np.isfinite(j_ref):
+        raise ContractViolationError(f"warm start cost is not finite: {j_ref}")
     if sampler_state is None:
         sampler_state = SamplerState(cfg.sampler)
-    ref_inputs = warm.inputs.copy()
-    ref_states = warm_states.copy()
-    j_ref = ref_run[-1, 0]
+    best = None  # the column of the last accepted row, which holds the reference
 
     positions = [j for j in range(len(counts) - 1, -1, -1) if counts[j]]
     f_evals = cost_evals = improvements = 0
@@ -338,9 +357,9 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
         # of positions[i] step next.
         block = [0, *itertools.accumulate(sizes)]
         pos = np.repeat(positions, sizes)
-        us = np.repeat(ref_inputs[:, np.newaxis], block[-1], axis=1)
+        us = np.repeat(warm.inputs[:, np.newaxis], block[-1], axis=1)
         us[pos, np.arange(block[-1])] = samples
-        xs = np.repeat(ref_states[:, np.newaxis], block[-1], axis=1)
+        xs = np.repeat(warm_states[:, np.newaxis], block[-1], axis=1)
         viol = np.full(block[-1], big_n + 1)
         run = np.repeat(ref_run, block[-1], axis=1)
         start = positions.copy()
@@ -356,11 +375,10 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
                 break
             viol[rows] = np.where(viol[rows] <= t0, viol[rows], t0 + 1 + ok.argmin(axis=0))
             h = lo
-            with np.errstate(over="ignore", invalid="ignore"):  # rows that left the state set
-                while h < hi:  # price the rows in groups, each from its lowest start
-                    g, h = h, _round_width(block, start, h, big_n)
-                    j, grp = start[h - 1], slice(block[g], block[h])
-                    run[j:, grp] = fold_costs(cost, j, run[j, grp], xs[j:, grp], us[j:, grp])
+            while h < hi:  # price the rows in groups, each from its lowest start
+                g, h = h, _round_width(block, start, h, big_n)
+                j, grp = start[h - 1], slice(block[g], block[h])
+                run[j:, grp] = fold_costs(cost, j, run[j, grp], xs[j:, grp], us[j:, grp])
             totals = run[-1, rows]
             better = np.flatnonzero((viol[rows] > big_n) & (totals < j_ref))
             if better.size:
@@ -373,11 +391,9 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
                 lo = positions.index(j_a, lo) + 1
                 better = better[better < block[lo] - rows.start]
                 win = better[np.argmin(totals[better])]
-                ref_inputs[j_a] = us[j_a, rows.start + win]
-                ref_states[j_a + 1:] = xs[j_a + 1:, rows.start + win]
-                j_ref = totals[win]
+                best, j_ref = rows.start + win, totals[win]
                 improvements += 1
-                us[j_a, block[lo]:] = ref_inputs[j_a]
+                us[j_a, block[lo]:] = us[j_a, best]
                 start[lo:] = [j_a] * (len(positions) - lo)
             else:
                 lo = hi
@@ -389,8 +405,9 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
         f_evals = int(np.sum(np.minimum(viol[swept], big_n) - pos[swept]))
         cost_evals = int(np.count_nonzero(viol[swept] > big_n))
 
-    ref_states.setflags(write=False)
-    return SolveResult(plan=_SteppedPlan(ref_inputs, ref_states, model), states=ref_states,
+    plan, states = ((warm.inputs, warm_states) if best is None
+                    else (us[:, best], _frozen(xs[:, best].copy())))
+    return SolveResult(plan=_SteppedPlan(plan, states, model), states=states,
                        j_sub=float(j_ref), f_evals=f_evals, cost_evals=cost_evals,
                        improvements=improvements, elapsed=time.perf_counter() - t_start,
                        budget_hit=budget_hit)
@@ -447,18 +464,18 @@ def _search(x: np.ndarray, stream: SamplerState, sizes: Iterator[int], budget: i
     A batch of at most ``_ORACLE_PROBE`` rows steps the whole horizon and is
     masked at once (``_step_rows``).  More rows mask each step's newest
     states and keep a running alive mask; once at most half of the rows held
-    are alive, only the alive ones are kept, in order, with their states so
-    far, and once at most ``_ORACLE_PROBE`` are kept ``_step_rows`` finishes
-    them.  A batch whose rows have all failed ends at once.  Every kernel
-    gives a row the same bits whatever the batch, so the states are the
-    row's rollout and the result does not depend on the batching."""
+    are alive, only the alive ones are kept, in order, with their inputs and
+    their states so far, and once at most ``_ORACLE_PROBE`` are kept
+    ``_step_rows`` finishes them.  A batch whose rows have all failed ends at
+    once; else the first alive row holds the sequence found, which is
+    returned.  Every kernel gives a row the same bits whatever the batch, so
+    the states are the row's rollout and the result does not depend on the
+    batching."""
     while budget > 0:
         batch = min(budget, next(sizes))
         budget -= batch
-        sequences = draw_samples(stream, constraints.input_box, batch * horizon).reshape(
-            batch, horizon, model.m)
-        rows = np.arange(batch)  # the batch index of each row held
-        us = sequences.transpose(1, 0, 2)
+        us = draw_samples(stream, constraints.input_box, batch * horizon).reshape(
+            batch, horizon, model.m).transpose(1, 0, 2)
         xs = np.empty((horizon + 1, batch, model.n), dtype=np.float64)
         xs[0] = x
         alive = np.ones(batch, dtype=bool)
@@ -466,23 +483,23 @@ def _search(x: np.ndarray, stream: SamplerState, sizes: Iterator[int], budget: i
         # Dead rows step on until they are dropped; silence their overflow,
         # the alive mask excludes them.
         with np.errstate(over="ignore", invalid="ignore"):
-            while rows.size > _ORACLE_PROBE and k < horizon:
+            while alive.size > _ORACLE_PROBE and k < horizon:
                 xs[k + 1] = model.batch_step(xs[k], us[k])
                 k += 1
                 alive &= (constraints.terminal_ok_rows(xs[k]) if k == horizon
                           else constraints.states_ok_rows(xs[k]))
-                if k < horizon and 2 * np.count_nonzero(alive) <= rows.size:
+                if k < horizon and 2 * np.count_nonzero(alive) <= alive.size:
                     live = np.flatnonzero(alive)
-                    rows, us, alive = rows[live], us[:, live], alive[live]
+                    us, alive = us[:, live], alive[live]
                     kept = np.empty((horizon + 1, live.size, model.n), dtype=np.float64)
                     kept[:k + 1] = xs[:k + 1, live]
                     xs = kept
-            if rows.size and k < horizon:
+            if alive.size and k < horizon:
                 ok = _step_rows(xs[k:], us[k:], model, constraints, None)
                 alive = ok[:horizon - k].all(axis=0)
         hits = np.flatnonzero(alive)
         if hits.size:
-            return sequences[rows[hits[0]]], xs[:, hits[0]].copy()
+            return us[:, hits[0]], xs[:, hits[0]].copy()
     return None
 
 

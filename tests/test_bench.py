@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampled_nmpc import ExperimentConfig, run_experiment, sweep, validate_run
+from sampled_nmpc import ExperimentConfig, closed_loop, run_experiment, sweep, validate_run
 from sampled_nmpc import bench as bench_module
-from sampled_nmpc.bench import OUTPUT_ROOT_ENV, resolve_output_root
+from sampled_nmpc.bench import OUTPUT_ROOT_ENV, _assemble, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
 from sampled_nmpc.errors import ConfigError
 from sampled_nmpc.models import BuckBoostParams, CartSpringParams, WmrParams
 from sampled_nmpc.sampling import SamplerConfig
+from sampled_nmpc.solver import _RECORD_FLOATS
 
 CONFIG_PATHS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -154,13 +156,33 @@ class TestExperimentConfig:
         assert cart_config(samples_per_step=1).samples_per_step == 1
         with pytest.raises(ConfigError, match="^samples_per_step and horizon: the solve"):
             cart_config(samples_per_step=94)  # 940 * 33 = 31020 floats
-        # The closed loop's state log holds (steps + 1) * 2 floats.
-        assert cart_config(steps=15359).steps == 15359
+        # The closed loop's log holds (steps + 1) * 2 floats of states and
+        # steps * _RECORD_FLOATS = 80 floats of records: 374 * 82 + 2 = 30670.
+        assert cart_config(steps=374).steps == 374
         with pytest.raises(ConfigError, match="^steps: the state log"):
-            cart_config(steps=15360)
+            cart_config(steps=375)
         monkeypatch.setattr(bench_module, "_MAX_FLOATS", 30719)
         with pytest.raises(ConfigError, match="^horizon: an oracle batch"):
             cart_config(samples_per_step=1)
+
+    @pytest.mark.parametrize("plant", ["cart-spring", "buck-boost", "wmr"])
+    def test_the_size_limit_counts_each_step_record(self, plant):
+        # A run's log grows per step by one n-float state row and one
+        # StepRecord, which the size limit counts as _RECORD_FLOATS floats.
+        bench, cfg, x0 = _assemble(ExperimentConfig("records", plant, 10, 1, samples_per_step=5))
+        closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, 2)  # lazy tables
+        grown = []
+        tracemalloc.start()
+        try:
+            for steps in (10, 110):
+                before = tracemalloc.get_traced_memory()[0]
+                log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, steps)
+                grown.append(tracemalloc.get_traced_memory()[0] - before)
+                del log
+        finally:
+            tracemalloc.stop()
+        per_record = (grown[1] - grown[0]) / 100 - 8 * bench.model.n
+        assert per_record <= 8 * _RECORD_FLOATS < 2 * per_record
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -496,6 +518,21 @@ class TestCli:
         artifacts.resolved_config_path.write_text(json.dumps(resolved))
         assert cli_main(["validate", str(artifacts.run_dir)]) == 2
         assert "terminal law" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_a_plant_whose_arithmetic_overflows_exits_2(self, tmp_path, capsys):
+        # At ts = 1e308 the robot's oracle plan steps to states near the
+        # float limit, which it admits (it has no state box), and its cost
+        # overflows to NaN: a typed error, with overflow warnings as errors.
+        raw = json.loads((CONFIG_PATHS[0].parent / "wmr_obstacle.json").read_text())
+        raw.update(model_overrides={"ts": 1e308}, steps=3)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "ContractViolationError"
+        assert error["message"] == "warm start cost is not finite: nan"
 
     def test_provided_mode_exits_2(self, tmp_path):
         raw = cart_config().to_dict()

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sampled_nmpc import (
+    CostSpec,
     Plan,
     SamplerConfig,
     SamplerState,
@@ -190,21 +191,33 @@ def counted_model(model):
     return counted, calls
 
 
-def solve_on_a_ticking_clock(bench, x0, monkeypatch, budget):
+def solve_on_a_ticking_clock(bench, x0, monkeypatch, budget, cfg=None):
     """A solve of the oracle's plan on a clock that ticks once per reading,
-    whose budget runs out before any position is decided: it must return
-    the warm start with zero counters.  Returns the result and its stream."""
-    warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cart_solver_cfg())
+    cut by a budget of ``budget`` ticks.  Wherever it is cut, its plan must
+    pass a fresh certificate, its cost be at most the warm start's and a
+    fresh evaluation's bits, and its states be the plan's rollout bit for
+    bit.  Returns the result, the warm start, the stream and the readings
+    the solve took."""
+    cfg = cart_solver_cfg() if cfg is None else cfg
+    warm = find_oracle(x0, bench.model, bench.constraints, bench.cost, cfg)
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-    cfg = cart_solver_cfg(time_budget=budget)
     stream = SamplerState(cfg.sampler)
-    cut = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost, cfg, stream)
-    assert cut.budget_hit
-    assert np.array_equal(cut.plan.inputs, warm.inputs)
-    assert (cut.f_evals, cut.cost_evals, cut.improvements) == (0, 0, 0)
-    assert cut.j_sub == warm_cost(bench, x0, warm)
-    return cut, stream
+    cut = improve_plan(x0, warm, bench.model, bench.constraints, bench.cost,
+                       dataclasses.replace(cfg, time_budget=budget), stream)
+    readings = next(ticks)
+    states = rollout(bench.model, x0, cut.plan)
+    assert check_feasible(bench.constraints, states, cut.plan).feasible
+    assert cut.j_sub <= warm_cost(bench, x0, warm)
+    assert cut.j_sub == evaluate_cost(bench.cost, states, cut.plan)
+    assert np.array_equal(bits(cut.states), bits(states))
+    return cut, warm, stream, readings
+
+
+def returns_the_warm_start(bench, x0, cut, warm):
+    return (cut.budget_hit and np.array_equal(cut.plan.inputs, warm.inputs)
+            and (cut.f_evals, cut.cost_evals, cut.improvements) == (0, 0, 0)
+            and cut.j_sub == warm_cost(bench, x0, warm))
 
 
 def cart_solver_cfg(**kw):
@@ -280,6 +293,23 @@ class TestImprovePlan:
             improve_plan(np.array([2.64, 3.0]), bad, cart10.model, cart10.constraints,
                          cart10.cost, cart_solver_cfg())
 
+    @pytest.mark.parametrize("plant, overrides", [("cart-spring", None),
+                                                  ("wmr", {"obstacle": None, "ts": 1e308})])
+    def test_a_warm_start_whose_cost_is_not_finite_is_refused(self, plant, overrides):
+        # The cart's states are finite but a stage weight of 1e308 overflows
+        # their cost; the robot at ts = 1e308 steps to states near the float
+        # limit, which it admits, and overflows the cost of its own weights.
+        bench = make_benchmark(plant, 5, overrides)
+        cost = bench.cost
+        if overrides is None:
+            cost = CostSpec.constant(1e308 * np.eye(2), np.eye(1), np.eye(2), 5)
+        x0, cfg = bench.default_x0, SolverConfig(horizon=5, samples_per_step=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            warm = find_oracle(x0, bench.model, bench.constraints, cost, cfg)
+        with pytest.raises(ContractViolationError,
+                           match="^warm start cost is not finite: (inf|nan)$"):
+            improve_plan(x0, warm, bench.model, bench.constraints, cost, cfg)
+
     def test_tiny_budget_still_returns_valid_result(self, cart10, cart_x0):
         cfg = cart_solver_cfg(time_budget=1e-9)
         warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
@@ -321,15 +351,38 @@ class TestImprovePlan:
     def test_budget_spent_on_draws_returns_the_warm_start(self, cart10, cart_x0, monkeypatch):
         # Readings: solve start, then the one poll before the draw; a
         # 0.5-tick budget expires there, so nothing is drawn.
-        _, stream = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 0.5)
+        cut, warm, stream, _ = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 0.5)
+        assert returns_the_warm_start(cart10, cart_x0, cut, warm)
         assert stream.counter == 0
 
     def test_budget_spent_in_the_first_pass_returns_the_warm_start(self, cart10, cart_x0,
                                                                    monkeypatch):
         # After the draw, one reading per batched step of the first round; a
         # 3.5-tick budget expires after its second step, before any decision.
-        _, stream = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 3.5)
+        cut, warm, stream, _ = solve_on_a_ticking_clock(cart10, cart_x0, monkeypatch, 3.5)
+        assert returns_the_warm_start(cart10, cart_x0, cut, warm)
         assert stream.counter == 100
+
+    @pytest.mark.parametrize("plant, horizon", [("cart-spring", 10), ("buck-boost", 10),
+                                                ("wmr", 5)])
+    @pytest.mark.parametrize("scheme", ["grid", "random", "halton"])
+    def test_a_cut_at_any_reading_returns_a_certified_plan(self, plant, horizon, scheme,
+                                                          monkeypatch):
+        # Readings: solve start, the poll before the draw, one poll per
+        # batched step, then the elapsed time.  A budget of k - 0.5 ticks
+        # cuts the solve at reading k, before any decision, between two
+        # rounds or inside one, up to the uncut solve.
+        bench = make_benchmark(plant, horizon, None)
+        x0 = bench.default_x0
+        cfg = cart_solver_cfg(horizon=horizon, sampler=SamplerConfig(scheme=scheme, seed=3))
+        full, _, _, readings = solve_on_a_ticking_clock(bench, x0, monkeypatch, 1e9, cfg)
+        assert full.improvements >= 2
+        improvements = set()
+        for k in range(1, readings):
+            cut = solve_on_a_ticking_clock(bench, x0, monkeypatch, k - 0.5, cfg)[0]
+            assert cut.budget_hit == (k < readings - 1)
+            improvements.add(cut.improvements)
+        assert improvements == set(range(full.improvements + 1))
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
