@@ -136,12 +136,14 @@ def _halton_unit(start_index: int, count: int, dim: int) -> np.ndarray:
 
 def _map_to_box(unit: np.ndarray, box: BoxSet) -> np.ndarray:
     """Map fresh unit points onto the box in place: the bits of
-    ``np.clip(lo + unit * (hi - lo), lo, hi)`` without its temporaries."""
+    ``np.clip(lo + unit * (hi - lo), lo, hi)`` without its temporaries.
+    The clip itself stays: ``np.maximum``/``np.minimum`` break a tie between
+    ``0.0`` and ``-0.0`` differently from it, and differently again in their
+    vectorised loops."""
     lo, hi = box.lower, box.upper
     unit *= hi - lo
     unit += lo
-    np.maximum(unit, lo, out=unit)
-    return np.minimum(unit, hi, out=unit)
+    return np.clip(unit, lo, hi, out=unit)
 
 
 def draw_samples(state: SamplerState, box: BoxSet, count: int) -> np.ndarray:

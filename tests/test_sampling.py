@@ -275,6 +275,7 @@ class TestDrawBlocks:
     @example("random", 5, 0, [7, 3], [(-2.0, 0.0), (1.5, 3.0)])
     @example("grid", 0, 0, [4, 9], [(0.25, 0.0), (-1.0, 2.0)])
     @example("halton", 1, 11, [5], [(-0.0, 0.0)])
+    @example("grid", 0, 0, [2], [(-0.0, 1.0)])  # 0.0 on a -0.0 lower bound stays 0.0
     @settings(max_examples=80, deadline=None)
     def test_rows_are_the_clipped_affine_map_of_the_unit_points(self, scheme, seed, counter,
                                                                 counts, sides):
