@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -82,14 +81,13 @@ class ExperimentConfig:
             _floats(budget, "time_budget_ms", (), ConfigError)
             if isinstance(budget, np.generic):  # a Python number, so that to_dict() serialises
                 object.__setattr__(self, "time_budget_ms", budget.item())
-        # Plain tuples of Python floats, so that to_dict() serialises.
+        _, solver_cfg, x0 = _assemble(self)
+        # Plain tuples of Python floats, read back from the run, so that to_dict() serialises.
         if self.initial_state is not None:
-            object.__setattr__(self, "initial_state", tuple(
-                _floats(self.initial_state, "initial_state", (None,), ConfigError).tolist()))
+            object.__setattr__(self, "initial_state", tuple(x0.tolist()))
         if self.initial_plan is not None:
-            object.__setattr__(self, "initial_plan", tuple(map(tuple, _floats(
-                self.initial_plan, "initial_plan", (None, None), ConfigError).tolist())))
-        _, solver_cfg, _ = _assemble(self)
+            object.__setattr__(self, "initial_plan",
+                               tuple(map(tuple, solver_cfg.initial_plan.inputs.tolist())))
         for name in ("horizon", "lanes", "oracle_budget"):
             object.__setattr__(self, name, getattr(solver_cfg, name))
         counts = self.samples_per_step
@@ -202,10 +200,8 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
         if floats > _MAX_FLOATS:
             raise ConfigError(f"{names}: {what} would hold {floats} floats, over the limit "
                               f"of {_MAX_FLOATS}")
-    x0 = np.asarray(config.initial_state if config.initial_state is not None
-                    else bench.default_x0, dtype=np.float64)
-    if x0.shape != (bench.model.n,):
-        raise ConfigError(f"initial_state must have length {bench.model.n}")
+    x0 = (bench.default_x0 if config.initial_state is None else
+          _floats(config.initial_state, "initial_state", (bench.model.n,), ConfigError))
     return bench, solver_cfg, x0
 
 
@@ -239,7 +235,7 @@ def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverCon
         "f_evals_max": max((r.f_evals for r in recs), default=0),
         "cost_evals_min": min((r.cost_evals for r in recs), default=0),
         "cost_evals_max": max((r.cost_evals for r in recs), default=0),
-        "elapsed_ms_median": statistics.median([r.elapsed * 1e3 for r in recs]) if recs else 0.0,
+        "elapsed_ms_median": float(np.median([r.elapsed * 1e3 for r in recs])) if recs else 0.0,
     }
     return {
         "config_id": config.config_id,
@@ -350,10 +346,8 @@ def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -
         writer.writerow(header)
         for record in results:
             config = record["config"]
-            counts = (config.samples_per_step if not isinstance(config.samples_per_step, int)
-                      else (config.samples_per_step,) * config.horizon)
             base = [config.config_id, record["status"], config.plant,
-                    str(config.horizon), str(max(counts) if counts else 0),
+                    str(config.horizon), str(np.max(config.samples_per_step)),
                     str(config.steps), str(config.lanes)]
             if record["status"] == "ok":
                 summary = record["summary"]

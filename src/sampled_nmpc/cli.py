@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     results = bench.sweep(_load_configs(args), args.out)
-    printable = [{k: (str(v) if isinstance(v, (Path, bench.RunArtifacts)) else v)
+    printable = [{k: (str(v) if isinstance(v, Path) else v)
                   for k, v in r.items() if k not in ("summary", "artifacts")}
                  for r in results]
     print(json.dumps(printable, indent=2))

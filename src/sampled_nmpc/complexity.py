@@ -10,10 +10,11 @@ comparisons and bookkeeping are treated as free.
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ContractViolationError
 
@@ -118,7 +119,7 @@ def calibrate_cost_model(step, cost_eval, repeats: int = 1000) -> CostModel:
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+        return float(np.median(times))
 
     return CostModel(c1=max(median_seconds(step), 1e-12),
                      c2=max(median_seconds(cost_eval), 1e-12),

@@ -146,8 +146,6 @@ class Plan:
 
     def __post_init__(self):
         arr = _floats(self.inputs, "plan")
-        if arr.ndim == 1:  # allow a list of scalars for m == 1
-            arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ContractViolationError(f"plan must stack N >= 1 inputs, got shape {arr.shape}")
         object.__setattr__(self, "inputs", _frozen(arr.copy()))

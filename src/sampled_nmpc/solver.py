@@ -161,11 +161,11 @@ _APPEND_BATCH = 256
 # prices its rows in groups rather than in one fold because a one-fold
 # first round made the cart_horizon_100 closed loop 1.12 times slower.
 _ROUND_ROW_STEPS = 4096
-# The memory one closed-loop step's StepRecord keeps, in floats: the frozen
-# object and its attribute dict, two small arrays and the boxed numbers.
-# Under tracemalloc (CPython 3.11, numpy 2.4) a run's log grew by 481-537
-# bytes per step beyond its state log on the three plants at N = 10; 80
-# floats are 640 bytes.
+# The memory one closed-loop step's StepRecord keeps, in floats: the slotted
+# object, the view of its state row, its input array and the boxed numbers.
+# Under tracemalloc (CPython 3.11, numpy 2.4) a run's log grew by 412-459
+# bytes per step beyond its state log on the three plants at N = 10 (10
+# against 210 steps); 80 floats are 640 bytes.
 _RECORD_FLOATS = 80
 
 
@@ -246,9 +246,10 @@ class SolveResult:
     budget_hit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """Per-closed-loop-step log row (state BEFORE applying the input)."""
+    """Per-closed-loop-step log row (state BEFORE applying the input, a
+    read-only view of its row of ``RunLog.states``)."""
 
     k: int
     state: np.ndarray
@@ -584,15 +585,15 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
     warm start and improves that.  Per-step elapsed times include
     warm-start (and oracle) construction.
     """
-    x = as_vector(x0, model.n, "initial state")
     steps = _integer(steps, "steps", 0)
     sampler_state = SamplerState(cfg.sampler)
     states = np.empty((steps + 1, model.n), dtype=np.float64)
-    states[0] = x
+    states[0] = as_vector(x0, model.n, "initial state")
     records: list[StepRecord] = []
     prev: Optional[SolveResult] = None
     for k in range(steps):
         t0 = time.perf_counter()
+        x = _frozen(states[k])
         if k == 0:
             warm = (cfg.initial_plan if cfg.initial_plan is not None
                     else find_oracle(x, model, constraints, cost, cfg))
@@ -604,12 +605,11 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
             result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
         elapsed = time.perf_counter() - t0
         u = result.plan.inputs[0].copy()
-        records.append(StepRecord(k=k, state=x.copy(), applied_input=u,
+        records.append(StepRecord(k=k, state=x, applied_input=u,
                                   j_sub=result.j_sub, f_evals=result.f_evals,
                                   cost_evals=result.cost_evals,
                                   improvements=result.improvements,
                                   elapsed=elapsed, budget_hit=result.budget_hit))
-        x = np.asarray(model.step(x, u), dtype=np.float64)
-        states[k + 1] = x
+        states[k + 1] = model.step(x, u)
         prev = result
-    return RunLog(records=tuple(records), states=states, termination="completed")
+    return RunLog(records=tuple(records), states=_frozen(states), termination="completed")

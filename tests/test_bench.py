@@ -1,9 +1,10 @@
 import csv
+import itertools
 import json
 import re
 import shlex
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from sampled_nmpc import ExperimentConfig, closed_loop, run_experiment, sweep, v
 from sampled_nmpc import bench as bench_module
 from sampled_nmpc.bench import OUTPUT_ROOT_ENV, _assemble, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
-from sampled_nmpc.errors import ConfigError
+from sampled_nmpc.errors import ConfigError, SampledNmpcError
 from sampled_nmpc.models import BuckBoostParams, CartSpringParams, WmrParams
 from sampled_nmpc.sampling import SamplerConfig
 from sampled_nmpc.solver import _RECORD_FLOATS
@@ -631,22 +632,48 @@ FUZZ_KEYS = {
 }
 
 
+def mutated(path, where, key, value):
+    """The shipped config at ``path`` with ``key`` under ``where`` set to ``value``."""
+    raw = json.loads(path.read_text())
+    target = {"config": raw, "sampler": raw.setdefault("sampler", {}),
+              "model_overrides": raw.setdefault("model_overrides", {})}.get(where)
+    if target is None:
+        target = raw["model_overrides"]["obstacle"] = {"center": [0.0, 3.0], "radius": 1.0}
+    target[key] = value
+    return raw
+
+
 class TestLoaderFuzz:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.sampled_from(CONFIG_PATHS), st.sampled_from(sorted(FUZZ_KEYS)), st.data())
     @settings(max_examples=300, deadline=None)
     def test_a_config_with_one_bad_field_loads_or_raises_config_error(self, path, where, data):
-        raw = json.loads(path.read_text())
-        target = {"config": raw, "sampler": raw.setdefault("sampler", {}),
-                  "model_overrides": raw.setdefault("model_overrides", {})}.get(where)
-        if target is None:
-            target = raw["model_overrides"]["obstacle"] = {"center": [0.0, 3.0], "radius": 1.0}
         key = data.draw(st.sampled_from(FUZZ_KEYS[where] + ["unknown"]))
-        target[key] = data.draw(st.sampled_from(BAD_VALUES))
         try:
-            ExperimentConfig.from_dict(raw)
+            ExperimentConfig.from_dict(mutated(path, where, key,
+                                               data.draw(st.sampled_from(BAD_VALUES))))
         except ConfigError:
             pass
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_config_with_one_bad_field_that_loads_runs_to_a_typed_end(self, tmp_path):
+        # Each single-field mutation that loads runs two periods, with an
+        # oracle budget of the probe plus one batch, and ends in artifacts
+        # or a SampledNmpcError; any other exception fails the test.
+        ran = 0
+        for path, (where, keys) in itertools.product(CONFIG_PATHS, FUZZ_KEYS.items()):
+            for key, value in itertools.product(keys + ["unknown"], BAD_VALUES):
+                try:
+                    config = ExperimentConfig.from_dict(mutated(path, where, key, value))
+                except ConfigError:
+                    continue
+                ran += 1
+                try:
+                    run_experiment(replace(config, steps=min(config.steps, 2), oracle_budget=1088),
+                                   str(tmp_path / str(ran)))
+                except SampledNmpcError:
+                    pass
+        assert ran == 271  # a change here is a change in what the loader accepts
 
 
 class TestShippedConfigs:

@@ -48,6 +48,11 @@ class TestPredictedBounds:
         bounds = predicted_bounds(0, 5, CostModel(), p=2)
         assert bounds.serial_bound == 0.0 and bounds.p_parallel == 0.0
 
+    @pytest.mark.parametrize("n_bar, big_n, p", [(-1, 5, 2), (3, 0, 2), (3, 5, 0)])
+    def test_out_of_range_arguments_rejected(self, n_bar, big_n, p):
+        with pytest.raises(ContractViolationError, match="^need n_bar >= 0, N >= 1, p >= 1$"):
+            predicted_bounds(n_bar, big_n, CostModel(), p)
+
     @given(st.integers(0, 40), st.integers(1, 30),
            st.floats(0.01, 10), st.floats(0.01, 10))
     @settings(max_examples=100, deadline=None)
@@ -79,3 +84,8 @@ class TestCostModel:
                                      repeats=51)
         assert model.units == "seconds"
         assert model.c1 > 0 and model.c2 > 0
+        assert type(model.c1) is float and type(model.c2) is float
+
+    def test_calibration_needs_a_repeat(self):
+        with pytest.raises(ContractViolationError, match="^repeats must be >= 1$"):
+            calibrate_cost_model(lambda: None, lambda: None, repeats=0)

@@ -419,6 +419,12 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError):
             Plan(np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("inputs", [[0.0, 1.0], np.zeros(3), np.zeros((2, 1, 1))],
+                             ids=["list", "1-D", "3-D"])
+    def test_a_plan_is_n_by_m(self, inputs):
+        with pytest.raises(ContractViolationError, match=r"^plan must stack N >= 1 inputs"):
+            Plan(inputs)
+
     @pytest.mark.parametrize("build, name", [
         (lambda b: replace(b.cost, reference=("ab", np.zeros(1))), "state reference"),
         (lambda b: replace(b.cost, reference=(np.zeros(2), [[1.0], [2.0, 3.0]])),
@@ -479,6 +485,18 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError):
             PlantModel(n=1, m=1, batch_step=lambda xs, us: xs + 1.0,
                        equilibrium=(np.zeros(1), np.zeros(1)))
+
+    def test_a_step_of_the_wrong_shape_is_refused(self):
+        # Checked once at the equilibrium when the model is built, and on
+        # every step of a rollout, where a state away from it may differ.
+        with pytest.raises(ContractViolationError,
+                           match=r"^step must return a length-1 state, got shape \(2,\)$"):
+            PlantModel(n=1, m=1, batch_step=lambda xs, us: np.zeros((len(xs), 2)),
+                       equilibrium=(np.zeros(1), np.zeros(1)))
+        model = PlantModel(n=1, m=1, equilibrium=(np.zeros(1), np.zeros(1)),
+                           batch_step=lambda xs, us: xs if not xs.any() else np.zeros((1, 2)))
+        with pytest.raises(ContractViolationError, match="^step returned a state of wrong shape$"):
+            rollout(model, [1.0], Plan([[0.0]]))
 
     def test_step_is_the_one_row_case_of_batch_step(self):
         model = PlantModel(n=1, m=1, batch_step=lambda xs, us: 0.5 * xs + us,

@@ -168,6 +168,19 @@ class TestBuckBoost:
         assert box.lower[0] >= -0.1 and box.upper[0] <= 22.5
         assert box.lower[1] >= 0.0 and box.upper[1] <= 3.0
 
+    @pytest.mark.parametrize("name", ["r_l", "c_f", "l_f", "ts", "v_s", "r_h"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_parameters_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="^buck-boost parameters must be positive$"):
+            BuckBoostParams(**{name: value})
+
+    def test_calibration_without_a_valid_decade_fails_typed(self):
+        # At ten times the default sampling period the printed gain raises
+        # the quadratic value on the boundary of even the smallest scanned level.
+        with pytest.raises(ConfigError,
+                           match="^no valid terminal level found in the scanned decades$"):
+            calibrate_buck_terminal_level(BuckBoostParams(ts=1e-4))
+
 
 class TestWmr:
     def test_straight_drive(self):

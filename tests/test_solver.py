@@ -384,6 +384,38 @@ class TestImprovePlan:
             improvements.add(cut.improvements)
         assert improvements == set(range(full.improvements + 1))
 
+    @given(st.sampled_from([("cart-spring", 10), ("buck-boost", 10), ("wmr", 5)]),
+           st.sampled_from(["grid", "random", "halton"]), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_cut_from_a_random_start_returns_a_certified_plan(self, plant_horizon, scheme,
+                                                                seed, data):
+        # As above, from a random start and seed, cut at one drawn reading.
+        plant, horizon = plant_horizon
+        bench = make_benchmark(plant, horizon, None)
+        lo, hi = START_WINDOWS[plant]
+        x0 = np.random.default_rng(seed).uniform(lo, hi)
+        cfg = cart_solver_cfg(horizon=horizon, sampler=SamplerConfig(scheme=scheme, seed=seed),
+                              oracle_budget=2048)
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                readings = solve_on_a_ticking_clock(bench, x0, mp, 1e9, cfg)[3]
+            except NoOracleError:
+                assume(False)
+            k = data.draw(st.integers(1, readings - 1), label="cut reading")
+            cut = solve_on_a_ticking_clock(bench, x0, mp, k - 0.5, cfg)[0]
+        assert cut.budget_hit == (k < readings - 1)
+
+    def test_a_draw_outside_the_input_box_is_refused(self, cart10, cart_x0, monkeypatch):
+        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
+                           cart_solver_cfg())
+        monkeypatch.setattr(solver, "draw_blocks",
+                            lambda state, box, sizes: np.full((sum(sizes), 1), 5.0))
+        with pytest.raises(ContractViolationError,
+                           match="^draw_blocks returned an input outside the input box$"):
+            improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
+                         cart_solver_cfg())
+
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
            st.sampled_from(["grid", "random", "halton"]), st.integers(1, 250))
@@ -1069,6 +1101,14 @@ class TestClosedLoop:
         assert len(log.records) == 20
         assert np.all(np.abs(log.states[:, 0]) <= 2.65)
         assert all(abs(r.applied_input[0]) <= 4.5 for r in log.records)
+
+    def test_each_visited_state_is_stored_once_and_read_only(self, cart10, cart_x0):
+        log = closed_loop(cart10.model, cart10.constraints, cart10.cost,
+                          cart_solver_cfg(), cart_x0, 5)
+        assert not log.states.flags.writeable
+        for k, rec in enumerate(log.records):
+            assert np.shares_memory(rec.state, log.states[k]) and not rec.state.flags.writeable
+        assert not hasattr(log.records[0], "__dict__")  # a slotted record
 
     def test_states_chain_under_the_plant_map(self, cart10, cart_x0):
         log = closed_loop(cart10.model, cart10.constraints, cart10.cost,
