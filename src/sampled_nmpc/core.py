@@ -346,13 +346,32 @@ class ConstraintSpec:
             return self.terminal.contains_rows(rows)
         return self.states_ok_rows(rows)
 
+    def path_ok_rows(self, states: np.ndarray) -> np.ndarray:
+        """(T, B) mask of time-major states (T, B, n) whose last time index is
+        the horizon's end: the states before it against the state set, the
+        end states through ``terminal_ok_rows``.  With no terminal set the
+        whole block is one ``states_ok_rows`` call; with one, a block of one
+        time index is one ``terminal_ok_rows`` call."""
+        big_t, width, n = states.shape
+        if self.terminal is None:
+            return self.states_ok_rows(states.reshape(big_t * width, n)).reshape(big_t, width)
+        ok = np.empty((big_t, width), dtype=bool)
+        if big_t > 1:
+            ok[:-1] = self.states_ok_rows(
+                states[:-1].reshape((big_t - 1) * width, n)).reshape(big_t - 1, width)
+        ok[-1] = self.terminal_ok_rows(states[-1])
+        return ok
+
 
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic cost: per-step state/input weights, terminal weight and the
     reference pair subtracted from states and inputs before weighting.  The
-    stage weights (any sequence of matrices) are kept as read-only (N, n, n)
-    and (N, m, m) stacks, so a spec can be rebuilt from its own fields."""
+    state weights are kept as one read-only (N + 1, n, n) stack, Q_0..Q_{N-1}
+    then P, and ``stage_state_weights`` and ``terminal_weight`` are views
+    into it, so ``fold_costs`` prices states 0..N in one pass; the input
+    weights (any sequence of matrices) are a read-only (N, m, m) stack.  A
+    spec can be rebuilt from its own fields."""
 
     stage_state_weights: np.ndarray
     stage_input_weights: np.ndarray
@@ -375,9 +394,11 @@ class CostSpec:
                 f"reference must be a (state, input) pair, got {self.reference!r}") from None
         x_ref = as_vector(x_ref, n, "state reference")
         u_ref = as_vector(u_ref, m, "input reference")
-        object.__setattr__(self, "stage_state_weights", _frozen(q_stack))
+        state_weights = _frozen(np.concatenate([q_stack, p[np.newaxis]]))
+        object.__setattr__(self, "_state_weights", state_weights)
+        object.__setattr__(self, "stage_state_weights", state_weights[:-1])
         object.__setattr__(self, "stage_input_weights", _frozen(r_stack))
-        object.__setattr__(self, "terminal_weight", _frozen(p))
+        object.__setattr__(self, "terminal_weight", state_weights[-1])
         object.__setattr__(self, "reference", (_frozen(x_ref), _frozen(u_ref)))
 
     @classmethod
@@ -451,10 +472,19 @@ def rollout(model: PlantModel, x0: np.ndarray, plan: Plan) -> np.ndarray:
     return _frozen(states)
 
 
-def _check_states(states: np.ndarray, plan: Plan) -> None:
+def _check_states(states: np.ndarray, plan: Plan, n: int, m: int, owner: str) -> None:
+    """ContractViolationError unless ``states`` stacks the plan's horizon + 1
+    states of width n and the plan's inputs have dimension m, the state and
+    input dimensions of ``owner``."""
     if states.ndim != 2 or states.shape[0] != plan.horizon + 1:
         raise ContractViolationError(
             f"states must stack plan horizon + 1 = {plan.horizon + 1} rows, got {states.shape}")
+    if states.shape[1] != n:
+        raise ContractViolationError(
+            f"states have width {states.shape[1]}, the {owner}'s state dimension is {n}")
+    if plan.input_dim != m:
+        raise ContractViolationError(
+            f"plan input dimension {plan.input_dim} != the {owner}'s input dimension {m}")
 
 
 def fold_costs(cost: CostSpec, start: int, base: float | np.ndarray, states: np.ndarray,
@@ -467,17 +497,20 @@ def fold_costs(cost: CostSpec, start: int, base: float | np.ndarray, states: np.
     plus its stage costs ``start`` to ``start + k - 1``, added left to right;
     the last row then adds the terminal cost, so it holds the totals.  So a
     fold resumed at a later stage, from the running costs there, gives the
-    bits of the fold from the earlier stage.  One ``stage_costs`` call
-    prices every time index with its own stage's weight slice, and a row's
-    values depend only on that row, its start and its base.  Every total
-    cost in the package comes from this fold: ``evaluate_cost`` is its
-    one-row case from stage 0.
+    bits of the fold from the earlier stage.  One quadratic form prices
+    every state, the end state with P, from the spec's one state-weight
+    stack, and one prices every input, each time index with its own stage's
+    weight slice: the bits of ``stage_costs`` then ``terminal_costs``, with
+    one subtraction and one quadratic form fewer.  A row's values depend
+    only on that row, its start and its base.  Every total cost in the
+    package comes from this fold: ``evaluate_cost`` is its one-row case from
+    stage 0.
     """
     n_stages, rows = inputs.shape[:2]
     folded = np.empty((n_stages + 2, rows), dtype=np.float64)
     folded[0] = base
-    folded[1:-1] = cost.stage_costs(start, states[:n_stages], inputs)
-    folded[-1] = cost.terminal_costs(states[n_stages])
+    folded[1:] = _quadratic_rows(states - cost.reference[0], cost._state_weights[start:])
+    folded[1:-1] += _quadratic_rows(inputs - cost.reference[1], cost.stage_input_weights[start:])
     return np.add.accumulate(folded, axis=0)
 
 
@@ -488,7 +521,7 @@ def evaluate_cost(cost: CostSpec, states: np.ndarray, plan: Plan) -> float:
     if plan.horizon != cost.horizon:
         raise ContractViolationError(
             f"plan horizon {plan.horizon} != cost horizon {cost.horizon}")
-    _check_states(states, plan)
+    _check_states(states, plan, cost.reference[0].shape[0], cost.reference[1].shape[0], "cost")
     return float(fold_costs(cost, 0, 0.0, states[:, np.newaxis],
                             plan.inputs[:, np.newaxis])[-1, 0])
 
@@ -497,18 +530,20 @@ def check_feasible(constraints: ConstraintSpec, states: np.ndarray, plan: Plan) 
     """Find the first constraint violation along a plan and its (N+1, n)
     trajectory, as ``rollout`` returns it: states 0..N-1 against the state
     set, every input against the input box, and the end state against the
-    terminal set.  At an index where both the state and the input fail, the
-    state's violation is reported."""
-    _check_states(states, plan)
+    terminal set (``ConstraintSpec.path_ok_rows``, the sweep's rule).  At an
+    index where both the state and the input fail, the state's violation is
+    reported."""
+    _check_states(states, plan, constraints.state_box.dim, constraints.input_box.dim,
+                  "constraint set")
     big_n = plan.horizon
-    ok = (constraints.states_ok_rows(states[:big_n])
-          & constraints.input_box.contains_rows(plan.inputs))
+    path = constraints.path_ok_rows(states[:, np.newaxis])[:, 0]
+    ok = path[:big_n] & constraints.input_box.contains_rows(plan.inputs)
     bad = np.flatnonzero(~ok)
     if bad.size:
         i = int(bad[0])
         kind = constraints.state_violation_kind(states[i]) or "input-bound"
         return FeasibilityReport(False, i, kind)
-    if not constraints.terminal_ok_rows(states[big_n:])[0]:
+    if not path[big_n]:
         return FeasibilityReport(False, big_n, "terminal")
     return FeasibilityReport(True)
 

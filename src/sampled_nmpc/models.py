@@ -5,6 +5,10 @@ controller and terminal set.
 
 Each plant's map is its ``batch_step``: parameter constants are computed once
 per model, and a call writes each successor column into one fresh (B, n) array.
+The constants are 0-d float64 arrays, not Python floats: a ufunc converts a
+Python-float operand to a numpy scalar on every call, which costs more than a
+64-row multiply, while a 0-d array operand is used as it is.  Both give the
+same IEEE products.
 """
 
 from __future__ import annotations
@@ -133,10 +137,15 @@ def _check_finite(p, *constants: float) -> None:
                           "or equilibrium")
 
 
+def _constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Each model constant as a 0-d float64 array (see the module docstring)."""
+    return tuple(np.array(v, dtype=np.float64) for v in values)
+
+
 def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
-    ts = p.ts
     k_spring, k_damp, k_in = p.ts * (p.rho0 / p.mass), p.ts * (p.damping / p.mass), p.ts / p.mass
     _check_finite(p, k_spring, k_damp, k_in)
+    ts, k_spring, k_damp, k_in = _constants(p.ts, k_spring, k_damp, k_in)
 
     def batch_step(xs, us):
         x1, x2 = xs[:, 0], xs[:, 1]
@@ -175,6 +184,7 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
     b_i, c1_v, c2_i = p.ts * (p.v_s / p.l_f), p.ts * (1.0 / p.c_f), p.ts * (-1.0 / p.l_f)
     x_eq, u_eq = buck_equilibrium(p)
     _check_finite(p, a_vv, a_ii, b_i, c1_v, c2_i, *x_eq)
+    a_vv, a_ii, b_i, c1_v, c2_i = _constants(a_vv, a_ii, b_i, c1_v, c2_i)
 
     def batch_step(xs, us):
         v_c, i_l, d2 = xs[:, 0], xs[:, 1], us[:, 1]
@@ -193,7 +203,7 @@ def buck_boost_model(p: BuckBoostParams = BuckBoostParams()) -> PlantModel:
 
 
 def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
-    ts = p.ts
+    ts, = _constants(p.ts)
 
     def batch_step(xs, us):
         heading, speed = xs[:, 2], us[:, 0]

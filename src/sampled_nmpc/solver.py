@@ -23,19 +23,21 @@ its start: its own position before its first round, the last accepted
 position after it.
 
 Each round steps all its rows from the round's lowest start to the
-horizon's end, one ``batch_step`` call per time index, and masks them in two
-row-wise calls, one for the states before the end and one for the end
-states (``_step_rows``, which the oracle search shares).  Below its own
-start a row holds the reference inputs, so by the ``PlantModel`` contract
-it re-derives the reference states there bit for bit.  The highest position
-with a strictly cheaper feasible row accepts its cheapest, which decides
-every position down to it as the sequential sweep does; a round with no
-such row decides all its positions.  No input below an accepted j_a changes
-again, so the undecided rows keep their states, first violations and
-running costs up to j_a: the accepted row's input at j_a is written into
-them, and j_a becomes their start (a row whose first violation is at or
-before j_a keeps it).  No later round writes a decided row, so the accepted
-row keeps its plan and its trajectory.
+horizon's end, one ``batch_step`` call per time index, and masks them with
+``ConstraintSpec.path_ok_rows``, the rule ``check_feasible`` applies: one
+call for the states before the end and one for the end states, or one call
+for all of them when there is no terminal set (``_step_rows``, which the
+oracle search shares).  Below its own start a row holds the reference
+inputs, so by the ``PlantModel`` contract it re-derives the reference
+states there bit for bit.  The highest position with a strictly cheaper
+feasible row accepts its cheapest, which decides every position down to it
+as the sequential sweep does; a round with no such row decides all its
+positions.  No input below an accepted j_a changes again, so the undecided
+rows keep their states, first violations and running costs up to j_a: the
+accepted row's input at j_a is written into them, and j_a becomes their
+start (a row whose first violation is at or before j_a keeps it).  No later
+round writes a decided row, so the accepted row keeps its plan and its
+trajectory.
 One width rule, ``_round_width``, takes positions from the top while their
 rows times N minus their lowest start stay within ``_ROUND_ROW_STEPS``, and
 at least one.  The first round holds every position, so it steps all R
@@ -65,18 +67,32 @@ positions above j.  So, beyond a rolled out warm start's N, a solve makes at
 most sum_j n_j (N - j_low + sum_{a in A, a > j} (N - a)) row steps, A the
 accepted positions, which is at most R (N - j_low) (1 + |A|).
 
-Feasibility is tested with the row kernels that ``check_feasible``
-applies, two mask calls per round.  One random search, ``_search``, finds
-both the oracle's plan and the feasible-sample append, its horizon-1 case;
-a batch larger than ``_ORACLE_PROBE`` masks each step's newest states and
-drops its failed rows once at most half are alive, so its work follows the
-live sequences.  ``improve_plan``'s entry ``check_feasible`` of the warm
-start's trajectory is the one certificate of every warm start (a first
-period left unimproved is the same solve with no samples), and the sweep's
-masks certify each candidate it accepts.  A plan built here carries the
-trajectory its model stepped: the oracle's batch row, a solve's last
-accepted row, or the previous prediction shifted plus one step of the
-appended input.
+The calls are bounded by the paper's full-parallel work read in calls:
+beyond a rolled out warm start's N, a solve makes at most
+(N - j_low)(N - j_low + 1) / 2 <= N (N + 1) / 2 ``batch_step`` calls.  The
+first round holds the highest drawn position and makes N - j_low calls.
+Every later round resumes at an accepted position s, above every position
+it holds, so with d the highest of them it makes N - s <= N - d - 1 calls.
+Each round moves the undecided suffix past its highest position (it
+accepts at or below it, or decides all it holds, or is cut and ends the
+solve), so the later rounds' highest positions are distinct drawn
+positions in [j_low, N), none of them the first round's, and their calls
+add to at most sum_{d = j_low}^{N - 1} (N - d - 1) =
+(N - j_low - 1)(N - j_low) / 2.  The masks are bounded per round: a round
+makes one ``path_ok_rows`` call, which is at most two mask calls, and one
+when there is no terminal set.
+
+Feasibility is tested by the path rule that ``check_feasible`` applies.
+One random search, ``_search``, finds both the oracle's plan and the
+feasible-sample append, its horizon-1 case; a batch larger than
+``_ORACLE_PROBE`` masks each step's newest states and drops its failed rows
+once at most half are alive, so its work follows the live sequences.
+``improve_plan``'s entry ``check_feasible`` of the warm start's trajectory
+is the one certificate of every warm start (a first period left unimproved
+is the same solve with no samples), and the sweep's masks certify each
+candidate it accepts.  A plan built here carries the trajectory its model
+stepped: the oracle's batch row, a solve's last accepted row, or the
+previous prediction shifted plus one step of the appended input.
 The entry check takes it when the model object is the same and x is its
 first state bit for bit, and rolls the plan out otherwise (a caller's plan,
 another model, a measured state off the prediction); every kernel gives a
@@ -291,7 +307,8 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     rejected with InfeasibleWarmStartError if infeasible; those states and
     ``fold_costs`` give the reference and its running costs, and a warm
     start whose cost is not finite (a plant or a cost whose arithmetic
-    overflows) is refused with ContractViolationError.  All samples
+    overflows) is refused with ContractViolationError, as are constraints
+    or a cost whose dimensions differ from the model's.  All samples
     are drawn in one call.  Each round steps all its rows from its lowest
     start, masks and prices them, and the highest position with a strictly
     cheaper feasible row accepts its cheapest.  The first round holds every
@@ -321,6 +338,13 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
         raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
     if cost.horizon != big_n:
         raise ContractViolationError("cost horizon disagrees with solver horizon")
+    for what, got, want in (
+            ("constraint state", constraints.state_box.dim, model.n),
+            ("constraint input", constraints.input_box.dim, model.m),
+            ("cost state", cost.reference[0].shape[0], model.n),
+            ("cost input", cost.reference[1].shape[0], model.m)):
+        if got != want:
+            raise ContractViolationError(f"{what} dimension {got} != model dimension {want}")
     x = as_vector(x, model.n, "state")
     carried = (isinstance(warm, _SteppedPlan) and warm.model is model
                and warm.states[0].tobytes() == x.tobytes())  # -0.0 is not 0.0
@@ -425,25 +449,24 @@ def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int
     return lo + max(fit, 1)
 
 
+# Every row steps to its end; silence any overflow of rows that left the state
+# set, the masks exclude them.
+@np.errstate(over="ignore", invalid="ignore")
 def _step_rows(xs: np.ndarray, us: np.ndarray, model: PlantModel,
                constraints: ConstraintSpec, deadline: Optional[float]) -> Optional[np.ndarray]:
     """Step all the time-major rows from xs[0] through inputs us (T, B, m)
-    into xs[1:], one ``batch_step`` call per time index, and return their
-    (T + 1, B) mask: row k - 1 says whether state k passes (state T the
-    terminal set), and row T is all False, so that a row's argmin over time
-    is its first violation.  None when the deadline passes, polled after
-    each step."""
-    big_t, width, n = us.shape[0], us.shape[1], xs.shape[2]
-    # Every row steps to its end; silence any overflow of rows that left the
-    # state set, the masks below exclude them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(big_t):
-            xs[k + 1] = model.batch_step(xs[k], us[k])
-            if deadline is not None and time.perf_counter() >= deadline:
-                return None
-        ok = np.zeros((big_t + 1, width), dtype=bool)
-        ok[:big_t - 1] = constraints.states_ok_rows(xs[1:big_t].reshape(-1, n)).reshape(-1, width)
-        ok[big_t - 1] = constraints.terminal_ok_rows(xs[big_t])
+    into xs[1:], whose last state is the horizon's end, one ``batch_step``
+    call per time index, and return their (T + 1, B) mask: row k - 1 says
+    whether state k passes the path rule (``path_ok_rows``), and row T is
+    all False, so that a row's argmin over time is its first violation.
+    None when the deadline passes, polled after each step."""
+    big_t = us.shape[0]
+    for k in range(big_t):
+        xs[k + 1] = model.batch_step(xs[k], us[k])
+        if deadline is not None and time.perf_counter() >= deadline:
+            return None
+    ok = np.zeros((big_t + 1, us.shape[1]), dtype=bool)
+    ok[:big_t] = constraints.path_ok_rows(xs[1:])
     return ok
 
 
@@ -570,8 +593,8 @@ def _shifted(prev: SolveResult, appended: np.ndarray, model: PlantModel,
     appended = as_vector(appended, model.m, "appended input")[np.newaxis]
     if final is None:
         final = model.batch_step(prev.states[-1:], appended)[0]
-    return _SteppedPlan(np.vstack([prev.plan.inputs[1:], appended]),
-                        _frozen(np.vstack([prev.states[1:], final])), model)
+    return _SteppedPlan(np.concatenate([prev.plan.inputs[1:], appended]),
+                        _frozen(np.concatenate([prev.states[1:], final[np.newaxis]])), model)
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,

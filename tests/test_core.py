@@ -137,6 +137,43 @@ class TestRollout:
         with pytest.raises(ContractViolationError):
             rollout(cart10.model, np.zeros(2), Plan(np.zeros((3, 2))))
 
+    # The cart at N = 3: n = 2, m = 1.  Each call is refused with both
+    # numbers named, where it used to raise an untyped error or pass.
+    @pytest.mark.parametrize("call, states, m, numbers", [
+        ("check", (4, 1), 1, ("1", "2")),  # IndexError
+        ("check", (4, 3), 1, ("3", "2")),  # ValueError
+        ("check", (4, 2), 2, ("2", "1")),  # feasible: the second input was never tested
+        ("cost", (4, 1), 1, ("1", "2")),  # 0.0
+        ("cost", (4, 2), 2, ("2", "1")),  # a matmul ValueError
+    ], ids=["check-narrow-states", "check-wide-states", "check-wide-plan", "cost-narrow-states",
+            "cost-wide-plan"])
+    def test_mismatched_widths_are_refused_naming_both(self, call, states, m, numbers):
+        bench = make_benchmark("cart-spring", 3, None)
+        plan = Plan(np.zeros((3, m)))
+        with pytest.raises(ContractViolationError,
+                           match=rf"\b{numbers[0]}\b.*\b{numbers[1]}\b") as caught:
+            if call == "check":
+                check_feasible(bench.constraints, np.zeros(states), plan)
+            else:
+                evaluate_cost(bench.cost, np.zeros(states), plan)
+        assert type(caught.value) is ContractViolationError
+
+    @pytest.mark.parametrize("part", ["state-box", "cost"])
+    def test_a_solve_refuses_sets_or_costs_of_another_dimension(self, part):
+        # The cart at N = 5 with a one-column state box and no terminal set
+        # (once solved with only x1 constrained) or a one-dimensional cost
+        # (once a matmul ValueError).
+        bench = make_benchmark("cart-spring", 5, None)
+        constraints, cost = bench.constraints, bench.cost
+        if part == "state-box":
+            constraints = replace(constraints, state_box=BoxSet([-2.65], [2.65]), terminal=None)
+        else:
+            cost = CostSpec.constant([[1.0]], [[1.0]], [[1.0]], 5)
+        with pytest.raises(ContractViolationError, match=r"\b1\b.*\b2\b") as caught:
+            improve_plan(np.zeros(2), Plan(np.zeros((5, 1))), bench.model, constraints, cost,
+                         SolverConfig(horizon=5))
+        assert type(caught.value) is ContractViolationError
+
     @given(st.integers(1, 8), st.integers(0, 7), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_prefix_identical_for_plans_agreeing_on_prefix(self, n, j, rnd):
@@ -250,6 +287,34 @@ class TestFoldCosts:
         later = int(rng.integers(start, horizon + 1))
         assert np.array_equal(fold_costs(cost, later, full[later], xs[later:], us[later:]),
                               full[later:])
+
+    # The fold prices states 0..T with one quadratic form over the spec's one
+    # state-weight stack (Q_start..Q_{N-1}, P): it must give the bits of the
+    # two-call form, stage_costs then terminal_costs, on every start stage.
+    @given(st.sampled_from(PLANT_IDS), st.integers(1, 12), st.just(1024) | st.integers(1, 1100),
+           st.integers(0, 2 ** 32 - 1))
+    @example("wmr", 12, 1, 0)
+    @settings(max_examples=30, deadline=None)
+    def test_one_state_pass_equals_stage_then_terminal_costs(self, plant, horizon, width, seed):
+        cost = make_benchmark(plant, horizon, None).cost
+        n, m = cost.terminal_weight.shape[0], cost.stage_input_weights[0].shape[0]
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-5.0, 5.0, (horizon + 1, width, n)) + cost.reference[0]
+        us = rng.uniform(-5.0, 5.0, (horizon, width, m)) + cost.reference[1]
+        zero = rng.integers(width)  # a row of -0.0, and a row at the reference
+        xs[:, zero], us[:, zero] = -0.0, -0.0
+        xs[:, width - 1], us[:, width - 1] = cost.reference[0], cost.reference[1]
+        bases = rng.uniform(0.0, 100.0, width)
+        bases[zero] = -0.0
+        for start in range(horizon + 1):
+            for base in (float(bases[0]), bases):
+                folded = np.empty((horizon + 2 - start, width))
+                folded[0] = base
+                folded[1:-1] = cost.stage_costs(start, xs[start:horizon], us[start:])
+                folded[-1] = cost.terminal_costs(xs[horizon])
+                want = np.add.accumulate(folded, axis=0)
+                got = fold_costs(cost, start, base, xs[start:], us[start:])
+                assert got.tobytes() == want.tobytes()
 
 
 class TestQuadraticRows:
@@ -382,6 +447,60 @@ class TestCheckFeasible:
                     scalar_sweep(*case)
                 outcomes.add(report.violation_kind)
         assert outcomes == {None, "state-box", "obstacle", "input-bound", "terminal"}
+
+
+class TestPathOkRows:
+    # Every constraint-set kind: a terminal ellipsoid (the cart, the converter
+    # at its calibrated level), none with a box (the converter) and none
+    # with an obstacle (the robot).
+    PATH_SETS = {
+        "cart": ("cart-spring", None),
+        "buck-terminal": ("buck-boost", {"terminal_level": BUCK_TERMINAL_LEVEL}),
+        "buck": ("buck-boost", None),
+        "wmr": ("wmr", None),
+    }
+
+    @given(st.sampled_from(sorted(PATH_SETS)), st.integers(1, 12), st.integers(0, 300),
+           st.integers(0, 3), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+    @example("cart", 1, 0, 0, 0, 0)
+    @example("buck-terminal", 1, 300, 3, 5, 1)
+    @settings(max_examples=120, deadline=None)
+    def test_the_end_takes_the_terminal_rule_and_the_rest_the_state_set(
+            self, name, big_t, width, t0, a, seed):
+        plant, overrides = self.PATH_SETS[name]
+        constraints = make_benchmark(plant, 3, overrides).constraints
+        (lo, hi), (end_lo, end_hi) = CHECK_WINDOWS[plant]
+        rng = np.random.default_rng(seed)
+        # A strided block xs[t0:, a:b] of a larger tensor, the end states
+        # drawn around the terminal set, with NaN and +-inf entries.
+        xs = rng.uniform(lo, hi, (t0 + big_t, a + width + 2, len(lo)))
+        xs[-1] = rng.uniform(end_lo, end_hi, xs[-1].shape)
+        special = rng.random(xs.shape) < 0.02
+        xs[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+        block = xs[t0:, a:a + width]
+        with np.errstate(invalid="ignore"):  # inf - inf in the ellipsoid's form
+            ok = constraints.path_ok_rows(block)
+            assert ok.shape == (big_t, width) and ok.dtype == bool
+            for t in range(big_t - 1):
+                assert np.array_equal(ok[t], constraints.states_ok_rows(block[t]))
+            assert np.array_equal(ok[-1], constraints.terminal_ok_rows(block[-1]))
+
+    @pytest.mark.parametrize("name", sorted(PATH_SETS))
+    def test_one_mask_call_without_a_terminal_set_and_none_empty(self, monkeypatch, name):
+        plant, overrides = self.PATH_SETS[name]
+        constraints = make_benchmark(plant, 3, overrides).constraints
+        masked = []
+        states_ok_rows = ConstraintSpec.states_ok_rows
+        monkeypatch.setattr(ConstraintSpec, "states_ok_rows",
+                            lambda self, rows: masked.append(rows.shape[0])
+                            or states_ok_rows(self, rows))
+        n = constraints.state_box.dim
+        constraints.path_ok_rows(np.zeros((1, 5, n)))  # the end alone
+        constraints.path_ok_rows(np.zeros((4, 5, n)))
+        # With a terminal set the end alone makes no state-mask call and the
+        # 15 states before the end make one; without one each block is one
+        # call, its end included.
+        assert masked == ([15] if constraints.terminal is not None else [5, 20])
 
 
 class TestShiftPlan:

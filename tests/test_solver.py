@@ -480,7 +480,8 @@ class TestImprovePlan:
         # steps, j_low the lowest drawn position, whatever the round width.  An accepted input is strictly
         # cheaper, so the accepted positions are where the plan left the warm
         # start.  The copied model keeps the original one-row step, so the
-        # entry rollout is not counted.
+        # entry rollout is not counted.  The calls stay within N (N + 1) / 2
+        # (the module docstring's proof).
         counts = counts[:horizon]
         bench, x0, warm, cfg, _ = solve_from_random_start(plant, horizon, seed, counts, scheme)
         rows = []
@@ -499,6 +500,7 @@ class TestImprovePlan:
                     for j, n in enumerate(counts))
         assert result.f_evals <= sum(rows) <= bound
         assert bound <= sum(counts) * (horizon - j_low) * (1 + len(accepted))
+        assert len(rows) <= horizon * (horizon + 1) // 2  # the calls bound
 
     def test_a_solve_that_accepts_nothing_makes_one_pass(self, cart10):
         # From the origin the zero plan costs 0, so no candidate is strictly
