@@ -28,7 +28,6 @@ __all__ = [
     "FeasibilityReport",
     "as_vector",
     "rollout",
-    "fold_costs",
     "evaluate_cost",
     "check_feasible",
     "shift_plan",
@@ -369,7 +368,7 @@ class CostSpec:
     reference pair subtracted from states and inputs before weighting.  The
     state weights are kept as one read-only (N + 1, n, n) stack, Q_0..Q_{N-1}
     then P, and ``stage_state_weights`` and ``terminal_weight`` are views
-    into it, so ``fold_costs`` prices states 0..N in one pass; the input
+    into it, so ``fold`` prices states 0..N in one pass; the input
     weights (any sequence of matrices) are a read-only (N, m, m) stack.  A
     spec can be rebuilt from its own fields."""
 
@@ -416,26 +415,41 @@ class CostSpec:
     def horizon(self) -> int:
         return len(self.stage_state_weights)
 
-    def stage_costs(self, start: int, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """(T, B) stage costs of time-major states (T, B, n) and inputs
-        (T, B, m): time t is priced with the weights of stage ``start + t``,
-        one weight slice per stage, so a single call prices a whole horizon.
-        ``stage_cost`` is the one-row, one-stage case, bit for bit."""
-        stop = start + xs.shape[0]
-        return (_quadratic_rows(xs - self.reference[0], self.stage_state_weights[start:stop])
-                + _quadratic_rows(us - self.reference[1], self.stage_input_weights[start:stop]))
+    def fold(self, start: int, base: float | np.ndarray, states: np.ndarray,
+             inputs: np.ndarray) -> np.ndarray:
+        """Running costs of B rows from stage ``start`` to the end of the horizon.
 
-    def terminal_costs(self, xs: np.ndarray) -> np.ndarray:
-        """Terminal cost of each row of stacked states (B, n); ``terminal_cost``
-        is its one-row case, bit for bit."""
-        return _quadratic_rows(xs - self.reference[0], self.terminal_weight)
+        ``states`` is time-major (N + 1 - start, B, n) and ``inputs`` is
+        (N - start, B, m).  ``base`` is one value for every row or a (B,)
+        array, one per row.  Row k of the (N + 2 - start, B) result is the
+        row's base plus its stage costs ``start`` to ``start + k - 1``, added
+        left to right; the last row then adds the terminal cost, so it holds
+        the totals.  So a fold resumed at a later stage, from the running
+        costs there, gives the bits of the fold from the earlier stage.  One
+        quadratic form prices every state, the end state with P, from the
+        one state-weight stack, and one prices every input, each time index
+        with its own stage's weight slice.  A row's values depend only on
+        that row, its start and its base.  Every total cost in the package
+        comes from this fold: ``evaluate_cost`` is its one-row case from
+        stage 0.
+        """
+        n_stages, rows = inputs.shape[:2]
+        folded = np.empty((n_stages + 2, rows), dtype=np.float64)
+        folded[0] = base
+        folded[1:] = _quadratic_rows(states - self.reference[0], self._state_weights[start:])
+        folded[1:-1] += _quadratic_rows(inputs - self.reference[1], self.stage_input_weights[start:])
+        return np.add.accumulate(folded, axis=0)
 
     def stage_cost(self, j: int, x: np.ndarray, u: np.ndarray) -> float:
-        return float(self.stage_costs(j, x[np.newaxis, np.newaxis],
-                                      u[np.newaxis, np.newaxis])[0, 0])
+        """Stage j's cost of one state and input, the fold's term bit for bit."""
+        return float((_quadratic_rows(x[np.newaxis, np.newaxis] - self.reference[0],
+                                      self.stage_state_weights[j:j + 1])
+                      + _quadratic_rows(u[np.newaxis, np.newaxis] - self.reference[1],
+                                        self.stage_input_weights[j:j + 1]))[0, 0])
 
     def terminal_cost(self, x: np.ndarray) -> float:
-        return float(self.terminal_costs(x[np.newaxis])[0])
+        """Terminal cost of one state, the fold's end term bit for bit."""
+        return float(_quadratic_rows(x[np.newaxis] - self.reference[0], self.terminal_weight)[0])
 
 
 @dataclass(frozen=True)
@@ -487,45 +501,20 @@ def _check_states(states: np.ndarray, plan: Plan, n: int, m: int, owner: str) ->
             f"plan input dimension {plan.input_dim} != the {owner}'s input dimension {m}")
 
 
-def fold_costs(cost: CostSpec, start: int, base: float | np.ndarray, states: np.ndarray,
-               inputs: np.ndarray) -> np.ndarray:
-    """Running costs of B rows from stage ``start`` to the end of the horizon.
-
-    ``states`` is time-major (N + 1 - start, B, n) and ``inputs`` is
-    (N - start, B, m).  ``base`` is one value for every row or a (B,) array,
-    one per row.  Row k of the (N + 2 - start, B) result is the row's base
-    plus its stage costs ``start`` to ``start + k - 1``, added left to right;
-    the last row then adds the terminal cost, so it holds the totals.  So a
-    fold resumed at a later stage, from the running costs there, gives the
-    bits of the fold from the earlier stage.  One quadratic form prices
-    every state, the end state with P, from the spec's one state-weight
-    stack, and one prices every input, each time index with its own stage's
-    weight slice: the bits of ``stage_costs`` then ``terminal_costs``, with
-    one subtraction and one quadratic form fewer.  A row's values depend
-    only on that row, its start and its base.  Every total cost in the
-    package comes from this fold: ``evaluate_cost`` is its one-row case from
-    stage 0.
-    """
-    n_stages, rows = inputs.shape[:2]
-    folded = np.empty((n_stages + 2, rows), dtype=np.float64)
-    folded[0] = base
-    folded[1:] = _quadratic_rows(states - cost.reference[0], cost._state_weights[start:])
-    folded[1:-1] += _quadratic_rows(inputs - cost.reference[1], cost.stage_input_weights[start:])
-    return np.add.accumulate(folded, axis=0)
-
-
 def evaluate_cost(cost: CostSpec, states: np.ndarray, plan: Plan) -> float:
     """Total cost of a plan and its (N+1, n) trajectory, as ``rollout``
     returns it: the stage costs added in horizon order, then the terminal
-    cost (``fold_costs`` of the one row from stage 0)."""
+    cost (``CostSpec.fold`` of the one row from stage 0)."""
     if plan.horizon != cost.horizon:
         raise ContractViolationError(
             f"plan horizon {plan.horizon} != cost horizon {cost.horizon}")
     _check_states(states, plan, cost.reference[0].shape[0], cost.reference[1].shape[0], "cost")
-    return float(fold_costs(cost, 0, 0.0, states[:, np.newaxis],
-                            plan.inputs[:, np.newaxis])[-1, 0])
+    return float(cost.fold(0, 0.0, states[:, np.newaxis], plan.inputs[:, np.newaxis])[-1, 0])
 
 
+# A state far outside the sets (inf, 1e200) overflows the set tests; it fails
+# them silently.
+@np.errstate(over="ignore", invalid="ignore")
 def check_feasible(constraints: ConstraintSpec, states: np.ndarray, plan: Plan) -> FeasibilityReport:
     """Find the first constraint violation along a plan and its (N+1, n)
     trajectory, as ``rollout`` returns it: states 0..N-1 against the state

@@ -253,6 +253,8 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         v_nxt = _quadratic_rows(nxt - BUCK_X_EQ, BUCK_P)
         return bool(np.all(v_nxt <= level) and np.all(v_nxt <= v_now))
 
+    # The scan breaks by 1e4 at the latest: that level's set spans about
+    # +-18 A of i_L around the fixed centre, far outside the [0, 3] A box.
     lo = hi = None
     for expo in range(-4, 5):
         level = 10.0 ** expo
@@ -262,8 +264,6 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         lo = level
     if lo is None:
         raise ConfigError("no valid terminal level found in the scanned decades")
-    if hi is None:
-        return lo
     for _ in range(bisection_steps):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if level_ok(mid) else (lo, mid)

@@ -45,7 +45,7 @@ rows from j_low, the lowest drawn position: R (N - j_low) row steps in
 N - j_low calls.  Each later round takes the undecided positions under the
 rule.  A solve that accepts nothing makes those N - j_low calls only.
 
-Every cost comes from ``core.fold_costs``, which adds stage costs left to
+Every cost comes from ``CostSpec.fold``, which adds stage costs left to
 right from a start stage and a base, one for all rows or one per row, then
 the terminal cost.  Every row starts with the warm start's running costs,
 its fold from stage 0.  A round prices its rows in groups under the width
@@ -129,7 +129,6 @@ from .core import (
     as_vector,
     check_feasible,
     evaluate_cost,  # noqa: F401  (kept a module global, as the benchmark's tracer wraps it)
-    fold_costs,
     rollout,
     shift_plan,
 )
@@ -305,19 +304,25 @@ def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
     The warm start's trajectory from x (the one it carries, see the module
     docstring, else a rollout) is checked on entry, its one certificate, and
     rejected with InfeasibleWarmStartError if infeasible; those states and
-    ``fold_costs`` give the reference and its running costs, and a warm
+    ``cost.fold`` give the reference and its running costs, and a warm
     start whose cost is not finite (a plant or a cost whose arithmetic
     overflows) is refused with ContractViolationError, as are constraints
-    or a cost whose dimensions differ from the model's.  All samples
-    are drawn in one call.  Each round steps all its rows from its lowest
-    start, masks and prices them, and the highest position with a strictly
-    cheaper feasible row accepts its cheapest.  The first round holds every
-    position; each later one resumes the undecided positions that the width
-    rule takes at the last accepted position.  The returned cost never
-    exceeds the warm start's cost, and the returned plan, which carries the
-    returned states, is feasible even when the time budget interrupts the
-    sweep.  With no samples it returns the warm start, certified and
-    priced, and counts no work.
+    or a cost whose dimensions differ from the model's.  The cost need not
+    be a ``CostSpec``: the solve reads only its ``horizon``, the lengths of
+    the two vectors of its ``reference`` (state, input) pair, and its
+    ``fold(start, base, states, inputs)``, with ``CostSpec.fold``'s shapes.
+    That fold must give a row the same bits whatever the batch around it,
+    and a fold resumed at a later stage from the running costs there the
+    bits of the fold from an earlier stage; its last row is the total.
+    All samples are drawn in one call.  Each round steps all its rows from
+    its lowest start, masks and prices them, and the highest position with
+    a strictly cheaper feasible row accepts its cheapest.  The first round
+    holds every position; each later one resumes the undecided positions
+    that the width rule takes at the last accepted position.  The returned
+    cost never exceeds the warm start's cost, and the returned plan, which
+    carries the returned states, is feasible even when the time budget
+    interrupts the sweep.  With no samples it returns the warm start,
+    certified and priced, and counts no work.
     """
     return _solve(x, warm, model, constraints, cost, cfg, cfg.sample_counts, sampler_state)
 
@@ -354,7 +359,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
         raise InfeasibleWarmStartError(
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
     # Row t of the running costs is the stage costs 0..t-1, the last row the cost.
-    ref_run = fold_costs(cost, 0, 0.0, warm_states[:, np.newaxis], warm.inputs[:, np.newaxis])
+    ref_run = cost.fold(0, 0.0, warm_states[:, np.newaxis], warm.inputs[:, np.newaxis])
     j_ref = ref_run[-1, 0]
     if not np.isfinite(j_ref):
         raise ContractViolationError(f"warm start cost is not finite: {j_ref}")
@@ -403,7 +408,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
             while h < hi:  # price the rows in groups, each from its lowest start
                 g, h = h, _round_width(block, start, h, big_n)
                 j, grp = start[h - 1], slice(block[g], block[h])
-                run[j:, grp] = fold_costs(cost, j, run[j, grp], xs[j:, grp], us[j:, grp])
+                run[j:, grp] = cost.fold(j, run[j, grp], xs[j:, grp], us[j:, grp])
             totals = run[-1, rows]
             better = np.flatnonzero((viol[rows] > big_n) & (totals < j_ref))
             if better.size:

@@ -411,6 +411,21 @@ class TestCli:
         assert cli_main(["validate", str(run_dir)]) == 2
         assert name in json.loads(capsys.readouterr().err)["message"]
 
+    def test_validate_reports_an_infinite_logged_state(self, tmp_path, capsys):
+        # The cart map overflows on it (exp(-inf) * inf): a violation, not a traceback.
+        path = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        csv_path = Path(json.loads(capsys.readouterr().out)["csv"])
+        text = csv_path.read_text().splitlines()
+        parts = text[2].split(",")
+        parts[1] = "inf"  # row k = 1's x0
+        text[2] = ",".join(parts)
+        csv_path.write_text("\n".join(text) + "\n")
+        assert cli_main(["validate", str(csv_path.parent)]) == 3
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [(v["k"], v["kind"]) for v in violations] == [
+            (1, "state-box"), (0, "resimulation"), (1, "resimulation")]
+
     def test_unreadable_config_exits_2(self, tmp_path):
         incomplete = tmp_path / "incomplete.json"
         incomplete.write_text("{}")

@@ -24,7 +24,7 @@ from sampled_nmpc import (
     rollout,
     shift_plan,
 )
-from sampled_nmpc.core import _quadratic_rows, as_vector, fold_costs
+from sampled_nmpc.core import _quadratic_rows, as_vector
 from sampled_nmpc.errors import ContractViolationError
 from sampled_nmpc.models import BUCK_TERMINAL_LEVEL, CART_P, CART_TERMINAL_LEVEL, PLANT_IDS
 from test_models import ellipsoid_value
@@ -249,7 +249,7 @@ class TestFoldCosts:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-5.0, 5.0, (horizon + 1, width, n))
         us = rng.uniform(-5.0, 5.0, (horizon, width, m))
-        full = fold_costs(cost, 0, 0.0, xs, us)
+        full = cost.fold(0, 0.0, xs, us)
         assert full.shape == (horizon + 2, width)
         sample = sorted({0, width - 1, int(rng.integers(width))})
         for b in sample:
@@ -262,35 +262,35 @@ class TestFoldCosts:
             assert evaluate_cost(cost, xs[:, b], Plan(us[:, b])) == full[-1, b]
             # Continuing from any stage with the running value there as base.
             for start in range(horizon + 1):
-                one = fold_costs(cost, start, full[start, b], xs[start:, b:b + 1],
-                                 us[start:, b:b + 1])
+                one = cost.fold(start, full[start, b], xs[start:, b:b + 1], us[start:, b:b + 1])
                 assert np.array_equal(one[:, 0], full[start:, b])
         # One base for the batch, its reversal and a strided view of its
         # rows: each row matches its one-row call.
         start = int(rng.integers(0, horizon + 1))
         base = float(rng.uniform(0.0, 100.0))
-        batch = fold_costs(cost, start, base, xs[start:], us[start:])
-        assert np.array_equal(fold_costs(cost, start, base, xs[start:, ::-1], us[start:, ::-1]),
+        batch = cost.fold(start, base, xs[start:], us[start:])
+        assert np.array_equal(cost.fold(start, base, xs[start:, ::-1], us[start:, ::-1]),
                               batch[:, ::-1])
-        assert np.array_equal(fold_costs(cost, start, base, xs[start:, ::2], us[start:, ::2]),
+        assert np.array_equal(cost.fold(start, base, xs[start:, ::2], us[start:, ::2]),
                               batch[:, ::2])
         for b in sample:
-            one = fold_costs(cost, start, base, xs[start:, b:b + 1], us[start:, b:b + 1])
+            one = cost.fold(start, base, xs[start:, b:b + 1], us[start:, b:b + 1])
             assert np.array_equal(batch[:, b], one[:, 0])
         # One base per row: each row matches its call with that base alone,
         # and resuming from the running costs at a stage repeats the fold.
         bases = rng.uniform(0.0, 100.0, width)
-        rows = fold_costs(cost, start, bases, xs[start:], us[start:])
+        rows = cost.fold(start, bases, xs[start:], us[start:])
         for b in sample:
-            one = fold_costs(cost, start, bases[b], xs[start:, b:b + 1], us[start:, b:b + 1])
+            one = cost.fold(start, bases[b], xs[start:, b:b + 1], us[start:, b:b + 1])
             assert np.array_equal(rows[:, b], one[:, 0])
         later = int(rng.integers(start, horizon + 1))
-        assert np.array_equal(fold_costs(cost, later, full[later], xs[later:], us[later:]),
+        assert np.array_equal(cost.fold(later, full[later], xs[later:], us[later:]),
                               full[later:])
 
     # The fold prices states 0..T with one quadratic form over the spec's one
     # state-weight stack (Q_start..Q_{N-1}, P): it must give the bits of the
-    # two-call form, stage_costs then terminal_costs, on every start stage.
+    # scalar stage costs then the terminal cost, added left to right, on
+    # every start stage.
     @given(st.sampled_from(PLANT_IDS), st.integers(1, 12), st.just(1024) | st.integers(1, 1100),
            st.integers(0, 2 ** 32 - 1))
     @example("wmr", 12, 1, 0)
@@ -306,14 +306,14 @@ class TestFoldCosts:
         xs[:, width - 1], us[:, width - 1] = cost.reference[0], cost.reference[1]
         bases = rng.uniform(0.0, 100.0, width)
         bases[zero] = -0.0
+        terms = np.array([[cost.stage_cost(j, xs[j, b], us[j, b]) for b in range(width)]
+                          for j in range(horizon)]
+                         + [[cost.terminal_cost(x) for x in xs[horizon]]])
         for start in range(horizon + 1):
             for base in (float(bases[0]), bases):
-                folded = np.empty((horizon + 2 - start, width))
-                folded[0] = base
-                folded[1:-1] = cost.stage_costs(start, xs[start:horizon], us[start:])
-                folded[-1] = cost.terminal_costs(xs[horizon])
-                want = np.add.accumulate(folded, axis=0)
-                got = fold_costs(cost, start, base, xs[start:], us[start:])
+                folded = np.concatenate([np.broadcast_to(base, (1, width)), terms[start:]])
+                want = np.add.accumulate(folded, axis=0)  # left to right, per row
+                got = cost.fold(start, base, xs[start:], us[start:])
                 assert got.tobytes() == want.tobytes()
 
 
@@ -426,6 +426,20 @@ class TestCheckFeasible:
         assert not report.feasible
         assert report.violation_index == idx
         assert report.violation_kind == ("terminal" if idx == 4 else "state-box")
+
+    # A state whose set tests overflow is judged without a RuntimeWarning:
+    # an infinite end state leaves the cart's terminal ellipsoid, and the
+    # robot's box leaves its position free, so a far state clears the obstacle.
+    @pytest.mark.parametrize("plant, idx, far, want", [
+        ("cart-spring", 3, [np.inf, 0.0], (False, 3, "terminal")),
+        ("wmr", 1, [1e200, 0.0, 0.0], (True, None, None))])
+    def test_a_state_that_overflows_the_set_tests_raises_no_warning(self, plant, idx, far, want):
+        bench = make_benchmark(plant, 3, None)
+        plan = Plan(np.zeros((3, bench.model.m)))
+        states = np.zeros((4, bench.model.n))
+        states[idx] = far
+        report = check_feasible(bench.constraints, states, plan)
+        assert (report.feasible, report.violation_index, report.violation_kind) == want
 
 
     @given(st.sampled_from(PLANT_IDS), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
@@ -770,9 +784,9 @@ class TestTypeInvariants:
         again = CostSpec(cost.stage_state_weights, cost.stage_input_weights,
                          cost.terminal_weight, cost.reference)
         rng = np.random.default_rng(7)
-        xs = rng.uniform(-5.0, 5.0, (5, 20, n))
+        xs = rng.uniform(-5.0, 5.0, (6, 20, n))
         us = rng.uniform(-5.0, 5.0, (5, 20, m))
-        assert again.stage_costs(0, xs, us).tobytes() == cost.stage_costs(0, xs, us).tobytes()
+        assert again.fold(0, 0.0, xs, us).tobytes() == cost.fold(0, 0.0, xs, us).tobytes()
 
     def test_feasibility_report_consistency(self):
         from sampled_nmpc import FeasibilityReport

@@ -345,8 +345,9 @@ class TestBenchmarkAssembly:
         xs, us = random_rows(bench, seed, count)
         kernels = {
             "batch_step": model.batch_step,
-            "stage_costs": lambda x, u: cost.stage_costs(j, x[None], u[None])[0],
-            "terminal_costs": lambda x, u: cost.terminal_costs(x),
+            # each row priced from stage j to the end, its state held throughout
+            "fold": lambda x, u: cost.fold(j, 0.0, np.repeat(x[None], 4 - j, axis=0),
+                                           np.repeat(u[None], 3 - j, axis=0)).T,
             "states_ok_rows": lambda x, u: cons.states_ok_rows(x),
             "terminal_ok_rows": lambda x, u: cons.terminal_ok_rows(x),
         }
@@ -356,8 +357,9 @@ class TestBenchmarkAssembly:
             assert np.array_equal(kernel(xs[order], us[order]), whole[order]), name
             for i in range(count):
                 assert np.array_equal(kernel(xs[i:i + 1], us[i:i + 1])[0], whole[i]), name
-        assert cost.stage_cost(j, xs[0], us[0]) == cost.stage_costs(j, xs[None], us[None])[0, 0]
-        assert cost.terminal_cost(xs[0]) == cost.terminal_costs(xs)[0]
+        # The scalar costs are the one-row terms of a fold from 0.0.
+        assert cost.stage_cost(j, xs[0], us[0]) == kernels["fold"](xs[:1], us[:1])[0, 1]
+        assert cost.terminal_cost(xs[0]) == cost.fold(3, 0.0, xs[None, :1], us[:0, None])[1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,35 @@ def returns_the_warm_start(bench, x0, cut, warm):
             and cut.j_sub == warm_cost(bench, x0, warm))
 
 
+class L1Price:
+    """A price that is no CostSpec: the L1 distance of every state and input
+    to the reference, its columns added left to right, and the stage terms
+    then the end state's added left to right from the base, so a row's bits
+    do not depend on the batch and a resumed fold repeats the bits of the
+    fold from an earlier stage."""
+
+    def __init__(self, horizon, x_ref, u_ref):
+        self.horizon = horizon
+        self.reference = (np.asarray(x_ref, dtype=float), np.asarray(u_ref, dtype=float))
+
+    @staticmethod
+    def _l1(d):
+        total = np.abs(d[..., 0])
+        for col in range(1, d.shape[-1]):
+            total += np.abs(d[..., col])
+        return total
+
+    def fold(self, start, base, states, inputs):
+        folded = np.empty((inputs.shape[0] + 2, inputs.shape[1]))
+        folded[0] = base
+        folded[1:] = self._l1(states - self.reference[0])
+        folded[1:-1] += self._l1(inputs - self.reference[1])
+        return np.add.accumulate(folded, axis=0)
+
+    def total(self, states, plan):
+        return self.fold(0, 0.0, states[:, np.newaxis], plan.inputs[:, np.newaxis])[-1, 0]
+
+
 def cart_solver_cfg(**kw):
     defaults = dict(horizon=10, samples_per_step=10,
                     sampler=SamplerConfig(scheme="halton", seed=3))
@@ -605,6 +634,28 @@ class TestImprovePlan:
             reference = result.plan
             costs.append(result.j_sub)
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+class TestPriceProtocol:
+    # The solver reads a price's horizon, its reference lengths and its fold.
+    @pytest.mark.parametrize("plant", ["cart-spring", "buck-boost"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_sweep_minimises_a_price_that_is_no_cost_spec(self, plant, seed):
+        bench = make_benchmark(plant, 10, None)
+        price = L1Price(10, *bench.cost.reference)
+        cfg = cart_solver_cfg(sampler=SamplerConfig(scheme="random", seed=seed))
+        x0 = bench.default_x0
+        warm = find_oracle(x0, bench.model, bench.constraints, price, cfg)
+        result = improve_plan(x0, warm, bench.model, bench.constraints, price, cfg,
+                              SamplerState(cfg.sampler))
+        assert result.improvements > 0
+        assert result.j_sub < price.total(rollout(bench.model, x0, warm), warm)
+        assert result.j_sub == price.total(rollout(bench.model, x0, result.plan), result.plan)
+        assert check_feasible(bench.constraints, result.states, result.plan).feasible
+        # The closed loop's first period is that solve.
+        log = closed_loop(bench.model, bench.constraints, price, cfg, x0, 3)
+        assert log.termination == "completed" and len(log.records) == 3
+        assert log.records[0].j_sub == result.j_sub
 
 
 class TestStepRows:
