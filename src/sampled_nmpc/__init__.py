@@ -48,7 +48,7 @@ from .models import (
     make_benchmark,
     terminal_set,
 )
-from .bench import ExperimentConfig, RunArtifacts, run_experiment, sweep, validate_run
+from .bench import ExperimentConfig, RunArtifacts, certify_run, run_experiment, sweep, validate_run
 from . import errors
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ __all__ = [
     "OUTPUT_ROOT_ENV",
     "run_experiment",
     "sweep",
+    "certify_run",
     "validate_run",
     "resolve_output_root",
 ]
@@ -391,50 +392,72 @@ def _read_run_json(path: Path) -> dict:
 # A logged state far outside the sets overflows the set tests and the plant
 # map; it is reported as a violation, not raised.
 @np.errstate(over="ignore", invalid="ignore")
-def validate_run(run_dir: str | os.PathLike) -> list[dict]:
-    """Re-check a finished run's log against the plant and its constraint sets.
+def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.ndarray,
+                inputs: np.ndarray, ks: Sequence[int], j_sub: Sequence[float],
+                f_evals: Sequence[int], cost_evals: Sequence[int]) -> list[dict]:
+    """Violations of a closed loop's K-step log, given as columns: the
+    (K + 1, n) visited states, the (K, m) inputs and each step's index, cost
+    and counters.  In order: per step, ``state-box`` or ``obstacle`` and
+    ``input-bound``; per step, ``resimulation`` (``batch_step`` does not give
+    the next state bit for bit); ``final-state-set`` at k = K;
+    ``initial-state`` (not x0); then kind by kind, ``step-index`` (k is not
+    the row's position), ``cost-not-finite``, ``f-evals-over-prediction`` and
+    ``cost-evals-over-prediction`` (above one solve's closed form under cfg,
+    sum_j (N - j) n_j and sum_j n_j).  Each check is one row-kernel call."""
+    constraints, count = bench.constraints, len(ks)
+    box_ok = constraints.state_box.contains_rows(states)
+    set_ok = constraints.states_ok_rows(states)
+    in_box = constraints.input_box.contains_rows(inputs)
+    violations = []
+    for k in np.flatnonzero(~set_ok[:-1] | ~in_box).tolist():
+        if not set_ok[k]:
+            violations.append({"k": k, "kind": "obstacle" if box_ok[k] else "state-box",
+                               "state": states[k].tolist()})
+        if not in_box[k]:
+            violations.append({"k": k, "kind": "input-bound", "input": inputs[k].tolist()})
+    stepped = (bench.model.batch_step(states[:-1], inputs) == states[1:]).all(axis=1)
+    violations += [{"k": k, "kind": "resimulation", "state": states[k + 1].tolist()}
+                   for k in np.flatnonzero(~stepped).tolist()]
+    if not set_ok[-1]:
+        violations.append({"k": count, "kind": "final-state-set", "state": states[-1].tolist()})
+    if not np.array_equal(states[0], x0):
+        violations.append({"k": 0, "kind": "initial-state", "state": states[0].tolist()})
+    work = complexity.complexity_report(cfg.sample_counts, cfg.horizon, complexity.CostModel(), 1)
+    ks, j_sub, f_evals, cost_evals = map(np.asarray, (ks, j_sub, f_evals, cost_evals))
+    for kind, column, bad in (
+            ("step-index", ks, ks != np.arange(count)),
+            ("cost-not-finite", j_sub, ~np.isfinite(j_sub)),
+            ("f-evals-over-prediction", f_evals, f_evals > work.predicted_f_evals),
+            ("cost-evals-over-prediction", cost_evals, cost_evals > work.predicted_cost_evals)):
+        at = np.flatnonzero(bad)
+        violations += [{"k": k, "kind": kind, "value": value}
+                       for k, value in zip(at.tolist(), column[at].tolist())]
+    return violations
 
-    Every logged state must lie in the state set and every logged input in
-    the input box.  Then the log is re-simulated: each row's state stepped
-    with its input must give the next row's state bit for bit (the CSV's
-    floats round-trip doubles), and the last row's must give summary.json's
-    final state, which must lie in the state set too.  Returns one record per
-    violation (empty when the log is clean).  A missing or unreadable
-    ``config.resolved.json``, ``steps.csv`` or ``summary.json``, a JSON file
-    that does not parse to an object, a CSV row with a missing or malformed
-    field, or a missing, non-numeric or wrong-length ``final_state`` raises
-    ConfigError naming the file.  A config that ``run_experiment`` rejects
-    raises the same error.
-    """
+
+def validate_run(run_dir: str | os.PathLike) -> list[dict]:
+    """``certify_run`` of steps.csv's columns, summary.json's final state last,
+    under the run's resolved config; the CSV's floats round-trip doubles.
+    ConfigError, naming the file, for a missing or unreadable run file, a JSON
+    file that is not an object, a CSV row with a missing or malformed field,
+    or a missing, non-numeric or wrong-length ``final_state``; and for a
+    config that ``run_experiment`` rejects."""
     run_dir = Path(run_dir)
     resolved = _read_run_json(run_dir / "config.resolved.json")
     resolved.pop("resolved", None)
-    bench, _, _ = _assemble(ExperimentConfig.from_dict(resolved))
-    model, constraints = bench.model, bench.constraints
-    rows = []
+    bench, solver_cfg, x0 = _assemble(ExperimentConfig.from_dict(resolved))
+    n, m = bench.model.n, bench.model.m
     steps_path = run_dir / "steps.csv"
+    rows = list(csv.DictReader(_read_run_file(steps_path).splitlines()))
+    vectors = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
     try:
-        for row in csv.DictReader(_read_run_file(steps_path).splitlines()):
-            rows.append((int(row["k"]),
-                         np.array([float(row[f"x{i}"]) for i in range(model.n)]),
-                         np.array([float(row[f"u{i}"]) for i in range(model.m)])))
+        table = np.array([[float(row[c]) for c in vectors] for row in rows]).reshape(-1, n + m)
+        ks, j_sub, f_evals, cost_evals = ([kind(row[c]) for row in rows] for c, kind in (
+            ("k", int), ("J_sub", float), ("f_evals", int), ("cost_evals", int)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
     summary_path = run_dir / "summary.json"
-    summary = _read_run_json(summary_path)
-    final = _floats(summary.get("final_state"), f"run file {summary_path} final_state",
-                    (model.n,), ConfigError, finite=False)
-    violations = []
-    for k, x, u in rows:
-        kind = constraints.state_violation_kind(x)
-        if kind is not None:
-            violations.append({"k": k, "kind": kind, "state": x.tolist()})
-        if not constraints.input_ok(u):
-            violations.append({"k": k, "kind": "input-bound", "input": u.tolist()})
-    successors = [x for _, x, _ in rows[1:]] + [final]
-    for (k, x, u), logged in zip(rows, successors):
-        if not np.array_equal(model.step(x, u), logged):
-            violations.append({"k": k, "kind": "resimulation", "state": logged.tolist()})
-    if not constraints.state_ok(final):
-        violations.append({"k": len(rows), "kind": "final-state-set", "state": final.tolist()})
-    return violations
+    final = _floats(_read_run_json(summary_path).get("final_state"),
+                    f"run file {summary_path} final_state", (n,), ConfigError, finite=False)
+    return certify_run(bench, solver_cfg, x0, np.vstack([table[:, :n], final]), table[:, n:],
+                       ks, j_sub, f_evals, cost_evals)

@@ -178,7 +178,7 @@ _APPEND_BATCH = 256
 _ROUND_ROW_STEPS = 4096
 # The memory one closed-loop step's StepRecord keeps, in floats: the slotted
 # object, the view of its state row, its input array and the boxed numbers.
-# Under tracemalloc (CPython 3.11, numpy 2.4) a run's log grew by 412-459
+# Under tracemalloc (CPython 3.11, numpy 2.4) a run's log grew by 453-492
 # bytes per step beyond its state log on the three plants at N = 10 (10
 # against 210 steps); 80 floats are 640 bytes.
 _RECORD_FLOATS = 80
@@ -245,15 +245,16 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """One solve's outcome: the improved plan, its predicted (N+1, n)
-    trajectory from the solve's state (read-only), its cost, the work
-    counters of the sequential sweep (plant steps and full-cost evaluations
-    it spends on candidates, however its rounds computed it), the number
-    of accepted replacements, wall time and whether the budget cut the
-    sweep."""
+    trajectory from the solve's state (read-only), its cost, the warm
+    start's cost (``j_sub <= j_warm``), the work counters of the sequential
+    sweep (plant steps and full-cost evaluations it spends on candidates,
+    however its rounds computed it), the number of accepted replacements,
+    wall time and whether the budget cut the sweep."""
 
     plan: Plan
     states: np.ndarray
     j_sub: float
+    j_warm: float
     f_evals: int
     cost_evals: int
     improvements: int
@@ -264,12 +265,14 @@ class SolveResult:
 @dataclass(frozen=True, slots=True)
 class StepRecord:
     """Per-closed-loop-step log row (state BEFORE applying the input, a
-    read-only view of its row of ``RunLog.states``)."""
+    read-only view of its row of ``RunLog.states``), with its solve's cost
+    and its warm start's cost.  ``j_warm`` is not written to steps.csv."""
 
     k: int
     state: np.ndarray
     applied_input: np.ndarray
     j_sub: float
+    j_warm: float
     f_evals: int
     cost_evals: int
     improvements: int
@@ -360,7 +363,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
             f"warm start violates {report.violation_kind} at index {report.violation_index}")
     # Row t of the running costs is the stage costs 0..t-1, the last row the cost.
     ref_run = cost.fold(0, 0.0, warm_states[:, np.newaxis], warm.inputs[:, np.newaxis])
-    j_ref = ref_run[-1, 0]
+    j_warm = j_ref = ref_run[-1, 0]
     if not np.isfinite(j_ref):
         raise ContractViolationError(f"warm start cost is not finite: {j_ref}")
     if sampler_state is None:
@@ -438,9 +441,9 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
     plan, states = ((warm.inputs, warm_states) if best is None
                     else (us[:, best], _frozen(xs[:, best].copy())))
     return SolveResult(plan=_SteppedPlan(plan, states, model), states=states,
-                       j_sub=float(j_ref), f_evals=f_evals, cost_evals=cost_evals,
-                       improvements=improvements, elapsed=time.perf_counter() - t_start,
-                       budget_hit=budget_hit)
+                       j_sub=float(j_ref), j_warm=float(j_warm), f_evals=f_evals,
+                       cost_evals=cost_evals, improvements=improvements,
+                       elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
 
 
 def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int) -> int:
@@ -633,10 +636,9 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
             result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
         elapsed = time.perf_counter() - t0
         u = result.plan.inputs[0].copy()
-        records.append(StepRecord(k=k, state=x, applied_input=u,
-                                  j_sub=result.j_sub, f_evals=result.f_evals,
-                                  cost_evals=result.cost_evals,
-                                  improvements=result.improvements,
+        records.append(StepRecord(k=k, state=x, applied_input=u, j_sub=result.j_sub,
+                                  j_warm=result.j_warm, f_evals=result.f_evals,
+                                  cost_evals=result.cost_evals, improvements=result.improvements,
                                   elapsed=elapsed, budget_hit=result.budget_hit))
         states[k + 1] = model.step(x, u)
         prev = result

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per shipped guarantee, each printing a
 pass/fail line (run with ``pytest -s`` to watch them stream).
 
-Closed-loop criteria drive the public API through an audited replica of the
-simulation loop so every solve's warm-start cost is available for exact
-dominance checks.
+Closed-loop criteria run the shipped ``closed_loop`` and certify its log with
+``certify_run``; each step record carries its warm start's cost, so the
+dominance checks are exact.  The published bounds (2.65, 4.5, 22.5, 0.47,
+...) are also checked as literals, independently of ``models.py``.
 """
 
 import csv
@@ -19,14 +20,13 @@ from sampled_nmpc import (
     CostModel,
     ExperimentConfig,
     SamplerConfig,
-    SamplerState,
     SolverConfig,
     check_feasible,
+    closed_loop,
     evaluate_cost,
     find_oracle,
     improve_plan,
     make_benchmark,
-    make_warm_start,
     predicted_bounds,
     predicted_serial,
     rollout,
@@ -34,6 +34,7 @@ from sampled_nmpc import (
 )
 from sampled_nmpc.models import CONVERGENCE_TOL_INF
 
+from test_bench import certify_log
 from test_solver import brute_force_backward_sweep
 
 
@@ -44,35 +45,10 @@ def report(number, name, ok, detail=""):
     assert ok, f"criterion {number}: {name}{suffix}"
 
 
-def audited_closed_loop(bench, cfg, x0, steps):
-    """Replicates the closed-loop driver while recording each solve's
-    warm-start cost next to its result."""
-    sampler_state = SamplerState(cfg.sampler)
-    x = np.array(x0, dtype=float)
-    rows = []
-    states = [x.copy()]
-    prev = None
-    for k in range(steps):
-        t0 = time.perf_counter()
-        if k == 0:
-            warm = find_oracle(x, bench.model, bench.constraints, bench.cost, cfg)
-        else:
-            warm = make_warm_start(prev, x, bench.model, bench.constraints, cfg, sampler_state)
-        warm_cost = evaluate_cost(bench.cost, rollout(bench.model, x, warm), warm)
-        result = improve_plan(x, warm, bench.model, bench.constraints, bench.cost,
-                              cfg, sampler_state)
-        rows.append({
-            "k": k,
-            "state": x.copy(),
-            "input": result.plan.inputs[0].copy(),
-            "warm_cost": warm_cost,
-            "result": result,
-            "elapsed": time.perf_counter() - t0,
-        })
-        x = np.asarray(bench.model.step(x, result.plan.inputs[0]), dtype=float)
-        states.append(x.copy())
-        prev = result
-    return rows, np.array(states)
+def certified_closed_loop(bench, cfg, x0, steps):
+    """The shipped closed loop's log, and whether ``certify_run`` finds it clean."""
+    log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, steps)
+    return log, certify_log(bench, cfg, x0, log) == []
 
 
 def csv_without_elapsed(path):
@@ -92,37 +68,36 @@ def cart_sweep_runs():
     for n_bar in (5, 10, 30):
         cfg = SolverConfig(horizon=10, samples_per_step=n_bar,
                            sampler=SamplerConfig(scheme="halton", seed=3))
-        runs[n_bar] = audited_closed_loop(bench, cfg, x0, 20)
+        runs[n_bar] = certified_closed_loop(bench, cfg, x0, 20)
     return runs, time.perf_counter() - t0
 
 
 def test_criterion_01_cost_monotonicity(cart_sweep_runs):
     runs, elapsed = cart_sweep_runs
-    dominated = all(row["result"].j_sub <= row["warm_cost"]
-                    for rows, _ in runs.values() for row in rows)
-    early_improvement = all(
-        sum(row["result"].improvements for row in rows[:5]) >= 1
-        for rows, _ in runs.values())
+    certified = all(clean for _, clean in runs.values())
+    dominated = all(rec.j_sub <= rec.j_warm for log, _ in runs.values() for rec in log.records)
+    early_improvement = all(sum(rec.improvements for rec in log.records[:5]) >= 1
+                            for log, _ in runs.values())
     report(1, "cost monotonicity over the cart closed loop",
-           dominated and early_improvement and elapsed < 5.0,
+           certified and dominated and early_improvement and elapsed < 5.0,
            f"elapsed {elapsed:.2f}s")
 
 
 def test_criterion_02_recursive_feasibility(cart_sweep_runs):
     runs, _ = cart_sweep_runs
     ok = True
-    for rows, states in runs.values():
-        ok &= bool(np.all(np.abs(states[:, 0]) <= 2.65))
-        ok &= all(abs(row["input"][0]) <= 4.5 for row in rows)
+    for log, clean in runs.values():
+        ok &= clean and bool(np.all(np.abs(log.states[:, 0]) <= 2.65))
+        ok &= all(abs(rec.applied_input[0]) <= 4.5 for rec in log.records)
     report(2, "state and input constraints hold at all times, zero tolerance", ok)
 
 
 def test_criterion_03_convergence_surrogate(cart_sweep_runs):
     runs, _ = cart_sweep_runs
-    _, states = runs[30]
-    final_norm = float(np.max(np.abs(states[20])))
+    log, clean = runs[30]
+    final_norm = float(np.max(np.abs(log.states[20])))
     report(3, "cart state near the origin after 20 steps with 30 samples",
-           final_norm < CONVERGENCE_TOL_INF,
+           clean and final_norm < CONVERGENCE_TOL_INF,
            f"|x|_inf = {final_norm:.4f} < {CONVERGENCE_TOL_INF}")
 
 
@@ -133,12 +108,11 @@ def test_criterion_04_counter_exactness():
     cfg = SolverConfig(horizon=10, samples_per_step=10, warm_start_mode="feasible-sample",
                        sampler=SamplerConfig(scheme="halton", seed=3))
     t0 = time.perf_counter()
-    rows, _ = audited_closed_loop(bench, cfg, bench.default_x0, 3)
+    log, clean = certified_closed_loop(bench, cfg, bench.default_x0, 3)
     elapsed = time.perf_counter() - t0
-    ok = all(row["result"].f_evals == 550 and row["result"].cost_evals == 100
-             for row in rows)
+    ok = all(rec.f_evals == 550 and rec.cost_evals == 100 for rec in log.records)
     report(4, "counters equal the workload formula exactly when no candidate violates",
-           ok and elapsed < 1.0, f"elapsed {elapsed:.2f}s")
+           clean and ok and elapsed < 1.0, f"elapsed {elapsed:.2f}s")
 
 
 def test_criterion_05_bound_arithmetic():
@@ -237,15 +211,17 @@ def test_criterion_09_buck_boost_closed_loop():
                        sampler=SamplerConfig(scheme="random", seed=11),
                        warm_start_mode="feasible-sample")
     t0 = time.perf_counter()
-    rows, states = audited_closed_loop(bench, cfg, x_eq + np.array([1.0, 2.0]), 100)
+    log, clean = certified_closed_loop(bench, cfg, x_eq + np.array([1.0, 2.0]), 100)
     elapsed = time.perf_counter() - t0
+    states, recs = log.states, log.records
     boxes_ok = (np.all(states[:, 0] >= -0.1) and np.all(states[:, 0] <= 22.5)
                 and np.all(states[:, 1] >= 0.0) and np.all(states[:, 1] <= 3.0))
-    inputs_ok = all(np.all(row["input"] >= 0.0) and np.all(row["input"] <= 1.0)
-                    for row in rows)
-    dominated = all(row["result"].j_sub <= row["warm_cost"] for row in rows)
+    inputs_ok = all(np.all(rec.applied_input >= 0.0) and np.all(rec.applied_input <= 1.0)
+                    for rec in recs)
+    dominated = all(rec.j_sub <= rec.j_warm for rec in recs)
     report(9, "buck-boost equilibrium and 100-step constrained closed loop",
-           eq_error < 1e-9 and boxes_ok and inputs_ok and dominated and elapsed < 10.0,
+           eq_error < 1e-9 and clean and boxes_ok and inputs_ok and dominated
+           and elapsed < 10.0,
            f"eq error {eq_error:.1e}, elapsed {elapsed:.2f}s")
 
 
@@ -255,15 +231,17 @@ def test_criterion_10_wmr_obstacle_run():
                        sampler=SamplerConfig(scheme="halton", seed=7),
                        warm_start_mode="feasible-sample")
     t0 = time.perf_counter()
-    rows, states = audited_closed_loop(bench, cfg, np.array([0.0, 6.0, 0.0]), 400)
+    log, clean = certified_closed_loop(bench, cfg, np.array([0.0, 6.0, 0.0]), 400)
     elapsed = time.perf_counter() - t0
+    states, recs = log.states, log.records
     clearance_sq = states[:, 0] ** 2 + (states[:, 1] - 3.0) ** 2
     outside = bool(np.all(clearance_sq >= 1.0))
-    inputs_ok = all(abs(r["input"][0]) <= 0.47 and abs(r["input"][1]) <= 3.77 for r in rows)
+    inputs_ok = all(abs(r.applied_input[0]) <= 0.47 and abs(r.applied_input[1]) <= 3.77
+                    for r in recs)
     final_distance = float(np.hypot(states[-1, 0], states[-1, 1]))
-    median_ms = statistics.median(r["elapsed"] for r in rows) * 1e3
+    median_ms = statistics.median(r.elapsed for r in recs) * 1e3
     report(10, "wmr avoids the obstacle and parks near the goal",
-           outside and inputs_ok and final_distance < 0.5
+           clean and outside and inputs_ok and final_distance < 0.5
            and median_ms < 100.0 and elapsed < 60.0,
            f"final distance {final_distance:.3f}, median step {median_ms:.1f}ms, "
            f"total {elapsed:.1f}s")

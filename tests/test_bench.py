@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampled_nmpc import ExperimentConfig, closed_loop, run_experiment, sweep, validate_run
+from sampled_nmpc import (
+    ExperimentConfig,
+    certify_run,
+    closed_loop,
+    run_experiment,
+    sweep,
+    validate_run,
+)
 from sampled_nmpc import bench as bench_module
 from sampled_nmpc.bench import OUTPUT_ROOT_ENV, _assemble, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
@@ -39,6 +46,38 @@ def free_wmr_config(**kw):
                 warm_start_mode="feasible-sample", model_overrides={"obstacle": None})
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def certify_log(bench, cfg, x0, log, **columns):
+    """``certify_run`` of a ``closed_loop`` log, its records read as columns;
+    a keyword argument replaces that column."""
+    recs = log.records
+    data = dict(states=log.states,
+                inputs=np.array([r.applied_input for r in recs]).reshape(len(recs), bench.model.m),
+                ks=[r.k for r in recs], j_sub=[r.j_sub for r in recs],
+                f_evals=[r.f_evals for r in recs], cost_evals=[r.cost_evals for r in recs])
+    data.update(columns)
+    return certify_run(bench, cfg, x0, **data)
+
+
+def with_field(lines, k, name, value):
+    """steps.csv lines with row k's field ``name`` set to ``value``."""
+    parts = lines[k + 1].split(",")
+    parts[lines[0].split(",").index(name)] = value
+    return lines[:k + 1] + [",".join(parts)] + lines[k + 2:]
+
+
+# Logs of the 20-step configs/cart_n10.json run, each damaged one way, that
+# look clean to every row-by-row state, input and re-simulation check.
+DAMAGED_LOGS = {
+    "header-only": (lambda lines: lines[:1], [(0, "initial-state")]),
+    "first-rows-dropped": (lambda lines: lines[:1] + lines[6:],
+                           [(0, "initial-state")] + [(k, "step-index") for k in range(15)]),
+    "relabelled-k": (lambda lines: with_field(lines, 3, "k", "7"), [(3, "step-index")]),
+    "counter-over-bound": (lambda lines: with_field(lines, 3, "f_evals", "1000000000"),
+                           [(3, "f-evals-over-prediction")]),
+    "cost-nan": (lambda lines: with_field(lines, 3, "J_sub", "nan"), [(3, "cost-not-finite")]),
+}
 
 
 def csv_without_elapsed(path):
@@ -381,6 +420,71 @@ class TestValidate:
         violations = validate_run(artifacts.run_dir)
         assert [(v["k"], v["kind"]) for v in violations] == [(3, "resimulation"),
                                                                (4, "final-state-set")]
+
+    def test_a_run_of_no_steps_validates(self, tmp_path):
+        # The row kernels see an empty (0, m) input block.
+        artifacts = run_experiment(cart_config(config_id="empty", steps=0), str(tmp_path))
+        assert validate_run(artifacts.run_dir) == []
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_LOGS))
+    def test_a_damaged_log_is_reported(self, tmp_path, capsys, damage):
+        config = ExperimentConfig.load(CONFIG_PATHS[0].parent / "cart_n10.json")
+        artifacts = run_experiment(config, str(tmp_path))
+        change, expected = DAMAGED_LOGS[damage]
+        lines = artifacts.csv_path.read_text().splitlines()
+        artifacts.csv_path.write_text("\n".join(change(lines)) + "\n")
+        assert [(v["k"], v["kind"]) for v in validate_run(artifacts.run_dir)] == expected
+        assert cli_main(["validate", str(artifacts.run_dir)]) == 3
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [(v["k"], v["kind"]) for v in violations] == expected
+
+
+class TestCertifyRun:
+    @pytest.fixture(params=["cart-spring", "buck-boost", "wmr"])
+    def clean_run(self, request):
+        bench, cfg, x0 = _assemble(ExperimentConfig("certify", request.param, 10, 6,
+                                                    samples_per_step=5))
+        log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, 6)
+        return bench, cfg, x0, log
+
+    def found(self, clean_run, **columns):
+        return [(v["k"], v["kind"]) for v in certify_log(*clean_run, **columns)]
+
+    def test_a_closed_loop_log_is_clean(self, clean_run):
+        assert certify_log(*clean_run) == []
+
+    def test_a_state_moved_by_one_ulp_breaks_the_chain(self, clean_run):
+        states = clean_run[3].states.copy()
+        states[2, 0] = np.nextafter(states[2, 0], np.inf)
+        found = self.found(clean_run, states=states)
+        assert found[0] == (1, "resimulation")
+        assert set(found) <= {(1, "resimulation"), (2, "resimulation")}
+
+    def test_an_input_outside_the_box_is_reported(self, clean_run):
+        bench, log = clean_run[0], clean_run[3]
+        inputs = np.array([r.applied_input for r in log.records])
+        inputs[1, 0] = bench.constraints.input_box.upper[0] + 1.0
+        assert self.found(clean_run, inputs=inputs) == [(1, "input-bound"), (1, "resimulation")]
+
+    @pytest.mark.parametrize("column, kind", [("f_evals", "f-evals-over-prediction"),
+                                              ("cost_evals", "cost-evals-over-prediction")])
+    def test_a_counter_over_its_bound_is_reported(self, clean_run, column, kind):
+        cfg, log = clean_run[1], clean_run[3]
+        bound = sum(cfg.sample_counts) if column == "cost_evals" else sum(
+            (cfg.horizon - j) * n for j, n in enumerate(cfg.sample_counts))
+        values = [getattr(r, column) for r in log.records]
+        values[1] = bound  # at the bound is clean
+        assert self.found(clean_run, **{column: values}) == []
+        values[1] = bound + 1
+        assert self.found(clean_run, **{column: values}) == [(1, kind)]
+
+    def test_a_state_inside_the_obstacle_is_named(self):
+        bench, cfg, x0 = _assemble(ExperimentConfig("certify", "wmr", 5, 4, samples_per_step=5))
+        log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, 4)
+        states = log.states.copy()
+        states[[2, 4]] = [0.0, 3.0, 0.0]  # the obstacle's center
+        found = self.found((bench, cfg, x0, log), states=states)
+        assert found[0] == (2, "obstacle") and (4, "final-state-set") in found
 
 
 class TestCli:

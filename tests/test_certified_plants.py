@@ -113,10 +113,12 @@ def test_every_closed_loop_keeps_the_guarantees(seed, m, horizon, data):
             warm = make_warm_start(prev, x, model, constraints, cfg, stream)
         result = improve_plan(x, warm, model, constraints, cost, cfg, stream)
         states = rollout(model, x, result.plan)
-        # Every plan is feasible, priced exactly, and no worse than its warm start.
+        # Every plan is feasible, priced exactly, and no worse than its warm start,
+        # which the result prices exactly too.
         assert check_feasible(constraints, states, result.plan).feasible
         assert result.j_sub == evaluate_cost(cost, states, result.plan)
-        assert result.j_sub <= evaluate_cost(cost, rollout(model, x, warm), warm)
+        assert result.j_warm == evaluate_cost(cost, rollout(model, x, warm), warm)
+        assert result.j_sub <= result.j_warm
         # An accepted replacement is strictly cheaper than its reference, so
         # it changes its own position's input; no other position changes.
         changed = np.any(result.plan.inputs != warm.inputs, axis=1)

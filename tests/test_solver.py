@@ -845,7 +845,7 @@ class TestMakeWarmStart:
     def test_origin_appends_zero(self, cart10):
         cfg = cart_solver_cfg(samples_per_step=0)
         prev = SolveResult(plan=Plan(np.zeros((10, 1))), states=np.zeros((11, 2)), j_sub=0.0,
-                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
                            budget_hit=False)
         warm = make_warm_start(prev, np.zeros(2), cart10.model, cart10.constraints, cfg)
         assert np.array_equal(warm.inputs, np.zeros((10, 1)))
@@ -866,7 +866,7 @@ class TestMakeWarmStart:
                            sampler=SamplerConfig(scheme="halton", seed=1),
                            warm_start_mode="terminal-controller")
         prev = SolveResult(plan=Plan(np.zeros((5, 2))), states=np.zeros((6, 3)), j_sub=0.0,
-                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
                            budget_hit=False)
         with pytest.raises(NoTerminalLawError):
             make_warm_start(prev, np.zeros(3), wmr5.model, wmr5.constraints, cfg)
@@ -883,8 +883,8 @@ class TestMakeWarmStart:
         # two states are outside the disc, the third is inside
         x0 = np.array([0.0, 4.05, -np.pi / 2])
         prev = SolveResult(plan=Plan(inputs), states=rollout(wmr2.model, x0, Plan(inputs)),
-                           j_sub=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
-                           budget_hit=False)
+                           j_sub=0.0, j_warm=0.0, f_evals=0, cost_evals=0, improvements=0,
+                           elapsed=0.0, budget_hit=False)
         x_new = wmr2.model.step(x0, inputs[0])
         warm = make_warm_start(prev, x_new, wmr2.model, wmr2.constraints, cfg)
         assert np.array_equal(warm.inputs[0], inputs[1])
@@ -957,8 +957,9 @@ class TestMakeWarmStart:
         cfg = SolverConfig(horizon=3, sampler=SamplerConfig(scheme=scheme, seed=seed),
                            warm_start_mode="feasible-sample", oracle_budget=budget)
         prev = SolveResult(plan=Plan(np.zeros((3, model.m))),
-                           states=np.vstack([np.zeros((3, n)), end]), j_sub=0.0, f_evals=0,
-                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+                           states=np.vstack([np.zeros((3, n)), end]), j_sub=0.0, j_warm=0.0,
+                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
+                           budget_hit=False)
         expected, drawn = first_feasible_append(
             bench, end, SamplerState(cfg.sampler, counter=counter), max(budget, 1))
         stream = SamplerState(cfg.sampler, counter=counter)
@@ -1035,7 +1036,7 @@ class TestCertificates:
         bench = make_benchmark("cart-spring", 1, None)
         cfg = SolverConfig(horizon=1, samples_per_step=0)
         states = rollout(bench.model, np.array([2.0, 0.0]), Plan([[0.0]]))
-        prev = SolveResult(plan=Plan([[0.0]]), states=states, j_sub=0.0, f_evals=0,
+        prev = SolveResult(plan=Plan([[0.0]]), states=states, j_sub=0.0, j_warm=0.0, f_evals=0,
                            cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
         x = states[-1]
         warm = make_warm_start(prev, x, bench.model, bench.constraints, cfg)
