@@ -401,9 +401,9 @@ def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.
     ``input-bound``; per step, ``resimulation`` (``batch_step`` does not give
     the next state bit for bit); ``final-state-set`` at k = K;
     ``initial-state`` (not x0); then kind by kind, ``step-index`` (k is not
-    the row's position), ``cost-not-finite``, ``f-evals-over-prediction`` and
-    ``cost-evals-over-prediction`` (above one solve's closed form under cfg,
-    sum_j (N - j) n_j and sum_j n_j).  Each check is one row-kernel call."""
+    the row's position), ``cost-not-finite``, ``{f,cost}-evals-over-prediction``
+    (above one solve's closed form under cfg, sum_j (N - j) n_j and sum_j n_j)
+    and ``{f,cost}-evals-negative``.  Each check is one row-kernel call."""
     constraints, count = bench.constraints, len(ks)
     box_ok = constraints.state_box.contains_rows(states)
     set_ok = constraints.states_ok_rows(states)
@@ -428,7 +428,9 @@ def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.
             ("step-index", ks, ks != np.arange(count)),
             ("cost-not-finite", j_sub, ~np.isfinite(j_sub)),
             ("f-evals-over-prediction", f_evals, f_evals > work.predicted_f_evals),
-            ("cost-evals-over-prediction", cost_evals, cost_evals > work.predicted_cost_evals)):
+            ("cost-evals-over-prediction", cost_evals, cost_evals > work.predicted_cost_evals),
+            ("f-evals-negative", f_evals, f_evals < 0),
+            ("cost-evals-negative", cost_evals, cost_evals < 0)):
         at = np.flatnonzero(bad)
         violations += [{"k": k, "kind": kind, "value": value}
                        for k, value in zip(at.tolist(), column[at].tolist())]
@@ -438,6 +440,8 @@ def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.
 def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     """``certify_run`` of steps.csv's columns, summary.json's final state last,
     under the run's resolved config; the CSV's floats round-trip doubles.
+    ``log-shape`` (k = 0) comes first when the K rows are not ``steps``, and a
+    ``summary-mismatch`` (k = K) last per summary value the rows do not give.
     ConfigError, naming the file, for a missing or unreadable run file, a JSON
     file that is not an object, a CSV row with a missing or malformed field,
     or a missing, non-numeric or wrong-length ``final_state``; and for a
@@ -445,7 +449,8 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     run_dir = Path(run_dir)
     resolved = _read_run_json(run_dir / "config.resolved.json")
     resolved.pop("resolved", None)
-    bench, solver_cfg, x0 = _assemble(ExperimentConfig.from_dict(resolved))
+    config = ExperimentConfig.from_dict(resolved)
+    bench, solver_cfg, x0 = _assemble(config)
     n, m = bench.model.n, bench.model.m
     steps_path = run_dir / "steps.csv"
     rows = list(csv.DictReader(_read_run_file(steps_path).splitlines()))
@@ -457,7 +462,17 @@ def validate_run(run_dir: str | os.PathLike) -> list[dict]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
     summary_path = run_dir / "summary.json"
-    final = _floats(_read_run_json(summary_path).get("final_state"),
+    summary = _read_run_json(summary_path)
+    final = _floats(summary.get("final_state"),
                     f"run file {summary_path} final_state", (n,), ConfigError, finite=False)
-    return certify_run(bench, solver_cfg, x0, np.vstack([table[:, :n], final]), table[:, n:],
-                       ks, j_sub, f_evals, cost_evals)
+    count, totals = len(rows), summary.get("totals")
+    totals = totals if isinstance(totals, dict) else {}
+    found = [] if count == config.steps else [{"k": 0, "kind": "log-shape", "value": count}]
+    found += certify_run(bench, solver_cfg, x0, np.vstack([table[:, :n], final]), table[:, n:],
+                         ks, j_sub, f_evals, cost_evals)
+    for name, value, want in (("steps_completed", summary.get("steps_completed"), count),
+                              ("totals.f_evals", totals.get("f_evals"), sum(f_evals)),
+                              ("totals.cost_evals", totals.get("cost_evals"), sum(cost_evals))):
+        if value != want:
+            found.append({"k": count, "kind": "summary-mismatch", "field": name, "value": value})
+    return found

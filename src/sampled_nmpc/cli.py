@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="certify a run log: sets, re-simulation, start, k, cost, work")
+    p_val = sub.add_parser("validate", help="certify a run log: sets, re-simulation, start, k, cost, work, length, summary")
     p_val.add_argument("run_dir", help="directory holding steps.csv, summary.json and config.resolved.json")
     p_val.set_defaults(func=_cmd_validate)
 

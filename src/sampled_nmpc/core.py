@@ -168,7 +168,9 @@ class PlantModel:
     state and input and is that map's one-row case, so the solver's batched
     candidates, ``rollout`` and the closed loop all step the plant through
     the same arithmetic.  ``terminal_law`` is the plant's local stabilizing
-    feedback, if one is published.
+    feedback, if one is published.  Construction steps the equilibrium as one
+    row and as a batch of two and refuses a wrong shape or any move, NaN and
+    overflow too: the sweep then stores ``batch_step``'s outputs unchecked.
     """
 
     n: int
@@ -194,14 +196,19 @@ class PlantModel:
         x_eq = as_vector(self.equilibrium[0], self.n, "equilibrium state")
         u_eq = as_vector(self.equilibrium[1], self.m, "equilibrium input")
         object.__setattr__(self, "equilibrium", (_frozen(x_eq), _frozen(u_eq)))
-        x_next = np.asarray(self.step(x_eq, u_eq), dtype=np.float64)
-        if x_next.shape != (self.n,):
-            raise ContractViolationError(
-                f"step must return a length-{self.n} state, got shape {x_next.shape}")
-        if np.max(np.abs(x_next - x_eq)) > _EQUILIBRIUM_TOL:
-            raise ContractViolationError(
-                "declared equilibrium is not a fixed point of step "
-                f"(max deviation {np.max(np.abs(x_next - x_eq)):.3e})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = np.asarray(self.step(x_eq, u_eq), dtype=np.float64)
+            if x_next.shape != (self.n,):
+                raise ContractViolationError(
+                    f"step must return a length-{self.n} state, got shape {x_next.shape}")
+            rows = np.asarray(self.batch_step(np.stack([x_eq] * 2), np.stack([u_eq] * 2)), float)
+            if rows.shape != (2, self.n):
+                raise ContractViolationError(
+                    f"batch_step must return (2, {self.n}) states for 2 rows, got {rows.shape}")
+            deviation = np.max(np.abs(np.vstack([x_next, rows]) - x_eq))
+        if not deviation <= _EQUILIBRIUM_TOL:  # NaN too
+            raise ContractViolationError("declared equilibrium is not a fixed point of the "
+                                         f"plant map (max deviation {deviation:.3e})")
 
 
 @dataclass(frozen=True)

@@ -292,10 +292,15 @@ class RunLog:
 
 @dataclass(frozen=True)
 class _SteppedPlan(Plan):
-    """A plan and the read-only (N+1, n) trajectory ``model`` stepped it along."""
+    """A plan and the read-only (N+1, n) trajectory ``model`` stepped it along,
+    fresh arrays of the package's own: frozen in place, not checked again."""
 
     states: np.ndarray
     model: PlantModel
+
+    def __post_init__(self):
+        _frozen(self.inputs)
+        _frozen(self.states)
 
 
 def improve_plan(x: np.ndarray, warm: Plan, model: PlantModel,
@@ -439,7 +444,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
         cost_evals = int(np.count_nonzero(viol[swept] > big_n))
 
     plan, states = ((warm.inputs, warm_states) if best is None
-                    else (us[:, best], _frozen(xs[:, best].copy())))
+                    else (us[:, best].copy(), xs[:, best].copy()))
     return SolveResult(plan=_SteppedPlan(plan, states, model), states=states,
                        j_sub=float(j_ref), j_warm=float(j_warm), f_evals=f_evals,
                        cost_evals=cost_evals, improvements=improvements,
@@ -531,7 +536,7 @@ def _search(x: np.ndarray, stream: SamplerState, sizes: Iterator[int], budget: i
                 alive = ok[:horizon - k].all(axis=0)
         hits = np.flatnonzero(alive)
         if hits.size:
-            return us[:, hits[0]], xs[:, hits[0]].copy()
+            return us[:, hits[0]].copy(), xs[:, hits[0]].copy()
     return None
 
 
@@ -558,7 +563,7 @@ def find_oracle(x: np.ndarray, model: PlantModel, constraints: ConstraintSpec,
                   constraints)
     if hit is None:
         raise NoOracleError(f"no feasible sequence within {cfg.oracle_budget} random draws")
-    return _SteppedPlan(hit[0], _frozen(hit[1]), model)
+    return _SteppedPlan(*hit, model)
 
 
 def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
@@ -582,7 +587,7 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
     if cfg.warm_start_mode == "terminal-controller":
         if model.terminal_law is None:
             raise NoTerminalLawError(f"plant {model.name or '?'} has no terminal law")
-        return _shifted(prev, model.terminal_law(end), model)
+        return _shifted(prev, as_vector(model.terminal_law(end), model.m, "appended input"), model)
     hit = _search(end, sampler_state or SamplerState(cfg.sampler), itertools.repeat(_APPEND_BATCH),
                   max(cfg.oracle_budget, 1), 1, model, constraints)
     if hit is None:
@@ -593,16 +598,16 @@ def make_warm_start(prev: SolveResult, x_new: np.ndarray, model: PlantModel,
 
 def _shifted(prev: SolveResult, appended: np.ndarray, model: PlantModel,
              final: Optional[np.ndarray] = None) -> Plan:
-    """prev's plan shifted with ``appended`` last; if its plan carries prev.states
-    from this model, so does the shift, ending in ``final`` (else stepped)."""
+    """prev's plan shifted with the checked input ``appended`` last; if it carries
+    prev.states from this model, so does the shift, ending in ``final`` (else stepped)."""
     if not (isinstance(prev.plan, _SteppedPlan) and prev.plan.model is model
             and prev.plan.states is prev.states):
         return shift_plan(prev.plan, appended)
-    appended = as_vector(appended, model.m, "appended input")[np.newaxis]
+    appended = appended[np.newaxis]
     if final is None:
         final = model.batch_step(prev.states[-1:], appended)[0]
     return _SteppedPlan(np.concatenate([prev.plan.inputs[1:], appended]),
-                        _frozen(np.concatenate([prev.states[1:], final[np.newaxis]])), model)
+                        np.concatenate([prev.states[1:], final[np.newaxis]]), model)
 
 
 def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,

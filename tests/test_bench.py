@@ -68,15 +68,46 @@ def with_field(lines, k, name, value):
 
 
 # Logs of the 20-step configs/cart_n10.json run, each damaged one way, that
-# look clean to every row-by-row state, input and re-simulation check.
+# look clean to every row-by-row state, input and re-simulation check.  A log
+# with rows dropped no longer has the config's 20 rows or summary.json's
+# step count and counter totals.
 DAMAGED_LOGS = {
-    "header-only": (lambda lines: lines[:1], [(0, "initial-state")]),
+    "header-only": (lambda lines: lines[:1],
+                    [(0, "log-shape"), (0, "initial-state")] + [(0, "summary-mismatch")] * 3),
     "first-rows-dropped": (lambda lines: lines[:1] + lines[6:],
-                           [(0, "initial-state")] + [(k, "step-index") for k in range(15)]),
+                           [(0, "log-shape"), (0, "initial-state")]
+                           + [(k, "step-index") for k in range(15)]
+                           + [(15, "summary-mismatch")] * 3),
     "relabelled-k": (lambda lines: with_field(lines, 3, "k", "7"), [(3, "step-index")]),
     "counter-over-bound": (lambda lines: with_field(lines, 3, "f_evals", "1000000000"),
-                           [(3, "f-evals-over-prediction")]),
+                           [(3, "f-evals-over-prediction"), (20, "summary-mismatch")]),
     "cost-nan": (lambda lines: with_field(lines, 3, "J_sub", "nan"), [(3, "cost-not-finite")]),
+}
+
+
+def edit_json(path, change):
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+# The same run edited where no row check looks: its config's step count, its
+# summary, and counters below zero.
+EDITED_RUNS = {
+    "resolved-steps": (lambda run: edit_json(run.resolved_config_path,
+                                             lambda d: d.update(steps=40)),
+                       [(0, "log-shape")]),
+    "steps-completed": (lambda run: edit_json(run.summary_path,
+                                              lambda d: d.update(steps_completed=7)),
+                        [(20, "summary-mismatch")]),
+    "total-negative": (lambda run: edit_json(run.summary_path,
+                                             lambda d: d["totals"].update(f_evals=-1)),
+                       [(20, "summary-mismatch")]),
+    "row-counters-negative": (
+        lambda run: run.csv_path.write_text("\n".join(with_field(with_field(
+            run.csv_path.read_text().splitlines(), 3, "f_evals", "-5"),
+            3, "cost_evals", "-1")) + "\n"),
+        [(3, "f-evals-negative"), (3, "cost-evals-negative")] + [(20, "summary-mismatch")] * 2),
 }
 
 
@@ -433,6 +464,18 @@ class TestValidate:
         change, expected = DAMAGED_LOGS[damage]
         lines = artifacts.csv_path.read_text().splitlines()
         artifacts.csv_path.write_text("\n".join(change(lines)) + "\n")
+        assert [(v["k"], v["kind"]) for v in validate_run(artifacts.run_dir)] == expected
+        assert cli_main(["validate", str(artifacts.run_dir)]) == 3
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [(v["k"], v["kind"]) for v in violations] == expected
+
+    @pytest.mark.parametrize("edit", sorted(EDITED_RUNS))
+    def test_a_log_that_disagrees_with_its_config_or_summary_is_reported(
+            self, tmp_path, capsys, edit):
+        config = ExperimentConfig.load(CONFIG_PATHS[0].parent / "cart_n10.json")
+        artifacts = run_experiment(config, str(tmp_path))
+        change, expected = EDITED_RUNS[edit]
+        change(artifacts)
         assert [(v["k"], v["kind"]) for v in validate_run(artifacts.run_dir)] == expected
         assert cli_main(["validate", str(artifacts.run_dir)]) == 3
         violations = json.loads(capsys.readouterr().out)["violations"]

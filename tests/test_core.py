@@ -631,6 +631,19 @@ class TestTypeInvariants:
         with pytest.raises(ContractViolationError, match="^step returned a state of wrong shape$"):
             rollout(model, [1.0], Plan([[0.0]]))
 
+    def test_a_map_that_ignores_the_batch_is_refused(self, cart10):
+        # Its one-row case is right, so only a batch shows it: the sweep would
+        # store the first row's successor for every row.
+        good = cart10.model.batch_step
+        with pytest.raises(ContractViolationError,
+                           match=r"^batch_step must return \(2, 2\) states .* got \(1, 2\)$"):
+            replace(cart10.model, batch_step=lambda xs, us: good(xs[:1], us[:1]), step=None)
+
+    def test_a_map_that_gives_nan_at_the_equilibrium_is_refused(self):
+        with pytest.raises(ContractViolationError, match="not a fixed point"):
+            PlantModel(n=1, m=1, batch_step=lambda xs, us: xs * np.nan,
+                       equilibrium=(np.zeros(1), np.zeros(1)))
+
     def test_step_is_the_one_row_case_of_batch_step(self):
         model = PlantModel(n=1, m=1, batch_step=lambda xs, us: 0.5 * xs + us,
                            equilibrium=(np.zeros(1), np.zeros(1)))

@@ -16,7 +16,7 @@ from sampled_nmpc import (
 )
 from sampled_nmpc.core import BoxSet, _quadratic_rows
 from sampled_nmpc import models
-from sampled_nmpc.errors import ConfigError
+from sampled_nmpc.errors import ConfigError, ContractViolationError
 from sampled_nmpc.models import (
     BUCK_TERMINAL_LEVEL,
     BUCK_U_EQ,
@@ -202,6 +202,13 @@ class TestWmr:
     def test_params_validate(self):
         with pytest.raises(ConfigError):
             WmrParams(ts=-1.0)
+
+    @pytest.mark.parametrize("ts", [math.nan, math.inf])
+    def test_a_period_that_is_not_finite_is_refused(self, ts):
+        # NaN passes ts > 0 and gives a NaN step; inf gives 0 * inf at the
+        # equilibrium, a RuntimeWarning unless the check guards it.
+        with pytest.raises(ContractViolationError, match="not a fixed point"):
+            models.wmr_model(WmrParams(ts=ts))
 
 
 class TestBenchmarkAssembly:

@@ -34,7 +34,7 @@ from sampled_nmpc.errors import (
     NoTerminalLawError,
     WarmStartFailureError,
 )
-from sampled_nmpc import solver
+from sampled_nmpc import core, solver
 from sampled_nmpc.bench import ExperimentConfig, _assemble
 from sampled_nmpc.sampling import draw_blocks
 from sampled_nmpc.solver import SolveResult
@@ -517,6 +517,7 @@ class TestImprovePlan:
         counted = dataclasses.replace(
             bench.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
             or bench.model.batch_step(xs, us))
+        rows.clear()  # construction checks the equilibrium once
         with pytest.MonkeyPatch.context() as mp:
             if row_steps is not None:
                 mp.setattr(solver, "_ROUND_ROW_STEPS", row_steps)
@@ -540,6 +541,7 @@ class TestImprovePlan:
         model = dataclasses.replace(
             cart10.model, batch_step=lambda xs, us: rows.append(xs.shape[0])
             or cart10.model.batch_step(xs, us))
+        rows.clear()  # construction checks the equilibrium once
         cfg = cart_solver_cfg(samples_per_step=[0, 0, 0] + [10] * 7)
         result = improve_plan(np.zeros(2), Plan(np.zeros((10, 1))), model, cart10.constraints,
                               cart10.cost, cfg)
@@ -861,6 +863,16 @@ class TestMakeWarmStart:
         traj = rollout(wmr5.model, x_new, warm)
         assert check_feasible(wmr5.constraints, traj, warm).feasible
 
+    @pytest.mark.parametrize("law", [lambda x: ["x"], lambda x: np.zeros(2)],
+                             ids=["string", "wrong-length"])
+    def test_a_terminal_law_off_its_contract_is_refused_where_it_enters(self, cart10, cart_x0,
+                                                                        law):
+        cfg = cart_solver_cfg()
+        model = dataclasses.replace(cart10.model, terminal_law=law)
+        prev = self._solve(dataclasses.replace(cart10, model=model), cart_x0, cfg)
+        with pytest.raises(ContractViolationError, match="appended input"):
+            make_warm_start(prev, prev.states[1], model, cart10.constraints, cfg)
+
     def test_terminal_controller_unavailable_for_wmr(self, wmr5):
         cfg = SolverConfig(horizon=5, samples_per_step=5,
                            sampler=SamplerConfig(scheme="halton", seed=1),
@@ -1128,6 +1140,34 @@ class TestCarriedTrajectories:
         at_zero = find_oracle(np.zeros(2), model, cart10.constraints, cart10.cost, cfg)
         improve_plan(np.array([-0.0, 0.0]), at_zero, model, *args)
         assert calls["step"] == 40
+
+    @pytest.mark.parametrize("config, appended", [("buck_boost.json", []),
+                                                  ("cart_n10.json", ["appended input"])])
+    def test_warm_started_periods_check_only_what_comes_from_outside(
+            self, monkeypatch, config, appended):
+        # The carried plans, the search's rows and batch_step's outputs are not
+        # checked again: a period checks the state in make_warm_start (or
+        # find_oracle) and in improve_plan, and the cart's terminal law's input
+        # where it enters; the converter appends a row of its own search.
+        bench, cfg, x0 = _assemble(ExperimentConfig.load(CONFIG_DIR / config))
+        names, floats = [], core._floats
+        monkeypatch.setattr(core, "_floats", lambda v, name, *args, **kw:
+                            names.append(name) or floats(v, name, *args, **kw))
+        for steps in (1, 5):  # a one-period oracle run, then four warm-started periods
+            names.clear()
+            closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, steps)
+            assert names == (["initial state", "state", "state"]
+                             + ["state", *appended, "state"] * (steps - 1))
+
+    def test_the_oracle_and_a_solve_hand_out_arrays_of_their_own(self, cart10, cart_x0):
+        # Read-only, and no view of the search batch or the solve tensors.
+        cfg = cart_solver_cfg()
+        oracle = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost, cfg)
+        result = improve_plan(cart_x0, oracle, cart10.model, cart10.constraints, cart10.cost,
+                              cfg)
+        assert result.improvements > 0 and result.states is result.plan.states
+        for arr in (oracle.inputs, oracle.states, result.plan.inputs, result.plan.states):
+            assert not arr.flags.writeable and arr.base is None
 
 
 class TestClosedLoop:
