@@ -1,46 +1,36 @@
 """Experiment harness: JSON-configured closed-loop runs, horizon/sample-count
 sweeps, per-step CSV and summary JSON artifacts, and a post-hoc log validator.
-
-All simulation content in the per-step CSV (states, inputs, costs, counters)
-is reproducible byte for byte for a fixed seed, independent of the lane
-count (which only sets the p of the complexity bounds); the elapsed_ms
-column is wall-clock measurement and is excluded from reproducibility
-comparisons.
-"""
+Each CSV's schema is one table.  All simulation content in the per-step CSV is
+reproducible byte for byte for a fixed seed, whatever the lane count (the p of
+the complexity bounds); its wall-clock elapsed_ms column is not."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import complexity
 from .core import Plan, _floats, _integer
-from .errors import ConfigError, SampledNmpcError
+from .errors import ConfigError, ContractViolationError, SampledNmpcError
 from .models import _MAX_FLOATS, Benchmark, make_benchmark
 from .sampling import SamplerConfig
-from .solver import _ORACLE_BATCH, _RECORD_FLOATS, RunLog, SolverConfig, closed_loop
+from .solver import _ORACLE_BATCH, _RECORD_FLOATS, StepRecord, RunLog, SolverConfig, closed_loop
 
-__all__ = [
-    "ExperimentConfig",
-    "RunArtifacts",
-    "SCHEMA_VERSION",
-    "OUTPUT_ROOT_ENV",
-    "run_experiment",
-    "sweep",
-    "certify_run",
-    "validate_run",
-    "resolve_output_root",
-]
+__all__ = ["ExperimentConfig", "RunArtifacts", "SCHEMA_VERSION", "OUTPUT_ROOT_ENV",
+           "run_experiment", "sweep", "certify_run", "validate_run", "resolve_output_root"]
 
 SCHEMA_VERSION = 3
 OUTPUT_ROOT_ENV = "SAMPLED_NMPC_OUT"
-
 CSV_FLOAT_FORMAT = ".17g"  # enough digits to round-trip doubles exactly
 
 
@@ -99,15 +89,13 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
+        if unknown := set(raw) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
         sampler_raw = data.pop("sampler", {})
         if not isinstance(sampler_raw, dict):
             raise ConfigError("sampler must be a JSON object")
-        unknown = set(sampler_raw) - {f.name for f in fields(SamplerConfig)}
-        if unknown:
+        if unknown := set(sampler_raw) - {f.name for f in fields(SamplerConfig)}:
             raise ConfigError(f"unknown sampler keys: {sorted(unknown)}")
         try:
             sampler = SamplerConfig(**sampler_raw)
@@ -134,13 +122,9 @@ class ExperimentConfig:
     def with_overrides(self, seed: Optional[int] = None, lanes: Optional[int] = None,
                        budget_ms: Optional[float] = None) -> "ExperimentConfig":
         """Apply command-line overrides, returning a new config."""
-        updates: dict = {}
-        if seed is not None:
-            updates["sampler"] = replace(self.sampler, seed=seed)
-        if lanes is not None:
-            updates["lanes"] = lanes
-        if budget_ms is not None:
-            updates["time_budget_ms"] = budget_ms
+        updates = {name: value for name, value in (
+            ("sampler", None if seed is None else replace(self.sampler, seed=seed)),
+            ("lanes", lanes), ("time_budget_ms", budget_ms)) if value is not None}
         return replace(self, **updates) if updates else self
 
 
@@ -155,14 +139,7 @@ class RunArtifacts:
 
 
 def resolve_output_root(cli_out: Optional[str], config: ExperimentConfig) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    if config.out_dir:
-        return Path(config.out_dir)
-    env = os.environ.get(OUTPUT_ROOT_ENV)
-    if env:
-        return Path(env)
-    return Path("runs")
+    return Path(cli_out or config.out_dir or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
 
 
 def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.ndarray]:
@@ -173,16 +150,11 @@ def _assemble(config: ExperimentConfig) -> tuple[Benchmark, SolverConfig, np.nda
         initial_plan = None if config.initial_plan is None else Plan(_floats(
             config.initial_plan, "initial_plan", (None, bench.model.m), ConfigError))
         solver_cfg = SolverConfig(
-            horizon=config.horizon,
-            samples_per_step=config.samples_per_step,
-            sampler=config.sampler,
-            lanes=config.lanes,
+            horizon=config.horizon, samples_per_step=config.samples_per_step,
+            sampler=config.sampler, lanes=config.lanes,
             time_budget=None if config.time_budget_ms is None else config.time_budget_ms / 1e3,
-            oracle_budget=config.oracle_budget,
-            warm_start_mode=mode,
-            improve_initial=config.improve_initial,
-            initial_plan=initial_plan,
-        )
+            oracle_budget=config.oracle_budget, warm_start_mode=mode,
+            improve_initial=config.improve_initial, initial_plan=initial_plan)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if mode == "terminal-controller" and bench.model.terminal_law is None:
@@ -210,34 +182,78 @@ def _fmt(value: float) -> str:
     return format(float(value), CSV_FLOAT_FORMAT)
 
 
-def _write_step_csv(path: Path, log: RunLog, n: int, m: int) -> None:
-    header = (["k"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-              + ["J_sub", "f_evals", "cost_evals", "elapsed_ms", "budget_hit"])
+def _checked(parse: Callable, ok: Callable, what: str) -> Callable[[str], object]:
+    def checked(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(f"{text!r} is not {what}")
+        return value
+    return checked
+
+
+# The steps.csv schema, read by its writer, its parser and certify_run.  An
+# entry is a name, how to read it from a StepRecord, and how to format and
+# parse a field; a vector entry, of width "n" or "m", spans name0, name1, ...
+_StepColumn = namedtuple("_StepColumn", "name read fmt parse width", defaults=(None,))
+_STEP_COLUMNS = (
+    _StepColumn("k", attrgetter("k"), str, int),
+    _StepColumn("x", attrgetter("state"), _fmt, float, "n"),
+    _StepColumn("u", attrgetter("applied_input"), _fmt, float, "m"),
+    _StepColumn("J_sub", attrgetter("j_sub"), _fmt, float),
+    _StepColumn("f_evals", attrgetter("f_evals"), str, int),
+    _StepColumn("cost_evals", attrgetter("cost_evals"), str, int),
+    _StepColumn("elapsed_ms", lambda rec: rec.elapsed * 1e3, _fmt,
+                _checked(float, lambda ms: 0 <= ms < np.inf, "a finite time >= 0")),
+    _StepColumn("budget_hit", lambda rec: int(rec.budget_hit), str,
+                _checked(int, lambda flag: flag in (0, 1), "0 or 1")),
+)
+
+
+def _step_fields(n: int, m: int) -> list[tuple[str, tuple]]:
+    """steps.csv's header: each field's name, with its table entry."""
+    width = {None: 1, "n": n, "m": m}
+    return [(col.name if col.width is None else f"{col.name}{i}", col)
+            for col in _STEP_COLUMNS for i in range(width[col.width])]
+
+
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for rec in log.records:
-            row = ([str(rec.k)] + [_fmt(v) for v in rec.state]
-                   + [_fmt(v) for v in rec.applied_input]
-                   + [_fmt(rec.j_sub), str(rec.f_evals), str(rec.cost_evals),
-                      _fmt(rec.elapsed * 1e3), str(int(rec.budget_hit))])
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverConfig,
-               log: RunLog) -> dict:
+def _write_step_csv(path: Path, records: Sequence[StepRecord], n: int, m: int) -> None:
+    _write_csv(path, (name for name, _ in _step_fields(n, m)),
+               ((col.fmt(value) for col in _STEP_COLUMNS
+                 for value in (col.read(rec) if col.width else (col.read(rec),)))
+                for rec in records))
+
+
+def _read_step_csv(path: Path, n: int, m: int) -> dict:
+    """steps.csv's columns by table name: (K, width) arrays or lists of K values."""
+    schema = _step_fields(n, m)
+    header, *rows = list(csv.reader(_read_run_file(path).splitlines())) or [[]]
+    for want, got in itertools.zip_longest((name for name, _ in schema), header):
+        if want != got:
+            raise ConfigError(f"run file {path} header has {got!r} where the schema has {want!r}")
+    for k, row in enumerate(rows):
+        if len(row) != len(schema):
+            raise ConfigError(f"run file {path} row {k} has {len(row)} fields, not {len(schema)}")
+    blocks: dict = {col.name: [] for col in _STEP_COLUMNS}
+    for j, (name, col) in enumerate(schema):
+        try:
+            blocks[col.name].append([col.parse(row[j]) for row in rows])
+        except ValueError as exc:
+            raise ConfigError(f"run file {path} column {name}: malformed field, {exc}") from exc
+    return {col.name: np.array(blocks[col.name], dtype=float).T if col.width else
+            blocks[col.name][0] for col in _STEP_COLUMNS}
+
+
+def _summarize(config: ExperimentConfig, solver_cfg: SolverConfig, log: RunLog) -> dict:
     n_list = list(solver_cfg.sample_counts)
     unit_model = complexity.CostModel()
-    report = complexity.complexity_report(n_list, config.horizon, unit_model,
-                                          solver_cfg.lanes)
+    report = complexity.complexity_report(n_list, config.horizon, unit_model, solver_cfg.lanes)
     recs = log.records
-    per_solve = {
-        "f_evals_min": min((r.f_evals for r in recs), default=0),
-        "f_evals_max": max((r.f_evals for r in recs), default=0),
-        "cost_evals_min": min((r.cost_evals for r in recs), default=0),
-        "cost_evals_max": max((r.cost_evals for r in recs), default=0),
-        "elapsed_ms_median": float(np.median([r.elapsed * 1e3 for r in recs])) if recs else 0.0,
-    }
     return {
         "config_id": config.config_id,
         "plant": config.plant,
@@ -247,128 +263,111 @@ def _summarize(config: ExperimentConfig, bench: Benchmark, solver_cfg: SolverCon
         "termination": log.termination,
         "final_state": [float(v) for v in log.states[-1]],
         "final_j_sub": recs[-1].j_sub if recs else None,
-        "totals": {
-            "f_evals": sum(r.f_evals for r in recs),
-            "cost_evals": sum(r.cost_evals for r in recs),
-            "improvements": sum(r.improvements for r in recs),
-            "elapsed_ms": sum(r.elapsed for r in recs) * 1e3,
-        },
-        "per_solve": per_solve,
-        "complexity": {
-            "units": unit_model.units,
-            "c1": unit_model.c1,
-            "c2": unit_model.c2,
-            "serial_exact": report.serial_exact,
-            "serial_bound": report.serial_bound,
-            "full_parallel": report.full_parallel,
-            "p_parallel": report.p_parallel,
-            "predicted_f_evals_per_solve": report.predicted_f_evals,
-            "predicted_cost_evals_per_solve": report.predicted_cost_evals,
-        },
+        "totals": {"f_evals": sum(r.f_evals for r in recs),
+                   "cost_evals": sum(r.cost_evals for r in recs),
+                   "improvements": sum(r.improvements for r in recs),
+                   "elapsed_ms": sum(r.elapsed for r in recs) * 1e3},
+        "per_solve": {
+            "f_evals_min": min((r.f_evals for r in recs), default=0),
+            "f_evals_max": max((r.f_evals for r in recs), default=0),
+            "cost_evals_min": min((r.cost_evals for r in recs), default=0),
+            "cost_evals_max": max((r.cost_evals for r in recs), default=0),
+            "elapsed_ms_median":
+                float(np.median([r.elapsed * 1e3 for r in recs])) if recs else 0.0},
+        "complexity": {"units": unit_model.units, "c1": unit_model.c1, "c2": unit_model.c2,
+                       "serial_exact": report.serial_exact, "serial_bound": report.serial_bound,
+                       "full_parallel": report.full_parallel, "p_parallel": report.p_parallel,
+                       "predicted_f_evals_per_solve": report.predicted_f_evals,
+                       "predicted_cost_evals_per_solve": report.predicted_cost_evals},
     }
 
 
 def run_experiment(config: ExperimentConfig, out_root: Optional[str] = None) -> RunArtifacts:
-    """Execute one configured closed loop and write its artifacts.
-
-    The run directory is <output root>/<config_id>.  On infeasibility or
-    oracle failure a machine-readable error.json lands there and the error
-    propagates to the caller.
-    """
+    """Execute one configured closed loop and write its artifacts to
+    <output root>/<config_id>.  On infeasibility or oracle failure a
+    machine-readable error.json lands there and the error propagates."""
     bench, solver_cfg, x0 = _assemble(config)
     run_dir = resolve_output_root(out_root, config) / config.config_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    resolved = config.to_dict()
-    resolved["resolved"] = {
+    resolved = {**config.to_dict(), "resolved": {
         "warm_start_mode": solver_cfg.warm_start_mode,
         "initial_state": [float(v) for v in x0],
         "samples_per_step": list(solver_cfg.sample_counts),
-        "output_root": str(resolve_output_root(out_root, config)),
-    }
+        "output_root": str(resolve_output_root(out_root, config))}}
     resolved_path = run_dir / "config.resolved.json"
     resolved_path.write_text(json.dumps(resolved, indent=2) + "\n")
 
     try:
-        log = closed_loop(bench.model, bench.constraints, bench.cost,
-                          solver_cfg, x0, config.steps)
+        log = closed_loop(bench.model, bench.constraints, bench.cost, solver_cfg, x0, config.steps)
     except SampledNmpcError as exc:
-        (run_dir / "error.json").write_text(json.dumps({
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "config_id": config.config_id,
-        }, indent=2) + "\n")
+        (run_dir / "error.json").write_text(json.dumps(
+            {"error": type(exc).__name__, "message": str(exc), "config_id": config.config_id},
+            indent=2) + "\n")
         raise
 
     csv_path = run_dir / "steps.csv"
-    _write_step_csv(csv_path, log, bench.model.n, bench.model.m)
+    _write_step_csv(csv_path, log.records, bench.model.n, bench.model.m)
     summary_path = run_dir / "summary.json"
-    summary_path.write_text(json.dumps(
-        _summarize(config, bench, solver_cfg, log), indent=2) + "\n")
-    return RunArtifacts(run_dir=run_dir, csv_path=csv_path,
-                        summary_path=summary_path, resolved_config_path=resolved_path)
+    summary_path.write_text(json.dumps(_summarize(config, solver_cfg, log), indent=2) + "\n")
+    return RunArtifacts(run_dir, csv_path, summary_path, resolved_path)
+
+
+# The sweep.csv schema: each column's header, the dotted path of its value
+# in a run's record (its config's fields, its status and its summary.json)
+# and its format.  A failed run has no summary: those columns stay empty.
+_SWEEP_COLUMNS = (
+    ("config_id", "config.config_id", str), ("status", "status", str),
+    ("plant", "config.plant", str), ("N", "config.horizon", str),
+    ("n_bar", "config.samples_per_step", lambda counts: str(np.max(counts))),
+    ("steps", "config.steps", str), ("lanes", "config.lanes", str),
+    ("total_elapsed_ms", "summary.totals.elapsed_ms", _fmt),
+    ("f_evals_per_solve_min", "summary.per_solve.f_evals_min", str),
+    ("f_evals_per_solve_max", "summary.per_solve.f_evals_max", str),
+    ("cost_evals_per_solve_min", "summary.per_solve.cost_evals_min", str),
+    ("cost_evals_per_solve_max", "summary.per_solve.cost_evals_max", str),
+    ("predicted_f_evals_per_solve", "summary.complexity.predicted_f_evals_per_solve", str),
+    ("predicted_cost_evals_per_solve", "summary.complexity.predicted_cost_evals_per_solve", str),
+    ("serial_exact", "summary.complexity.serial_exact", _fmt),
+    ("serial_bound", "summary.complexity.serial_bound", _fmt),
+    ("full_parallel", "summary.complexity.full_parallel", _fmt),
+    ("p_parallel", "summary.complexity.p_parallel", _fmt),
+)
+
+
+def _at(tree: dict, path: str):
+    """The value at a dotted path through nested dicts; None past a missing key."""
+    return reduce(lambda node, key: None if node is None else node.get(key), path.split("."), tree)
 
 
 def sweep(configs: Sequence[ExperimentConfig], out_root: Optional[str] = None) -> list[dict]:
-    """Run each config in sequence and write a combined sweep.csv.
-
-    Individual failures are recorded with their error kind and the sweep
-    continues.  Returns one record per config with its status and artifacts.
-    """
+    """Run each config in sequence and write a combined sweep.csv.  A failure
+    is recorded with its error kind and the sweep continues.  Returns one
+    record per config with its status and artifacts."""
     if not configs:
         raise ConfigError("sweep needs at least one config")
-    ids = [c.config_id for c in configs]
-    if len(set(ids)) != len(ids):
+    if len({c.config_id for c in configs}) != len(configs):
         raise ConfigError("sweep configs must have distinct config_id values")
     results = []
     for config in configs:
-        record: dict = {"config_id": config.config_id, "config": config}
+        record: dict = {"config_id": config.config_id}
         try:
             artifacts = run_experiment(config, out_root)
-            record["status"] = "ok"
-            record["artifacts"] = artifacts
-            record["summary"] = json.loads(artifacts.summary_path.read_text())
+            record.update(status="ok", artifacts=artifacts,
+                          summary=json.loads(artifacts.summary_path.read_text()))
         except SampledNmpcError as exc:
-            record["status"] = "error"
-            record["error"] = type(exc).__name__
-            record["message"] = str(exc)
+            record.update(status="error", error=type(exc).__name__, message=str(exc))
         results.append(record)
 
     root = resolve_output_root(out_root, configs[0])
     root.mkdir(parents=True, exist_ok=True)
     sweep_path = root / "sweep.csv"
-    header = ["config_id", "status", "plant", "N", "n_bar", "steps", "lanes",
-              "total_elapsed_ms", "f_evals_per_solve_min", "f_evals_per_solve_max",
-              "cost_evals_per_solve_min", "cost_evals_per_solve_max",
-              "predicted_f_evals_per_solve", "predicted_cost_evals_per_solve",
-              "serial_exact", "serial_bound", "full_parallel", "p_parallel"]
-    with sweep_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for record in results:
-            config = record["config"]
-            base = [config.config_id, record["status"], config.plant,
-                    str(config.horizon), str(np.max(config.samples_per_step)),
-                    str(config.steps), str(config.lanes)]
-            if record["status"] == "ok":
-                summary = record["summary"]
-                comp = summary["complexity"]
-                per = summary["per_solve"]
-                row = base + [
-                    _fmt(summary["totals"]["elapsed_ms"]),
-                    str(per["f_evals_min"]), str(per["f_evals_max"]),
-                    str(per["cost_evals_min"]), str(per["cost_evals_max"]),
-                    str(comp["predicted_f_evals_per_solve"]),
-                    str(comp["predicted_cost_evals_per_solve"]),
-                    _fmt(comp["serial_exact"]), _fmt(comp["serial_bound"]),
-                    _fmt(comp["full_parallel"]), _fmt(comp["p_parallel"]),
-                ]
-            else:
-                row = base + [""] * (len(header) - len(base))
-            writer.writerow(row)
+    views = [{**record, "config": config.to_dict()} for record, config in zip(results, configs)]
+    _write_csv(sweep_path, (header for header, _, _ in _SWEEP_COLUMNS),
+               (["" if (value := _at(view, path)) is None else fmt(value)
+                 for _, path, fmt in _SWEEP_COLUMNS] for view in views))
     for record in results:
         record["sweep_csv"] = sweep_path
-        record.pop("config")
     return results
 
 
@@ -392,22 +391,29 @@ def _read_run_json(path: Path) -> dict:
 # A logged state far outside the sets overflows the set tests and the plant
 # map; it is reported as a violation, not raised.
 @np.errstate(over="ignore", invalid="ignore")
-def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.ndarray,
-                inputs: np.ndarray, ks: Sequence[int], j_sub: Sequence[float],
-                f_evals: Sequence[int], cost_evals: Sequence[int]) -> list[dict]:
-    """Violations of a closed loop's K-step log, given as columns: the
-    (K + 1, n) visited states, the (K, m) inputs and each step's index, cost
-    and counters.  In order: per step, ``state-box`` or ``obstacle`` and
-    ``input-bound``; per step, ``resimulation`` (``batch_step`` does not give
-    the next state bit for bit); ``final-state-set`` at k = K;
-    ``initial-state`` (not x0); then kind by kind, ``step-index`` (k is not
-    the row's position), ``cost-not-finite``, ``{f,cost}-evals-over-prediction``
-    (above one solve's closed form under cfg, sum_j (N - j) n_j and sum_j n_j)
-    and ``{f,cost}-evals-negative``.  Each check is one row-kernel call."""
-    constraints, count = bench.constraints, len(ks)
-    box_ok = constraints.state_box.contains_rows(states)
-    set_ok = constraints.states_ok_rows(states)
-    in_box = constraints.input_box.contains_rows(inputs)
+def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray,
+                columns: Mapping[str, Sequence]) -> list[dict]:
+    """Violations of a closed loop's K-step log, given as steps.csv's columns
+    by table name: ``x`` the K + 1 visited states, final state last, ``u``
+    the K inputs, and K each of ``k``, ``J_sub``, ``f_evals`` and
+    ``cost_evals`` (a ContractViolationError names each of another shape).
+    In order: per step, ``state-box`` or ``obstacle`` and ``input-bound``;
+    per step, ``resimulation`` (``batch_step`` does not give the next state
+    bit for bit); ``final-state-set`` at k = K; ``initial-state`` (not x0);
+    then kind by kind, ``step-index`` (k is not the row's position),
+    ``cost-not-finite``, ``{f,cost}-evals-over-prediction`` (above one
+    solve's closed form under cfg, sum_j (N - j) n_j and sum_j n_j) and
+    ``{f,cost}-evals-negative``.  Each check is one row-kernel call."""
+    names = ("x", "u", "k", "J_sub", "f_evals", "cost_evals")
+    states, inputs, ks, j_sub, f_evals, cost_evals = data = [np.asarray(columns[c]) for c in names]
+    count = len(states) - 1
+    shapes = [(count + 1, bench.model.n), (count, bench.model.m)] + [(count,)] * 4
+    wrong = [name for name, column, shape in zip(names, data, shapes) if column.shape != shape]
+    if wrong:
+        raise ContractViolationError(f"columns {wrong} do not fit {count} steps from x's states")
+    box_ok = bench.constraints.state_box.contains_rows(states)
+    set_ok = bench.constraints.states_ok_rows(states)
+    in_box = bench.constraints.input_box.contains_rows(inputs)
     violations = []
     for k in np.flatnonzero(~set_ok[:-1] | ~in_box).tolist():
         if not set_ok[k]:
@@ -423,7 +429,6 @@ def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.
     if not np.array_equal(states[0], x0):
         violations.append({"k": 0, "kind": "initial-state", "state": states[0].tolist()})
     work = complexity.complexity_report(cfg.sample_counts, cfg.horizon, complexity.CostModel(), 1)
-    ks, j_sub, f_evals, cost_evals = map(np.asarray, (ks, j_sub, f_evals, cost_evals))
     for kind, column, bad in (
             ("step-index", ks, ks != np.arange(count)),
             ("cost-not-finite", j_sub, ~np.isfinite(j_sub)),
@@ -438,41 +443,35 @@ def certify_run(bench: Benchmark, cfg: SolverConfig, x0: np.ndarray, states: np.
 
 
 def validate_run(run_dir: str | os.PathLike) -> list[dict]:
-    """``certify_run`` of steps.csv's columns, summary.json's final state last,
-    under the run's resolved config; the CSV's floats round-trip doubles.
-    ``log-shape`` (k = 0) comes first when the K rows are not ``steps``, and a
-    ``summary-mismatch`` (k = K) last per summary value the rows do not give.
-    ConfigError, naming the file, for a missing or unreadable run file, a JSON
-    file that is not an object, a CSV row with a missing or malformed field,
-    or a missing, non-numeric or wrong-length ``final_state``; and for a
-    config that ``run_experiment`` rejects."""
+    """``certify_run`` of steps.csv's columns, summary.json's final state
+    last in ``x``, under the run's resolved config.  ``log-shape`` (k = 0)
+    comes first when the K rows are not ``steps``, and a ``summary-mismatch``
+    (k = K) last per summary value the rows do not give.  ConfigError, naming
+    the file, for a missing or unreadable run file, a JSON file that is not
+    an object, a missing, non-numeric or wrong-length ``final_state``, or a
+    config that ``run_experiment`` rejects; and naming the column too, for a
+    steps.csv header that is not the table's names in order, a row of
+    another length, or a field its entry does not parse (``budget_hit`` is 0
+    or 1, ``elapsed_ms`` a finite time >= 0)."""
     run_dir = Path(run_dir)
     resolved = _read_run_json(run_dir / "config.resolved.json")
     resolved.pop("resolved", None)
     config = ExperimentConfig.from_dict(resolved)
     bench, solver_cfg, x0 = _assemble(config)
-    n, m = bench.model.n, bench.model.m
-    steps_path = run_dir / "steps.csv"
-    rows = list(csv.DictReader(_read_run_file(steps_path).splitlines()))
-    vectors = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-    try:
-        table = np.array([[float(row[c]) for c in vectors] for row in rows]).reshape(-1, n + m)
-        ks, j_sub, f_evals, cost_evals = ([kind(row[c]) for row in rows] for c, kind in (
-            ("k", int), ("J_sub", float), ("f_evals", int), ("cost_evals", int)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"run file {steps_path} has a missing or malformed field: {exc}") from exc
+    n = bench.model.n
+    columns = _read_step_csv(run_dir / "steps.csv", n, bench.model.m)
     summary_path = run_dir / "summary.json"
     summary = _read_run_json(summary_path)
     final = _floats(summary.get("final_state"),
                     f"run file {summary_path} final_state", (n,), ConfigError, finite=False)
-    count, totals = len(rows), summary.get("totals")
+    columns["x"] = np.vstack([columns["x"], final])
+    count, totals = len(columns["x"]) - 1, summary.get("totals")
     totals = totals if isinstance(totals, dict) else {}
     found = [] if count == config.steps else [{"k": 0, "kind": "log-shape", "value": count}]
-    found += certify_run(bench, solver_cfg, x0, np.vstack([table[:, :n], final]), table[:, n:],
-                         ks, j_sub, f_evals, cost_evals)
+    found += certify_run(bench, solver_cfg, x0, columns)
     for name, value, want in (("steps_completed", summary.get("steps_completed"), count),
-                              ("totals.f_evals", totals.get("f_evals"), sum(f_evals)),
-                              ("totals.cost_evals", totals.get("cost_evals"), sum(cost_evals))):
+                              *((f"totals.{c}", totals.get(c), sum(columns[c]))
+                                for c in ("f_evals", "cost_evals"))):
         if value != want:
             found.append({"k": count, "kind": "summary-mismatch", "field": name, "value": value})
     return found

@@ -381,8 +381,6 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
     if positions and not budget_hit:
         sizes = [counts[j] for j in positions]
         samples = draw_blocks(sampler_state, constraints.input_box, sizes)
-        if not constraints.input_box.contains_rows(samples).all():
-            raise ContractViolationError("draw_blocks returned an input outside the input box")
         # One row per sample, highest position first; block[i] is the first
         # row of positions[i], so the undecided rows are always a suffix.
         # Time-major tensors from time 0, built as the reference repeated

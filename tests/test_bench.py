@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampled_nmpc import (
@@ -21,12 +21,12 @@ from sampled_nmpc import (
     validate_run,
 )
 from sampled_nmpc import bench as bench_module
-from sampled_nmpc.bench import OUTPUT_ROOT_ENV, _assemble, resolve_output_root
+from sampled_nmpc.bench import OUTPUT_ROOT_ENV, SCHEMA_VERSION, _assemble, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
-from sampled_nmpc.errors import ConfigError, SampledNmpcError
+from sampled_nmpc.errors import ConfigError, ContractViolationError, SampledNmpcError
 from sampled_nmpc.models import BuckBoostParams, CartSpringParams, WmrParams
 from sampled_nmpc.sampling import SamplerConfig
-from sampled_nmpc.solver import _RECORD_FLOATS
+from sampled_nmpc.solver import _RECORD_FLOATS, StepRecord
 
 CONFIG_PATHS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -49,15 +49,15 @@ def free_wmr_config(**kw):
 
 
 def certify_log(bench, cfg, x0, log, **columns):
-    """``certify_run`` of a ``closed_loop`` log, its records read as columns;
-    a keyword argument replaces that column."""
+    """``certify_run`` of a ``closed_loop`` log, its records read as steps.csv's
+    columns; a keyword argument replaces the column of that name."""
     recs = log.records
-    data = dict(states=log.states,
-                inputs=np.array([r.applied_input for r in recs]).reshape(len(recs), bench.model.m),
-                ks=[r.k for r in recs], j_sub=[r.j_sub for r in recs],
-                f_evals=[r.f_evals for r in recs], cost_evals=[r.cost_evals for r in recs])
+    data = {"x": log.states,
+            "u": np.array([r.applied_input for r in recs]).reshape(len(recs), bench.model.m),
+            "k": [r.k for r in recs], "J_sub": [r.j_sub for r in recs],
+            "f_evals": [r.f_evals for r in recs], "cost_evals": [r.cost_evals for r in recs]}
     data.update(columns)
-    return certify_run(bench, cfg, x0, **data)
+    return certify_run(bench, cfg, x0, data)
 
 
 def with_field(lines, k, name, value):
@@ -83,6 +83,57 @@ DAMAGED_LOGS = {
                            [(3, "f-evals-over-prediction"), (20, "summary-mismatch")]),
     "cost-nan": (lambda lines: with_field(lines, 3, "J_sub", "nan"), [(3, "cost-not-finite")]),
 }
+
+
+def without_column(lines, name):
+    """steps.csv lines with the column ``name`` removed from every line."""
+    drop = lines[0].split(",").index(name)
+    return [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
+
+
+# The same run's steps.csv edited so that a column no longer reads as its
+# table entry says: each is a ConfigError naming the file and the column.
+MALFORMED_LOGS = {
+    "budget-hit-word": (lambda lines: with_field(lines, 3, "budget_hit", "banana"), "budget_hit"),
+    "budget-hit-7": (lambda lines: with_field(lines, 3, "budget_hit", "7"), "budget_hit"),
+    "elapsed-word": (lambda lines: with_field(lines, 3, "elapsed_ms", "abc"), "elapsed_ms"),
+    "elapsed-negative": (lambda lines: with_field(lines, 3, "elapsed_ms", "-5"), "elapsed_ms"),
+    "elapsed-removed": (lambda lines: without_column(lines, "elapsed_ms"), "elapsed_ms"),
+    "extra-column": (lambda lines: [lines[0] + ",extra"] + [line + ",0" for line in lines[1:]],
+                     "extra"),
+}
+
+# The SCHEMA_VERSION 3 headers, for each plant's n and m.
+STEP_HEADERS = {
+    "cart-spring": "k,x0,x1,u0,J_sub,f_evals,cost_evals,elapsed_ms,budget_hit",
+    "buck-boost": "k,x0,x1,u0,u1,J_sub,f_evals,cost_evals,elapsed_ms,budget_hit",
+    "wmr": "k,x0,x1,x2,u0,u1,J_sub,f_evals,cost_evals,elapsed_ms,budget_hit",
+}
+SWEEP_HEADER = ("config_id,status,plant,N,n_bar,steps,lanes,total_elapsed_ms,"
+                "f_evals_per_solve_min,f_evals_per_solve_max,cost_evals_per_solve_min,"
+                "cost_evals_per_solve_max,predicted_f_evals_per_solve,"
+                "predicted_cost_evals_per_solve,serial_exact,serial_bound,full_parallel,p_parallel")
+
+# Doubles whose text must read back bit for bit, and counters up to 2**62.
+LOGGED_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False)
+COUNTERS = st.integers(0, 2 ** 62)
+
+
+@st.composite
+def step_records(draw, n, m):
+    def vector(width):
+        return np.array(draw(st.lists(LOGGED_FLOATS, min_size=width, max_size=width)))
+    return [StepRecord(k=draw(COUNTERS), state=vector(n), applied_input=vector(m),
+                       j_sub=draw(st.floats()), j_warm=0.0, f_evals=draw(COUNTERS),
+                       cost_evals=draw(COUNTERS), improvements=0,
+                       elapsed=draw(st.floats(0.0, 1e300)), budget_hit=draw(st.booleans()))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+def bits(values, like):
+    """The doubles' bit patterns, in the shape of ``like``."""
+    return np.array(values, dtype=float).reshape(np.shape(like)).view(np.uint64)
 
 
 def edit_json(path, change):
@@ -469,6 +520,19 @@ class TestValidate:
         violations = json.loads(capsys.readouterr().out)["violations"]
         assert [(v["k"], v["kind"]) for v in violations] == expected
 
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_LOGS))
+    def test_a_field_its_column_does_not_parse_is_a_config_error(self, tmp_path, capsys, edit):
+        config = ExperimentConfig.load(CONFIG_PATHS[0].parent / "cart_n10.json")
+        artifacts = run_experiment(config, str(tmp_path))
+        change, column = MALFORMED_LOGS[edit]
+        lines = artifacts.csv_path.read_text().splitlines()
+        artifacts.csv_path.write_text("\n".join(change(lines)) + "\n")
+        with pytest.raises(ConfigError) as raised:
+            validate_run(artifacts.run_dir)
+        assert str(artifacts.csv_path) in str(raised.value) and column in str(raised.value)
+        assert cli_main(["validate", str(artifacts.run_dir)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     @pytest.mark.parametrize("edit", sorted(EDITED_RUNS))
     def test_a_log_that_disagrees_with_its_config_or_summary_is_reported(
             self, tmp_path, capsys, edit):
@@ -480,6 +544,46 @@ class TestValidate:
         assert cli_main(["validate", str(artifacts.run_dir)]) == 3
         violations = json.loads(capsys.readouterr().out)["violations"]
         assert [(v["k"], v["kind"]) for v in violations] == expected
+
+
+class TestSchema:
+    def test_the_schema_3_headers_are_pinned(self, tmp_path):
+        assert SCHEMA_VERSION == 3
+        sweep([ExperimentConfig(plant, plant, 5, 0) for plant in STEP_HEADERS], str(tmp_path))
+        for plant, header in STEP_HEADERS.items():
+            assert (tmp_path / plant / "steps.csv").read_text() == header + "\n"
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
+
+    @given(st.sampled_from([(2, 1), (2, 2), (3, 2)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), step_records(*dims))))
+    @example(((2, 1), [
+        StepRecord(2 ** 62, np.array([-0.0, 5e-324]), np.array([1e308]), np.nan, 0.0, 2 ** 62,
+                   0, 0, 0.0, True),
+        StepRecord(0, np.array([-1e308, -5e-324]), np.array([-0.0]), -0.0, 0.0, 0, 2 ** 62,
+                   0, 5e-324, False)]))
+    @settings(max_examples=80, deadline=None)
+    def test_step_records_read_back_bit_for_bit(self, tmp_path_factory, dims_and_records):
+        (n, m), records = dims_and_records
+        path = tmp_path_factory.mktemp("log") / "steps.csv"
+        bench_module._write_step_csv(path, records, n, m)
+        columns = bench_module._read_step_csv(path, n, m)
+        assert list(columns) == ["k", "x", "u", "J_sub", "f_evals", "cost_evals", "elapsed_ms",
+                                 "budget_hit"]
+        for name in ("k", "f_evals", "cost_evals"):
+            assert columns[name] == [getattr(r, name) for r in records]
+        assert columns["budget_hit"] == [int(r.budget_hit) for r in records]
+        assert columns["x"].shape == (len(records), n)
+        assert columns["u"].shape == (len(records), m)
+        for name, values in (("x", [r.state for r in records]),
+                             ("u", [r.applied_input for r in records]),
+                             ("elapsed_ms", [r.elapsed * 1e3 for r in records])):
+            assert np.array_equal(bits(columns[name], columns[name]),
+                                  bits(values, columns[name]))
+        # NaN reads back as NaN, whatever its payload.
+        j_sub = np.array([r.j_sub for r in records], dtype=float)
+        assert np.array_equal(np.isnan(columns["J_sub"]), np.isnan(j_sub))
+        kept = ~np.isnan(j_sub)
+        assert np.array_equal(bits(columns["J_sub"], j_sub)[kept], bits(j_sub, j_sub)[kept])
 
 
 class TestCertifyRun:
@@ -499,7 +603,7 @@ class TestCertifyRun:
     def test_a_state_moved_by_one_ulp_breaks_the_chain(self, clean_run):
         states = clean_run[3].states.copy()
         states[2, 0] = np.nextafter(states[2, 0], np.inf)
-        found = self.found(clean_run, states=states)
+        found = self.found(clean_run, x=states)
         assert found[0] == (1, "resimulation")
         assert set(found) <= {(1, "resimulation"), (2, "resimulation")}
 
@@ -507,7 +611,7 @@ class TestCertifyRun:
         bench, log = clean_run[0], clean_run[3]
         inputs = np.array([r.applied_input for r in log.records])
         inputs[1, 0] = bench.constraints.input_box.upper[0] + 1.0
-        assert self.found(clean_run, inputs=inputs) == [(1, "input-bound"), (1, "resimulation")]
+        assert self.found(clean_run, u=inputs) == [(1, "input-bound"), (1, "resimulation")]
 
     @pytest.mark.parametrize("column, kind", [("f_evals", "f-evals-over-prediction"),
                                               ("cost_evals", "cost-evals-over-prediction")])
@@ -521,12 +625,21 @@ class TestCertifyRun:
         values[1] = bound + 1
         assert self.found(clean_run, **{column: values}) == [(1, kind)]
 
+    @pytest.mark.parametrize("column, values", [
+        ("k", list(range(3))), ("J_sub", [1.0] * 9), ("u", np.zeros((3, 1)))])
+    def test_a_column_of_another_length_is_refused(self, column, values):
+        bench, cfg, x0 = _assemble(ExperimentConfig("certify", "cart-spring", 10, 5,
+                                                    samples_per_step=5))
+        log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, 5)
+        with pytest.raises(ContractViolationError, match=re.escape(f"['{column}']")):
+            certify_log(bench, cfg, x0, log, **{column: values})
+
     def test_a_state_inside_the_obstacle_is_named(self):
         bench, cfg, x0 = _assemble(ExperimentConfig("certify", "wmr", 5, 4, samples_per_step=5))
         log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, x0, 4)
         states = log.states.copy()
         states[[2, 4]] = [0.0, 3.0, 0.0]  # the obstacle's center
-        found = self.found((bench, cfg, x0, log), states=states)
+        found = self.found((bench, cfg, x0, log), x=states)
         assert found[0] == (2, "obstacle") and (4, "final-state-set") in found
 
 

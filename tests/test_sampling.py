@@ -5,8 +5,16 @@ from hypothesis import strategies as st
 
 from sampled_nmpc import BoxSet, SamplerConfig, SamplerState, draw_samples, radical_inverse
 from sampled_nmpc.errors import ContractViolationError
-from sampled_nmpc.sampling import (_grid_unit, _halton_unit, derive_seed, draw_blocks,
-                                   first_primes)
+from sampled_nmpc.sampling import (SCHEMES, _grid_unit, _halton_unit, derive_seed,
+                                   draw_blocks, first_primes)
+
+
+# A box column's bounds: signed zeros, subnormals and magnitudes up to 1e300
+# (a box wider than the largest double overflows the map onto it), as two
+# sorted draws or one degenerate column, lo == hi.
+BOX_BOUNDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+BOX_SIDES = (st.tuples(BOX_BOUNDS, BOX_BOUNDS).map(sorted).map(tuple)
+             | BOX_BOUNDS.map(lambda bound: (bound, bound)))
 
 
 def unit_box(dim):
@@ -294,6 +302,17 @@ class TestDrawBlocks:
         drawn = draw_blocks(SamplerState(config, counter=counter), BoxSet(lo, hi), counts)
         assert drawn.shape == expected.shape
         assert drawn.tobytes() == expected.tobytes()
+
+    @given(st.sampled_from(SCHEMES), st.integers(0, 2 ** 64 - 1), st.integers(0, 300),
+           st.lists(st.integers(0, 40), max_size=6), st.lists(BOX_SIDES, min_size=1, max_size=3))
+    @example("grid", 0, 0, [3], [(-0.0, 0.0), (5e-324, 5e-324), (-1e300, 1e300)])
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_lies_in_the_box(self, scheme, seed, counter, counts, sides):
+        # The solver takes this for granted and does not check its draw.
+        box = BoxSet(np.array([lo for lo, _ in sides]), np.array([hi for _, hi in sides]))
+        drawn = draw_blocks(SamplerState(SamplerConfig(scheme, seed), counter), box, counts)
+        assert drawn.shape == (sum(counts), box.dim)
+        assert box.contains_rows(drawn).all()
 
     @pytest.mark.parametrize("counts", [[3, -1], [2, 1.5], [True]])
     def test_malformed_counts_rejected(self, counts):

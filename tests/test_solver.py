@@ -435,16 +435,6 @@ class TestImprovePlan:
             cut = solve_on_a_ticking_clock(bench, x0, mp, k - 0.5, cfg)[0]
         assert cut.budget_hit == (k < readings - 1)
 
-    def test_a_draw_outside_the_input_box_is_refused(self, cart10, cart_x0, monkeypatch):
-        warm = find_oracle(cart_x0, cart10.model, cart10.constraints, cart10.cost,
-                           cart_solver_cfg())
-        monkeypatch.setattr(solver, "draw_blocks",
-                            lambda state, box, sizes: np.full((sum(sizes), 1), 5.0))
-        with pytest.raises(ContractViolationError,
-                           match="^draw_blocks returned an input outside the input box$"):
-            improve_plan(cart_x0, warm, cart10.model, cart10.constraints, cart10.cost,
-                         cart_solver_cfg())
-
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
            st.sampled_from(["grid", "random", "halton"]), st.integers(1, 250))
