@@ -46,7 +46,6 @@ from .models import (
     WmrParams,
     calibrate_buck_terminal_level,
     make_benchmark,
-    terminal_set,
 )
 from .bench import ExperimentConfig, RunArtifacts, certify_run, run_experiment, sweep, validate_run
 from . import errors

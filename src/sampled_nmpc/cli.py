@@ -159,7 +159,7 @@ def main(argv=None) -> int:
             code = EXIT_INFEASIBLE
         else:
             code = EXIT_RUNTIME
-            if not isinstance(exc, SampledNmpcError):  # pragma: no cover - safety net
+            if not isinstance(exc, SampledNmpcError):
                 traceback.print_exc()
         print(json.dumps({"status": "error", "error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)

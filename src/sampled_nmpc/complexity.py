@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core import _floats, _integer
 from .errors import ContractViolationError
 
 __all__ = [
@@ -32,13 +33,16 @@ __all__ = [
 @dataclass(frozen=True)
 class CostModel:
     """Unit costs: c1 per plant step + feasibility test, c2 per full cost
-    evaluation.  Units are abstract operation counts unless calibrated."""
+    evaluation, finite positive numbers (``_floats``'s rule).  Units are
+    abstract operation counts unless calibrated."""
 
     c1: float = 1.0
     c2: float = 1.0
     units: str = "ops"
 
     def __post_init__(self):
+        for name in ("c1", "c2"):
+            object.__setattr__(self, name, float(_floats(getattr(self, name), name, ())))
         if not (self.c1 > 0 and self.c2 > 0):
             raise ContractViolationError("unit costs must be positive")
 
@@ -78,6 +82,8 @@ def predicted_bounds(n_bar: int, big_n: int, model: CostModel, p: int) -> BoundS
     """Workload bounds for n_j <= n_bar: the all-serial bound, the bound with
     one thread per sample, and the bound with p processors (each position
     waits for all its candidates before the sweep moves on)."""
+    n_bar, big_n, p = (_integer(v, name, -math.inf) for v, name in
+                       ((n_bar, "n_bar"), (big_n, "N"), (p, "p")))
     if n_bar < 0 or big_n < 1 or p < 1:
         raise ContractViolationError("need n_bar >= 0, N >= 1, p >= 1")
     triangle = big_n * (big_n + 1) / 2
@@ -91,7 +97,7 @@ def complexity_report(n_list: Sequence[int], big_n: int, model: CostModel,
                       p: int) -> ComplexityReport:
     """Bundle the exact prediction, the exact counters and the bounds at
     n_bar = max(n_j) into one report."""
-    n_list = [int(n) for n in n_list]
+    n_list = [_integer(n, "sample count", 0) for n in n_list]
     n_bar = max(n_list) if n_list else 0
     bounds = predicted_bounds(n_bar, big_n, model, p)
     return ComplexityReport(
@@ -110,7 +116,7 @@ def calibrate_cost_model(step, cost_eval, repeats: int = 1000) -> CostModel:
     ``step`` must run one plant step plus its feasibility test; ``cost_eval``
     one full cost evaluation.  Both are called with no arguments.
     """
-    if repeats < 1:
+    if _integer(repeats, "repeats", -math.inf) < 1:
         raise ContractViolationError("repeats must be >= 1")
 
     def median_seconds(fn) -> float:

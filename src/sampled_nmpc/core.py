@@ -216,7 +216,8 @@ class BoxSet:
     """Per-coordinate closed interval bounds; +/-inf marks an unbounded side.
     Membership ands one comparison per side not at its own infinity; a column
     left with none keeps its lower one, so NaN fails in any column.
-    ``is_bounded`` (every bound finite) is computed once, at construction."""
+    ``is_bounded`` (every width upper - lower finite, so every bound finite
+    too) is computed once, at construction."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -228,12 +229,12 @@ class BoxSet:
             raise ContractViolationError("box requires lower <= upper elementwise, and no NaN")
         object.__setattr__(self, "lower", _frozen(lo.copy()))
         object.__setattr__(self, "upper", _frozen(hi.copy()))
-        comparisons = []  # a side at its own infinity holds every entry but NaN
+        comparisons, bounded = [], True  # a side at its own infinity holds every entry but NaN
         for col, (lo_c, hi_c) in enumerate(zip(lo.tolist(), hi.tolist())):
             comparisons += [(col, np.greater_equal, lo_c)] * (lo_c > -np.inf or hi_c == np.inf)
             comparisons += [(col, np.less_equal, hi_c)] * (hi_c < np.inf)
+            bounded &= math.isfinite(hi_c - lo_c)  # Python floats: overflow is inf, no warning
         object.__setattr__(self, "_comparisons", tuple(comparisons))
-        bounded = bool(np.isfinite(lo).all() and np.isfinite(hi).all())
         object.__setattr__(self, "is_bounded", bounded)
 
     @property
@@ -274,7 +275,8 @@ class EllipsoidSet:
 @dataclass(frozen=True)
 class ObstacleSet:
     """Circular exclusion zone in two state coordinates: admissible states keep
-    (x[a]-c0)^2 + (x[b]-c1)^2 >= radius^2."""
+    (x[a]-c0)^2 + (x[b]-c1)^2 >= radius^2.  The axes a and b are two distinct
+    indices >= 0; a ``ConstraintSpec`` checks that they index its state."""
 
     center: np.ndarray
     radius: float
@@ -287,7 +289,9 @@ class ObstacleSet:
             raise ContractViolationError("obstacle radius must be positive")
         if not (isinstance(self.axes, (tuple, list)) and len(self.axes) == 2):
             raise ContractViolationError(f"obstacle axes must be two integers, got {self.axes!r}")
-        axes = tuple(_integer(a, "obstacle axes", -math.inf) for a in self.axes)
+        axes = tuple(_integer(a, "obstacle axes", 0) for a in self.axes)
+        if axes[0] == axes[1]:
+            raise ContractViolationError(f"obstacle axes must be distinct, got {axes}")
         object.__setattr__(self, "center", _frozen(c))
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "axes", axes)
@@ -316,10 +320,10 @@ class ConstraintSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for obs in self.obstacles:  # two distinct axes, both state indices
-            if len(set(obs.axes) & set(range(self.state_box.dim))) != 2:
-                raise ContractViolationError(f"obstacle axes {obs.axes} must be two distinct "
-                                             f"indices in [0, {self.state_box.dim})")
+        for obs in self.obstacles:
+            if max(obs.axes) >= self.state_box.dim:
+                raise ContractViolationError(f"obstacle axes {obs.axes} must index the "
+                                             f"{self.state_box.dim} state coordinates")
         if self.terminal is not None and self.terminal.center.shape[0] != self.state_box.dim:
             raise ContractViolationError("terminal set dimension must match the state box")
 

@@ -3,6 +3,12 @@ buck-boost power converter and a wheeled mobile robot, each with its published
 parameters, constraint sets, cost weights and (where available) terminal
 controller and terminal set.
 
+Each plant is one builder (``_cart``, ``_buck``, ``_wmr``): it makes the
+plant's model, boxes, obstacle, terminal set, cost, default start and
+warm-start mode, and ``make_benchmark`` finds it in one table.  The terminal
+set X_f, the terminal law and the cost reference are all centred on the
+model's ``equilibrium``, the one operating point of the plant.
+
 Each plant's map is its ``batch_step``: parameter constants are computed once
 per model, and a call writes each successor column into one fresh (B, n) array.
 The constants are 0-d float64 arrays, not Python floats: a ufunc converts a
@@ -15,14 +21,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
                    _floats, _integer, _quadratic_rows)
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
 
 __all__ = [
     "CartSpringParams",
@@ -31,7 +37,6 @@ __all__ = [
     "cart_spring_model",
     "buck_boost_model",
     "wmr_model",
-    "terminal_set",
     "calibrate_buck_terminal_level",
     "Benchmark",
     "make_benchmark",
@@ -61,7 +66,7 @@ BUCK_P = np.array([[46.6617, 42.8039], [42.8039, 69.4392]])
 BUCK_Q = np.diag([1.0, 2.0])
 BUCK_R = np.eye(2)
 BUCK_K = np.array([[-0.0014, -0.3246], [0.0001, -0.0055]])
-BUCK_X_EQ = np.array([20.0, 0.5])
+BUCK_X_EQ = np.array([20.0, 0.5])  # published; the model computes its own (buck_equilibrium)
 BUCK_U_EQ = np.array([0.81, 0.4])
 
 WMR_Q = np.diag([1.0, 1.0, 0.5])
@@ -75,35 +80,44 @@ WMR_TERMINAL_SCALE = 50.0
 _MAX_FLOATS = 2 ** 28
 
 
+class _PlantParams:
+    """The one rule for a plant parameter, in the API and in configs alike:
+    each float field passes ``_floats`` (a finite number; no str, None or
+    bool) and is kept as a Python float, and all of them are positive; else
+    ConfigError, naming the field when it is no number."""
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self) if isinstance(f.default, float)]
+        for name in names:
+            object.__setattr__(self, name, float(_floats(getattr(self, name), name, (), ConfigError)))
+        if min(getattr(self, name) for name in names) <= 0:
+            raise ConfigError(f"{self._plant} parameters must be positive")
+
+
 @dataclass(frozen=True)
-class CartSpringParams:
+class CartSpringParams(_PlantParams):
     """Cart of mass ``mass`` on a state-dependent spring with viscous damping."""
 
+    _plant = "cart-spring"
     ts: float = 0.4
     rho0: float = 0.33
     mass: float = 1.0
     damping: float = 1.1
 
-    def __post_init__(self):
-        if min(self.ts, self.rho0, self.mass, self.damping) <= 0:
-            raise ConfigError("cart-spring parameters must be positive")
-
 
 @dataclass(frozen=True)
-class BuckBoostParams:
-    """Converter electrical parameters; source voltage and load resistance are
-    fixed by requiring the published equilibrium pair to be a fixed point."""
+class BuckBoostParams(_PlantParams):
+    """Converter electrical parameters; at these defaults the fixed point of
+    the published duty-cycle pair is the published equilibrium state, up to
+    rounding."""
 
+    _plant = "buck-boost"
     r_l: float = 0.2
     c_f: float = 22e-6
     l_f: float = 220e-6
     ts: float = 10e-6
     v_s: float = 10.0
     r_h: float = 100.0
-
-    def __post_init__(self):
-        if min(self.r_l, self.c_f, self.l_f, self.ts, self.v_s, self.r_h) <= 0:
-            raise ConfigError("buck-boost parameters must be positive")
 
 
 def _default_wmr_obstacle() -> ObstacleSet:
@@ -113,19 +127,16 @@ def _default_wmr_obstacle() -> ObstacleSet:
 
 
 @dataclass(frozen=True)
-class WmrParams:
+class WmrParams(_PlantParams):
     """Unicycle-kinematics robot: sampling period plus the obstacle to avoid."""
 
+    _plant = "wmr"
     ts: float = 0.1
     obstacle: Optional[ObstacleSet] = field(default_factory=_default_wmr_obstacle)
 
-    def __post_init__(self):
-        if self.ts <= 0:
-            raise ConfigError("wmr sampling period must be positive")
-
 
 # ---------------------------------------------------------------------------
-# plant bundles
+# plant maps
 # ---------------------------------------------------------------------------
 
 def _check_finite(p, *constants: float) -> None:
@@ -169,8 +180,9 @@ def cart_spring_model(p: CartSpringParams = CartSpringParams()) -> PlantModel:
 def buck_equilibrium(p: BuckBoostParams = BuckBoostParams()) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of the converter at the published duty-cycle pair.
 
-    At the default parameters this reproduces the published equilibrium state
-    exactly; overriding v_s or r_h moves it accordingly.
+    At the default parameters this is the published equilibrium state up to
+    rounding, (20.000000000000004, 0.5000000000000001) against BUCK_X_EQ's
+    (20.0, 0.5); overriding v_s, r_l or r_h moves it accordingly.
     """
     d1, d2 = BUCK_U_EQ.tolist()  # Python floats: an overflow gives inf, not a warning
     i_l = p.v_s * d1 / (p.r_l + p.r_h * d2 * d2)
@@ -218,43 +230,36 @@ def wmr_model(p: WmrParams = WmrParams()) -> PlantModel:
                       terminal_law=None, name="wmr")
 
 
-def terminal_set(plant: str, level: Optional[float] = None) -> Optional[EllipsoidSet]:
-    """Terminal constraint set of the named plant (None for the robot)."""
-    if plant == "cart-spring":
-        return EllipsoidSet(np.zeros(2), CART_P, CART_TERMINAL_LEVEL if level is None else level)
-    if plant == "buck-boost":
-        return EllipsoidSet(BUCK_X_EQ, BUCK_P, BUCK_TERMINAL_LEVEL if level is None else level)
-    if plant == "wmr":
-        return None
-    raise ConfigError(f"unknown plant {plant!r}")
-
-
 def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
                                   boundary_points: int = 10_000,
                                   bisection_steps: int = 40) -> float:
     """Largest ellipsoid level (decade scan, then bisection) whose boundary
-    points all stay in the state box, map to admissible inputs under the
-    printed feedback gain, and step back inside the set without increasing the
-    quadratic value.  Reproduces the shipped BUCK_TERMINAL_LEVEL constant.
+    points around the model's equilibrium all stay in the state box, map to
+    admissible inputs under the printed feedback gain, and step back inside
+    the set without increasing the quadratic value.  Reproduces the shipped
+    BUCK_TERMINAL_LEVEL constant.
     """
-    model, constraints = buck_boost_model(p), _buck_constraints(None)
+    count = _integer(boundary_points, "boundary_points", 1)
+    steps = _integer(bisection_steps, "bisection_steps", 0)
+    model, constraints, *_ = _buck({**asdict(p), "terminal_level": None}, 1)
+    x_eq, u_eq = model.equilibrium
     to_boundary = np.linalg.inv(np.linalg.cholesky(BUCK_P).T)
-    angles = np.linspace(0.0, 2.0 * math.pi, boundary_points, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     def level_ok(level: float) -> bool:
-        xs = BUCK_X_EQ + math.sqrt(level) * circle @ to_boundary.T
-        us = BUCK_U_EQ + (xs - BUCK_X_EQ) @ BUCK_K.T
+        xs = x_eq + math.sqrt(level) * circle @ to_boundary.T
+        us = u_eq + (xs - x_eq) @ BUCK_K.T
         if not (constraints.state_box.contains_rows(xs).all()
                 and constraints.input_box.contains_rows(us).all()):
             return False
         nxt = model.batch_step(xs, us)
-        v_now = _quadratic_rows(xs - BUCK_X_EQ, BUCK_P)
-        v_nxt = _quadratic_rows(nxt - BUCK_X_EQ, BUCK_P)
+        v_now = _quadratic_rows(xs - x_eq, BUCK_P)
+        v_nxt = _quadratic_rows(nxt - x_eq, BUCK_P)
         return bool(np.all(v_nxt <= level) and np.all(v_nxt <= v_now))
 
     # The scan breaks by 1e4 at the latest: that level's set spans about
-    # +-18 A of i_L around the fixed centre, far outside the [0, 3] A box.
+    # +-18 A of i_L around the centre, far outside the [0, 3] A box.
     lo = hi = None
     for expo in range(-4, 5):
         level = 10.0 ** expo
@@ -264,55 +269,15 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
         lo = level
     if lo is None:
         raise ConfigError("no valid terminal level found in the scanned decades")
-    for _ in range(bisection_steps):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if level_ok(mid) else (lo, mid)
     return lo
 
 
 # ---------------------------------------------------------------------------
-# constraint and cost builders, experiment defaults
+# one builder per plant, and the table make_benchmark reads
 # ---------------------------------------------------------------------------
-
-def _cart_constraints(terminal_level: Optional[float]) -> ConstraintSpec:
-    state_box = BoxSet(np.array([-2.65, -np.inf]), np.array([2.65, np.inf]))
-    input_box = BoxSet(np.array([-4.5]), np.array([4.5]))
-    terminal = None if terminal_level is None else terminal_set("cart-spring", terminal_level)
-    return ConstraintSpec(state_box, input_box, (), terminal)
-
-
-def _buck_constraints(terminal_level: Optional[float]) -> ConstraintSpec:
-    state_box = BoxSet(np.array([-0.1, 0.0]), np.array([22.5, 3.0]))
-    input_box = BoxSet(np.zeros(2), np.ones(2))
-    terminal = None if terminal_level is None else terminal_set("buck-boost", terminal_level)
-    return ConstraintSpec(state_box, input_box, (), terminal)
-
-
-def _wmr_constraints(obstacle: Optional[ObstacleSet]) -> ConstraintSpec:
-    state_box = BoxSet(np.full(3, -np.inf), np.full(3, np.inf))
-    input_box = BoxSet(np.array([-0.47, -3.77]), np.array([0.47, 3.77]))
-    obstacles = () if obstacle is None else (obstacle,)
-    return ConstraintSpec(state_box, input_box, obstacles, None)
-
-
-def _cart_cost(horizon: int) -> CostSpec:
-    return CostSpec.constant(CART_Q, CART_R, CART_P, horizon)
-
-
-def _buck_cost(horizon: int, p: BuckBoostParams) -> CostSpec:
-    return CostSpec.constant(BUCK_Q, BUCK_R, BUCK_P, horizon,
-                             reference=buck_equilibrium(p))
-
-
-def _wmr_cost(horizon: int) -> CostSpec:
-    # First stage carries no state penalty; later stages double each step and
-    # the terminal weight extends the doubling once more, scaled up.
-    qs = [np.zeros((3, 3))]
-    qs += [(2.0 ** (j - 1)) * WMR_Q for j in range(1, horizon)]
-    rs = [WMR_R] * horizon
-    p = WMR_TERMINAL_SCALE * (2.0 ** (horizon - 1)) * WMR_Q
-    return CostSpec(tuple(qs), tuple(rs), p, (np.zeros(3), np.zeros(2)))
-
 
 @dataclass(frozen=True)
 class Benchmark:
@@ -324,6 +289,71 @@ class Benchmark:
     cost: CostSpec
     default_x0: np.ndarray
     default_warm_start_mode: str
+
+
+def _terminal_level(overrides: dict, default: Optional[float]) -> Optional[float]:
+    """The popped ``terminal_level`` (``default`` when absent): a number, or None."""
+    level = overrides.pop("terminal_level", default)
+    return None if level is None else float(_floats(level, "terminal_level", (), ConfigError))
+
+
+def _cart(overrides: dict, horizon) -> tuple:
+    level = _terminal_level(overrides, CART_TERMINAL_LEVEL)
+    model = cart_spring_model(_apply_params(CartSpringParams(), overrides))
+    constraints = ConstraintSpec(
+        BoxSet(np.array([-2.65, -np.inf]), np.array([2.65, np.inf])),
+        BoxSet(np.array([-4.5]), np.array([4.5])), (),
+        None if level is None else EllipsoidSet(model.equilibrium[0], CART_P, level))
+    cost = CostSpec.constant(CART_Q, CART_R, CART_P, _stages(horizon, model), model.equilibrium)
+    return model, constraints, cost, np.array([-2.5, 3.0]), "terminal-controller"
+
+
+def _buck(overrides: dict, horizon) -> tuple:
+    # Default runs without the terminal constraint: the calibrated stand-in
+    # ellipsoid is too small to be reachable within the benchmark horizon
+    # from the benchmark start, so enforcing it leaves no feasible plan.
+    # Pass terminal_level explicitly to enforce it.
+    level = _terminal_level(overrides, None)
+    model = buck_boost_model(_apply_params(BuckBoostParams(), overrides))
+    x_eq = model.equilibrium[0]
+    constraints = ConstraintSpec(
+        BoxSet(np.array([-0.1, 0.0]), np.array([22.5, 3.0])), BoxSet(np.zeros(2), np.ones(2)), (),
+        None if level is None else EllipsoidSet(x_eq, BUCK_P, level))
+    cost = CostSpec.constant(BUCK_Q, BUCK_R, BUCK_P, _stages(horizon, model), model.equilibrium)
+    return model, constraints, cost, x_eq + np.array([1.0, 2.0]), "feasible-sample"
+
+
+def _wmr(overrides: dict, horizon) -> tuple:
+    spec = overrides.get("obstacle")
+    if spec is not None and not (isinstance(spec, dict) and {"center", "radius"}
+                                 <= spec.keys() <= {"center", "radius", "axes"}):
+        raise ConfigError("obstacle must be null or {center, radius} with optional axes, "
+                          f"got {spec!r}")
+    try:  # the obstacle's own rules, then its axes against the state: a config's fault here
+        if spec is not None:
+            overrides["obstacle"] = ObstacleSet(**spec)
+        params = _apply_params(WmrParams(), overrides)
+        constraints = ConstraintSpec(
+            BoxSet(np.full(3, -np.inf), np.full(3, np.inf)),
+            BoxSet(np.array([-0.47, -3.77]), np.array([0.47, 3.77])),
+            () if params.obstacle is None else (params.obstacle,))
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from None
+    model = wmr_model(params)
+    # First stage carries no state penalty; later stages double each step and
+    # the terminal weight extends the doubling once more, scaled up, so it
+    # stays finite while 2^(N - 1) <= max / 50.
+    horizon = _stages(horizon, model, math.frexp(sys.float_info.max / WMR_TERMINAL_SCALE)[1])
+    qs = [np.zeros((3, 3))] + [(2.0 ** (j - 1)) * WMR_Q for j in range(1, horizon)]
+    cost = CostSpec(tuple(qs), (WMR_R,) * horizon,
+                    WMR_TERMINAL_SCALE * (2.0 ** (horizon - 1)) * WMR_Q, model.equilibrium)
+    return model, constraints, cost, np.array([0.0, 6.0, 0.0]), "feasible-sample"
+
+
+# Each builder takes the overrides, which it consumes, and the horizon, and
+# returns the Benchmark fields after plant_id.
+_PLANTS = {"cart-spring": _cart, "buck-boost": _buck, "wmr": _wmr}
+PLANT_IDS = tuple(_PLANTS)
 
 
 def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None) -> Benchmark:
@@ -338,40 +368,9 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
     """
     if not isinstance(overrides, (dict, type(None))):
         raise ConfigError(f"model_overrides must be a JSON object (a dict), got {overrides!r}")
-    overrides = dict(overrides or {})
-
-    def pop_terminal(default):
-        level = overrides.pop("terminal_level", default)
-        return None if level is None else float(_floats(level, "terminal_level", (), ConfigError))
-
-    if plant_id == "cart-spring":
-        level = pop_terminal(CART_TERMINAL_LEVEL)
-        model = cart_spring_model(_apply_params(CartSpringParams(), overrides))
-        return Benchmark(plant_id, model, _cart_constraints(level),
-                         _cart_cost(_stages(horizon, model)), np.array([-2.5, 3.0]),
-                         "terminal-controller")
-    if plant_id == "buck-boost":
-        # Default runs without the terminal constraint: the calibrated
-        # stand-in ellipsoid is too small to be reachable within the
-        # benchmark horizon from the benchmark start, so enforcing it leaves
-        # no feasible plan.  Pass terminal_level explicitly to enforce it.
-        level = pop_terminal(None)
-        params = _apply_params(BuckBoostParams(), overrides)
-        model = buck_boost_model(params)
-        return Benchmark(plant_id, model, _buck_constraints(level),
-                         _buck_cost(_stages(horizon, model), params),
-                         model.equilibrium[0] + np.array([1.0, 2.0]), "feasible-sample")
-    if plant_id == "wmr":
-        obstacle = _default_wmr_obstacle()
-        if "obstacle" in overrides:
-            obstacle = _obstacle_override(overrides.pop("obstacle"), n=3)
-        params = _apply_params(WmrParams(obstacle=obstacle), overrides)
-        model = wmr_model(params)
-        longest = math.frexp(sys.float_info.max / WMR_TERMINAL_SCALE)[1]  # 2^(N-1) <= max / 50
-        return Benchmark(plant_id, model, _wmr_constraints(params.obstacle),
-                         _wmr_cost(_stages(horizon, model, longest)), np.array([0.0, 6.0, 0.0]),
-                         "feasible-sample")
-    raise ConfigError(f"unknown plant {plant_id!r}")
+    if plant_id not in PLANT_IDS:  # a tuple: an id that is no string is unknown, not a TypeError
+        raise ConfigError(f"unknown plant {plant_id!r}")
+    return Benchmark(plant_id, *_PLANTS[plant_id](dict(overrides or {}), horizon))
 
 
 def _stages(horizon, model: PlantModel, longest: float = math.inf) -> int:
@@ -382,29 +381,9 @@ def _stages(horizon, model: PlantModel, longest: float = math.inf) -> int:
     return _integer(horizon, "horizon", 1, most, ConfigError)
 
 
-def _obstacle_override(spec, n: int) -> Optional[ObstacleSet]:
-    """None for null, else the set of {center, radius} with optional axes, two
-    distinct state indices in [0, n).  Any other shape or key raises ConfigError."""
-    if spec is None:
-        return None
-    axes = spec.get("axes", (0, 1)) if isinstance(spec, dict) else None
-    if not (axes is not None and {"center", "radius"} <= spec.keys() <= {"center", "radius", "axes"}
-            and isinstance(axes, (list, tuple)) and len(axes) == 2
-            and len({_integer(a, "obstacle axes", 0, n - 1, ConfigError) for a in axes}) == 2):
-        raise ConfigError("obstacle must be null or {center, radius} with optional axes, two "
-                          f"distinct integers in [0, {n}), got {spec!r}")
-    return ObstacleSet(center=_floats(spec["center"], "obstacle center", (2,), ConfigError),
-                       radius=float(_floats(spec["radius"], "obstacle radius", (), ConfigError)),
-                       axes=tuple(axes))
-
-
 def _apply_params(params, overrides: dict):
-    unknown = set(overrides) - {f.name for f in fields(params)}
-    if unknown:
+    """``params`` with the overrides, which must name its fields; its class
+    checks their values."""
+    if unknown := set(overrides) - {f.name for f in fields(params)}:
         raise ConfigError(f"unknown model overrides for {type(params).__name__}: {sorted(unknown)}")
-    values = {name: float(_floats(value, name, (), ConfigError))
-              for name, value in overrides.items()}
-    return replace(params, **values) if values else params
-
-
-PLANT_IDS = ("cart-spring", "buck-boost", "wmr")
+    return replace(params, **overrides)

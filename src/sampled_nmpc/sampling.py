@@ -166,7 +166,7 @@ def draw_blocks(state: SamplerState, box: BoxSet, counts: Sequence[int]) -> np.n
     """
     counts = tuple(_integer(count, "count", 0) for count in counts)
     if not box.is_bounded:
-        raise ContractViolationError("sampling requires a bounded box in every coordinate")
+        raise ContractViolationError("sampling requires a box of finite width in every coordinate")
     dim = box.dim
     total = sum(counts)
     if total == 0:

@@ -184,10 +184,9 @@ def test_criterion_07_small_instance_oracle_equivalence():
 
 def test_criterion_08_terminal_ingredients():
     from test_models import ellipsoid_value, halton_points_in_ellipsoid
-    from sampled_nmpc import terminal_set
 
     bench = make_benchmark("cart-spring", 10, None)
-    ell = terminal_set("cart-spring")
+    ell = bench.constraints.terminal
     t0 = time.perf_counter()
     points = halton_points_in_ellipsoid(ell, 1000)
     ok = True

@@ -23,7 +23,8 @@ from sampled_nmpc import (
 from sampled_nmpc import bench as bench_module
 from sampled_nmpc.bench import OUTPUT_ROOT_ENV, SCHEMA_VERSION, _assemble, resolve_output_root
 from sampled_nmpc.cli import build_parser, main as cli_main
-from sampled_nmpc.errors import ConfigError, ContractViolationError, SampledNmpcError
+from sampled_nmpc.errors import (ConfigError, ContractViolationError, NoTerminalLawError,
+                                 SampledNmpcError)
 from sampled_nmpc.models import BuckBoostParams, CartSpringParams, WmrParams
 from sampled_nmpc.sampling import SamplerConfig
 from sampled_nmpc.solver import _RECORD_FLOATS, StepRecord
@@ -92,7 +93,8 @@ def without_column(lines, name):
 
 
 # The same run's steps.csv edited so that a column no longer reads as its
-# table entry says: each is a ConfigError naming the file and the column.
+# table entry says, or a row under a correct header has a field too few or
+# too many: each is a ConfigError naming the file and the column or the row.
 MALFORMED_LOGS = {
     "budget-hit-word": (lambda lines: with_field(lines, 3, "budget_hit", "banana"), "budget_hit"),
     "budget-hit-7": (lambda lines: with_field(lines, 3, "budget_hit", "7"), "budget_hit"),
@@ -101,6 +103,10 @@ MALFORMED_LOGS = {
     "elapsed-removed": (lambda lines: without_column(lines, "elapsed_ms"), "elapsed_ms"),
     "extra-column": (lambda lines: [lines[0] + ",extra"] + [line + ",0" for line in lines[1:]],
                      "extra"),
+    "row-field-missing": (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
+                          "row 3 has 8 fields, not 9"),
+    "row-field-extra": (lambda lines: lines[:4] + [lines[4] + ",0"] + lines[5:],
+                        "row 3 has 10 fields, not 9"),
 }
 
 # The SCHEMA_VERSION 3 headers, for each plant's n and m.
@@ -809,6 +815,21 @@ class TestCli:
         error = json.loads(err)
         assert error["error"] == "ContractViolationError"
         assert error["message"] == "warm start cost is not finite: nan"
+
+    @pytest.mark.parametrize("error, traced", [(NoTerminalLawError("no law"), False),
+                                               (RuntimeError("boom"), True)])
+    def test_an_error_outside_the_mapped_kinds_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                        error, traced):
+        # A package error prints no traceback; any other exception prints one.
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bench_module, "run_experiment", fail)
+        assert cli_main(["run", "--config", str(self.write_config(tmp_path))]) == 4
+        err = capsys.readouterr().err
+        assert ("Traceback" in err) == traced
+        assert json.loads(err.splitlines()[-1]) == {
+            "status": "error", "error": type(error).__name__, "message": str(error)}
 
     def test_provided_mode_exits_2(self, tmp_path):
         raw = cart_config().to_dict()

@@ -53,6 +53,12 @@ class TestPredictedBounds:
         with pytest.raises(ContractViolationError, match="^need n_bar >= 0, N >= 1, p >= 1$"):
             predicted_bounds(n_bar, big_n, CostModel(), p)
 
+    @pytest.mark.parametrize("n_bar, big_n, p, name", [
+        ("a", 5, 2, "n_bar"), (True, 5, 2, "n_bar"), (3, 5.0, 2, "N"), (3, 5, "2", "p")])
+    def test_counts_that_are_no_integers_are_refused(self, n_bar, big_n, p, name):
+        with pytest.raises(ContractViolationError, match=f"^{name} must be an integer"):
+            predicted_bounds(n_bar, big_n, CostModel(), p)
+
     @given(st.integers(0, 40), st.integers(1, 30),
            st.floats(0.01, 10), st.floats(0.01, 10))
     @settings(max_examples=100, deadline=None)
@@ -85,6 +91,14 @@ class TestCostModel:
         assert model.units == "seconds"
         assert model.c1 > 0 and model.c2 > 0
         assert type(model.c1) is float and type(model.c2) is float
+
+    def test_unit_costs_are_finite(self):
+        with pytest.raises(ContractViolationError, match="^c1 must be finite"):
+            CostModel(c1=math.inf)
+
+    def test_a_repeat_count_that_is_no_integer_is_refused(self):
+        with pytest.raises(ContractViolationError, match="^repeats must be an integer"):
+            calibrate_cost_model(lambda: None, lambda: None, repeats="x")
 
     def test_calibration_needs_a_repeat(self):
         with pytest.raises(ContractViolationError, match="^repeats must be >= 1$"):

@@ -714,7 +714,12 @@ class TestTypeInvariants:
         rows = np.array([[1.0, 3.0, 0.0], [0.5, 3.0, 0.0]])
         assert obs.admits_rows(rows).tolist() == [True, False]  # the boundary counts as clear
 
-    @pytest.mark.parametrize("axes", [(0, 3), (0, 7), (-1, 0), (1, 1)])
+    @pytest.mark.parametrize("axes", [(-1, 0), (1, 1)])
+    def test_obstacle_axes_are_two_distinct_indices(self, axes):
+        with pytest.raises(ContractViolationError, match="^obstacle axes"):
+            ObstacleSet(np.array([0.0, 3.0]), 1.0, axes)
+
+    @pytest.mark.parametrize("axes", [(0, 3), (0, 7)])
     def test_constraint_spec_rejects_obstacle_axes_outside_the_state(self, wmr5, axes):
         box = wmr5.constraints.state_box  # three states
         ConstraintSpec(box, wmr5.constraints.input_box, (ObstacleSet([0.0, 3.0], 1.0, (2, 0)),))

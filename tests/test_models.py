@@ -12,7 +12,6 @@ from sampled_nmpc import (
     calibrate_buck_terminal_level,
     draw_samples,
     make_benchmark,
-    terminal_set,
 )
 from sampled_nmpc.core import BoxSet, _quadratic_rows
 from sampled_nmpc import models
@@ -32,6 +31,9 @@ from sampled_nmpc.models import (
 CART = make_benchmark("cart-spring", 1).model
 BUCK = make_benchmark("buck-boost", 1).model
 WMR = make_benchmark("wmr", 1).model
+CART_X_F = make_benchmark("cart-spring", 1).constraints.terminal
+BUCK_X_F = make_benchmark("buck-boost", 1,
+                          {"terminal_level": BUCK_TERMINAL_LEVEL}).constraints.terminal
 
 # Where random rows are drawn: each plant's state box where it is bounded,
 # else a window wide enough to wrap the robot's heading more than once.
@@ -94,7 +96,7 @@ class TestCartSpring:
         assert expected == pytest.approx(-0.8239, abs=5e-4)
 
     def test_terminal_set_membership(self):
-        ell = terminal_set("cart-spring")
+        ell = CART_X_F
         assert ell.level == CART_TERMINAL_LEVEL
         assert ell.contains_rows(np.zeros((1, 2)))[0]
         # quadratic value at (1, 0) is the top-left weight, above the level
@@ -109,7 +111,7 @@ class TestCartSpring:
         # decrease of the terminal cost plus the stage cost, invariance of the
         # set, and admissibility of the feedback, on 1000 deterministic points
         model, cost = cart10.model, cart10.cost
-        ell = terminal_set("cart-spring")
+        ell = cart10.constraints.terminal
         points = halton_points_in_ellipsoid(ell, 1000)
         for x in points:
             u = model.terminal_law(x)
@@ -143,9 +145,20 @@ class TestBuckBoost:
         assert np.array_equal(BUCK.terminal_law(BUCK_X_EQ), BUCK_U_EQ)
 
     def test_terminal_set_centered_at_equilibrium(self):
-        ell = terminal_set("buck-boost")
+        ell = BUCK_X_F
         assert ell.contains_rows(BUCK_X_EQ[np.newaxis])[0]
         assert ell.level == BUCK_TERMINAL_LEVEL
+
+    @pytest.mark.parametrize("overrides", [{"terminal_level": BUCK_TERMINAL_LEVEL},
+                                           {"v_s": 12.0, "terminal_level": 7.543}])
+    def test_terminal_set_law_and_cost_share_the_equilibrium_bit_for_bit(self, overrides):
+        # X_f, the terminal law and V_f are built around one operating point.
+        bench = make_benchmark("buck-boost", 3, overrides)
+        x_eq, u_eq = bench.model.equilibrium
+        bits = x_eq.view(np.uint64)
+        assert np.array_equal(bench.constraints.terminal.center.view(np.uint64), bits)
+        assert np.array_equal(bench.cost.reference[0].view(np.uint64), bits)
+        assert np.array_equal(bench.model.terminal_law(x_eq), u_eq)
 
     def test_shipped_level_matches_calibration(self):
         level = calibrate_buck_terminal_level(boundary_points=2000, bisection_steps=24)
@@ -154,7 +167,7 @@ class TestBuckBoost:
 
     def test_quadratic_value_decreases_under_terminal_law(self):
         model = make_benchmark("buck-boost", 1, None).model
-        ell = terminal_set("buck-boost")
+        ell = BUCK_X_F
         points = halton_points_in_ellipsoid(ell, 1000)
         for x in points:
             u = model.terminal_law(x)
@@ -164,7 +177,7 @@ class TestBuckBoost:
             assert ell.contains_rows(x_next[np.newaxis])[0]
 
     def test_terminal_set_sits_inside_state_box(self):
-        box = bounding_box(terminal_set("buck-boost"))
+        box = bounding_box(BUCK_X_F)
         assert box.lower[0] >= -0.1 and box.upper[0] <= 22.5
         assert box.lower[1] >= 0.0 and box.upper[1] <= 3.0
 
@@ -173,6 +186,12 @@ class TestBuckBoost:
     def test_nonpositive_parameters_rejected(self, name, value):
         with pytest.raises(ConfigError, match="^buck-boost parameters must be positive$"):
             BuckBoostParams(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("boundary_points", "x"), ("boundary_points", 0),
+                                             ("bisection_steps", 2.5)])
+    def test_calibration_counts_are_integers(self, name, value):
+        with pytest.raises(ContractViolationError, match=f"^{name} must be an integer"):
+            calibrate_buck_terminal_level(**{name: value})
 
     def test_calibration_without_a_valid_decade_fails_typed(self):
         # At ten times the default sampling period the printed gain raises
@@ -197,7 +216,7 @@ class TestWmr:
 
     def test_no_terminal_law(self):
         assert WMR.terminal_law is None
-        assert terminal_set("wmr") is None
+        assert make_benchmark("wmr", 1).constraints.terminal is None
 
     def test_params_validate(self):
         with pytest.raises(ConfigError):
@@ -205,18 +224,15 @@ class TestWmr:
 
     @pytest.mark.parametrize("ts", [math.nan, math.inf])
     def test_a_period_that_is_not_finite_is_refused(self, ts):
-        # NaN passes ts > 0 and gives a NaN step; inf gives 0 * inf at the
-        # equilibrium, a RuntimeWarning unless the check guards it.
-        with pytest.raises(ContractViolationError, match="not a fixed point"):
-            models.wmr_model(WmrParams(ts=ts))
+        # Refused by the parameters, before a model steps NaN or 0 * inf.
+        with pytest.raises(ConfigError, match="^ts must be finite"):
+            WmrParams(ts=ts)
 
 
 class TestBenchmarkAssembly:
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError):
             make_benchmark("inverted-pendulum", 5, None)
-        with pytest.raises(ConfigError):
-            terminal_set("inverted-pendulum")
 
     def test_model_overrides_move_the_equilibrium(self):
         bench = make_benchmark("buck-boost", 5, {"v_s": 12.0})

@@ -225,6 +225,17 @@ class TestDrawSamplesContract:
         with pytest.raises(ContractViolationError):
             draw_samples(state, box, 1)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_box_wider_than_the_largest_double_is_refused(self, scheme):
+        # Both bounds are finite, but upper - lower overflows to inf: the map
+        # onto the box would give NaN and points piled on the upper bound.
+        box = BoxSet(np.array([-1e308]), np.array([1e308]))
+        assert not box.is_bounded
+        state = SamplerState(SamplerConfig(scheme=scheme))
+        with pytest.raises(ContractViolationError, match="finite width"):
+            draw_blocks(state, box, (3,))
+        assert state.counter == 0
+
     def test_negative_count_rejected(self):
         with pytest.raises(ContractViolationError):
             draw_samples(SamplerState(SamplerConfig()), unit_box(1), -1)
