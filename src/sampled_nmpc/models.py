@@ -292,9 +292,15 @@ class Benchmark:
 
 
 def _terminal_level(overrides: dict, default: Optional[float]) -> Optional[float]:
-    """The popped ``terminal_level`` (``default`` when absent): a number, or None."""
+    """The popped ``terminal_level`` (``default`` when absent): a positive
+    number, or None."""
     level = overrides.pop("terminal_level", default)
-    return None if level is None else float(_floats(level, "terminal_level", (), ConfigError))
+    if level is None:
+        return None
+    level = float(_floats(level, "terminal_level", (), ConfigError))
+    if level <= 0:
+        raise ConfigError(f"terminal_level must be positive, got {level!r}")
+    return level
 
 
 def _cart(overrides: dict, horizon) -> tuple:

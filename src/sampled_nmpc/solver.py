@@ -248,8 +248,8 @@ class SolveResult:
     trajectory from the solve's state (read-only), its cost, the warm
     start's cost (``j_sub <= j_warm``), the work counters of the sequential
     sweep (plant steps and full-cost evaluations it spends on candidates,
-    however its rounds computed it), the number of accepted replacements,
-    wall time and whether the budget cut the sweep."""
+    however its rounds computed it), the number of accepted replacements
+    and whether the budget cut the sweep."""
 
     plan: Plan
     states: np.ndarray
@@ -258,7 +258,6 @@ class SolveResult:
     f_evals: int
     cost_evals: int
     improvements: int
-    elapsed: float
     budget_hit: bool
 
 
@@ -344,8 +343,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
            sampler_state: Optional[SamplerState]) -> SolveResult:
     """``improve_plan`` with its sample counts given apart from ``cfg``: empty
     counts draw nothing, the solve of a period left unimproved."""
-    t_start = time.perf_counter()
-    deadline = None if cfg.time_budget is None else t_start + cfg.time_budget
+    deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     big_n = cfg.horizon
     if warm.horizon != big_n:
         raise ContractViolationError(f"warm start has horizon {warm.horizon}, config says {big_n}")
@@ -446,7 +444,7 @@ def _solve(x: np.ndarray, warm: Plan, model: PlantModel, constraints: Constraint
     return SolveResult(plan=_SteppedPlan(plan, states, model), states=states,
                        j_sub=float(j_ref), j_warm=float(j_warm), f_evals=f_evals,
                        cost_evals=cost_evals, improvements=improvements,
-                       elapsed=time.perf_counter() - t_start, budget_hit=budget_hit)
+                       budget_hit=budget_hit)
 
 
 def _round_width(block: Sequence[int], start: Sequence[int], lo: int, big_n: int) -> int:

@@ -881,7 +881,8 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError" and "schema_version 2" in error["message"]
 
-    @pytest.mark.parametrize("overrides", [{"ts": "x"}, {"ts": True}, {"terminal_level": [1.0]}])
+    @pytest.mark.parametrize("overrides", [{"ts": "x"}, {"ts": True}, {"terminal_level": [1.0]},
+                                           {"terminal_level": 0}, {"terminal_level": -1.0}])
     def test_validate_rejects_a_malformed_model_override_as_run_does(self, tmp_path, capsys,
                                                                      overrides):
         path = self.write_config(tmp_path)

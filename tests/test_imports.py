@@ -1,15 +1,33 @@
 """Every module-level import of the package's modules is read by the module,
-every private module-level name is read somewhere in the package, and every
-exported name is defined where it is exported from."""
+every private module-level name is read somewhere in the package, every
+exported name is defined where it is exported from, and the package's
+namespace is the pinned one, each module loaded on first use of its names."""
 
 import ast
+import json
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import sampled_nmpc
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sampled_nmpc"
-# __init__.py is left out: its imports are the package's public names.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# The package's public names: seven submodules and the 43 names they define.
+SUBMODULES = ("bench", "complexity", "core", "errors", "models", "sampling", "solver")
+PUBLIC_NAMES = SUBMODULES + (
+    "Benchmark", "BoundSet", "BoxSet", "BuckBoostParams", "CartSpringParams", "ComplexityReport",
+    "ConstraintSpec", "CostModel", "CostSpec", "EllipsoidSet", "ExperimentConfig",
+    "FeasibilityReport", "ObstacleSet", "Plan", "PlantModel", "RunArtifacts", "RunLog",
+    "SamplerConfig", "SamplerState", "SolveResult", "SolverConfig", "StepRecord", "WmrParams",
+    "calibrate_buck_terminal_level", "calibrate_cost_model", "certify_run", "check_feasible",
+    "closed_loop", "complexity_report", "draw_samples", "evaluate_cost", "find_oracle",
+    "improve_plan", "make_benchmark", "make_warm_start", "predicted_bounds", "predicted_serial",
+    "radical_inverse", "rollout", "run_experiment", "shift_plan", "sweep", "validate_run")
 
 # Imported but never read, on purpose: the benchmark's tracer wraps this
 # module global (SOLVER_GLOBALS in perfbench/tracing.py).
@@ -76,12 +94,13 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return unread
 
 
-def _exports(tree) -> list[str]:
+def _literal(tree, name: str, default):
+    """The literal value the module assigns to ``name``, else ``default``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    return []
+    return default
 
 
 def _defined_names(tree) -> set[str]:
@@ -100,15 +119,16 @@ def _defined_names(tree) -> set[str]:
 
 def stale_exports(sources: dict[str, str]) -> list[str]:
     """Names in a module's ``__all__`` that the module does not define, and
-    names ``__init__`` imports from a module whose ``__all__`` leaves them out."""
+    names ``__init__``'s ``_EXPORTS`` table gives to a module whose
+    ``__all__`` leaves them out.  (``__init__``'s own ``__all__`` is computed
+    from the table.)"""
     trees = {stem: ast.parse(source) for stem, source in sources.items()}
-    exports = {stem: _exports(tree) for stem, tree in trees.items()}
+    init = trees.pop("__init__")
+    exports = {stem: _literal(tree, "__all__", []) for stem, tree in trees.items()}
     stale = [f"{stem}.{name}" for stem, tree in trees.items()
              for name in exports[stem] if name not in _defined_names(tree)]
-    for node in trees["__init__"].body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            stale += [f"__init__.{a.name}" for a in node.names
-                      if a.name not in exports[node.module]]
+    for module, names in _literal(init, "_EXPORTS", {}).items():
+        stale += [f"__init__.{name}" for name in names if name not in exports.get(module, ())]
     return stale
 
 
@@ -147,6 +167,48 @@ def test_the_export_scan_sees_stale_names():
     sources = {"core": '__all__ = ["Plan", "Trajectory"]\nclass Plan:\n    pass\n',
                "solver": 'from .core import Plan\n__all__ = ["Plan", "solve"]\n'
                          'def solve():\n    pass\n',
-               "__init__": "from .core import Plan\nfrom .solver import solve, step\n"
-                           "from . import errors\n"}
-    assert stale_exports(sources) == ["core.Trajectory", "__init__.step"]
+               "__init__": '_EXPORTS = {"core": ("Plan",), "solver": ("solve", "step"), '
+                           '"errors": (), "gone": ("lost",)}\n'
+                           '__all__ = [*_EXPORTS, *(n for ns in _EXPORTS.values() for n in ns)]\n'}
+    assert stale_exports(sources) == ["core.Trajectory", "__init__.step", "__init__.lost"]
+
+
+def test_a_solving_process_loads_only_the_solver_path():
+    # A fresh interpreter: dir() names every public name without importing
+    # anything, and building a plant and a solver config loads no bench,
+    # complexity or cli.
+    code = (f"import json, sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import sampled_nmpc; names = dir(sampled_nmpc); "
+            "before = sorted(m for m in sys.modules if m.startswith('sampled_nmpc')); "
+            "sampled_nmpc.make_benchmark('buck-boost', 10); "
+            "sampled_nmpc.SolverConfig(horizon=10); "
+            "after = sorted(m for m in sys.modules if m.startswith('sampled_nmpc')); "
+            "print(json.dumps([names, before, after]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    names, before, after = json.loads(out)
+    assert set(PUBLIC_NAMES) <= set(names)
+    assert before == ["sampled_nmpc"]
+    assert after == ["sampled_nmpc"] + [f"sampled_nmpc.{m}" for m in
+                                         ("core", "errors", "models", "sampling", "solver")]
+
+
+def test_the_public_namespace_is_pinned():
+    star = {}
+    exec("from sampled_nmpc import *", star)
+    assert sorted(sampled_nmpc.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(sampled_nmpc))
+    for name in PUBLIC_NAMES:
+        value = getattr(sampled_nmpc, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"sampled_nmpc.{name}"]
+        else:
+            assert not isinstance(value, types.ModuleType)
+            assert value.__module__.startswith("sampled_nmpc.")
+            assert value is getattr(sys.modules[value.__module__], name)
+        assert star[name] is value
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sampled_nmpc.no_such_name

@@ -265,6 +265,12 @@ class TestBenchmarkAssembly:
         with pytest.raises(ConfigError, match=name):
             make_benchmark(plant, 5, overrides)
 
+    @pytest.mark.parametrize("plant, level", [("cart-spring", 0), ("buck-boost", -1.0)])
+    def test_non_positive_terminal_level_rejected(self, plant, level):
+        # a config's fault, named as such, not the ellipsoid's contract error
+        with pytest.raises(ConfigError, match="terminal_level must be positive"):
+            make_benchmark(plant, 3, {"terminal_level": level})
+
     def test_cart_default_has_terminal_set(self):
         bench = make_benchmark("cart-spring", 5, None)
         assert bench.constraints.terminal is not None

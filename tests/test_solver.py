@@ -397,19 +397,19 @@ class TestImprovePlan:
     @pytest.mark.parametrize("scheme", ["grid", "random", "halton"])
     def test_a_cut_at_any_reading_returns_a_certified_plan(self, plant, horizon, scheme,
                                                           monkeypatch):
-        # Readings: solve start, the poll before the draw, one poll per
-        # batched step, then the elapsed time.  A budget of k - 0.5 ticks
-        # cuts the solve at reading k, before any decision, between two
-        # rounds or inside one, up to the uncut solve.
+        # Readings: solve start, the poll before the draw, then one poll per
+        # batched step.  A budget of k - 0.5 ticks cuts the solve at reading
+        # k, before any decision, between two rounds or inside one, up to
+        # the uncut solve.
         bench = make_benchmark(plant, horizon, None)
         x0 = bench.default_x0
         cfg = cart_solver_cfg(horizon=horizon, sampler=SamplerConfig(scheme=scheme, seed=3))
         full, _, _, readings = solve_on_a_ticking_clock(bench, x0, monkeypatch, 1e9, cfg)
         assert full.improvements >= 2
         improvements = set()
-        for k in range(1, readings):
+        for k in range(1, readings + 1):
             cut = solve_on_a_ticking_clock(bench, x0, monkeypatch, k - 0.5, cfg)[0]
-            assert cut.budget_hit == (k < readings - 1)
+            assert cut.budget_hit == (k < readings)
             improvements.add(cut.improvements)
         assert improvements == set(range(full.improvements + 1))
 
@@ -431,9 +431,9 @@ class TestImprovePlan:
                 readings = solve_on_a_ticking_clock(bench, x0, mp, 1e9, cfg)[3]
             except NoOracleError:
                 assume(False)
-            k = data.draw(st.integers(1, readings - 1), label="cut reading")
+            k = data.draw(st.integers(1, readings), label="cut reading")
             cut = solve_on_a_ticking_clock(bench, x0, mp, k - 0.5, cfg)[0]
-        assert cut.budget_hit == (k < readings - 1)
+        assert cut.budget_hit == (k < readings)
 
     @given(st.sampled_from(["cart-spring", "buck-boost", "wmr"]), st.integers(1, 6),
            st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 6), min_size=6, max_size=6),
@@ -837,8 +837,7 @@ class TestMakeWarmStart:
     def test_origin_appends_zero(self, cart10):
         cfg = cart_solver_cfg(samples_per_step=0)
         prev = SolveResult(plan=Plan(np.zeros((10, 1))), states=np.zeros((11, 2)), j_sub=0.0,
-                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
-                           budget_hit=False)
+                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, budget_hit=False)
         warm = make_warm_start(prev, np.zeros(2), cart10.model, cart10.constraints, cfg)
         assert np.array_equal(warm.inputs, np.zeros((10, 1)))
 
@@ -868,8 +867,7 @@ class TestMakeWarmStart:
                            sampler=SamplerConfig(scheme="halton", seed=1),
                            warm_start_mode="terminal-controller")
         prev = SolveResult(plan=Plan(np.zeros((5, 2))), states=np.zeros((6, 3)), j_sub=0.0,
-                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
-                           budget_hit=False)
+                           j_warm=0.0, f_evals=0, cost_evals=0, improvements=0, budget_hit=False)
         with pytest.raises(NoTerminalLawError):
             make_warm_start(prev, np.zeros(3), wmr5.model, wmr5.constraints, cfg)
 
@@ -886,7 +884,7 @@ class TestMakeWarmStart:
         x0 = np.array([0.0, 4.05, -np.pi / 2])
         prev = SolveResult(plan=Plan(inputs), states=rollout(wmr2.model, x0, Plan(inputs)),
                            j_sub=0.0, j_warm=0.0, f_evals=0, cost_evals=0, improvements=0,
-                           elapsed=0.0, budget_hit=False)
+                           budget_hit=False)
         x_new = wmr2.model.step(x0, inputs[0])
         warm = make_warm_start(prev, x_new, wmr2.model, wmr2.constraints, cfg)
         assert np.array_equal(warm.inputs[0], inputs[1])
@@ -960,8 +958,7 @@ class TestMakeWarmStart:
                            warm_start_mode="feasible-sample", oracle_budget=budget)
         prev = SolveResult(plan=Plan(np.zeros((3, model.m))),
                            states=np.vstack([np.zeros((3, n)), end]), j_sub=0.0, j_warm=0.0,
-                           f_evals=0, cost_evals=0, improvements=0, elapsed=0.0,
-                           budget_hit=False)
+                           f_evals=0, cost_evals=0, improvements=0, budget_hit=False)
         expected, drawn = first_feasible_append(
             bench, end, SamplerState(cfg.sampler, counter=counter), max(budget, 1))
         stream = SamplerState(cfg.sampler, counter=counter)
@@ -1039,7 +1036,7 @@ class TestCertificates:
         cfg = SolverConfig(horizon=1, samples_per_step=0)
         states = rollout(bench.model, np.array([2.0, 0.0]), Plan([[0.0]]))
         prev = SolveResult(plan=Plan([[0.0]]), states=states, j_sub=0.0, j_warm=0.0, f_evals=0,
-                           cost_evals=0, improvements=0, elapsed=0.0, budget_hit=False)
+                           cost_evals=0, improvements=0, budget_hit=False)
         x = states[-1]
         warm = make_warm_start(prev, x, bench.model, bench.constraints, cfg)
         assert np.array_equal(warm.inputs[0], bench.model.terminal_law(x))
