@@ -79,6 +79,10 @@ class ExperimentConfig:
         if self.initial_plan is not None:
             object.__setattr__(self, "initial_plan",
                                tuple(map(tuple, solver_cfg.initial_plan.inputs.tolist())))
+        # The checked overrides as plain JSON values, numpy numbers and arrays too,
+        # in a dict of the config's own, so that to_dict() serialises.
+        object.__setattr__(self, "model_overrides", json.loads(
+            json.dumps(self.model_overrides, default=lambda value: value.tolist())))
         for name in ("horizon", "lanes", "oracle_budget"):
             object.__setattr__(self, name, getattr(solver_cfg, name))
         counts = self.samples_per_step

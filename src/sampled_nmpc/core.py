@@ -137,7 +137,7 @@ def _quadratic_rows(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
     """An ordered sequence of N control inputs, stored as an (N, m) array."""
 
@@ -158,7 +158,7 @@ class Plan:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantModel:
     """A discrete-time plant x+ = f(x, u) with its dimensions and equilibrium.
 
@@ -211,7 +211,7 @@ class PlantModel:
                                          f"plant map (max deviation {deviation:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
     """Per-coordinate closed interval bounds; +/-inf marks an unbounded side.
     Membership ands one comparison per side not at its own infinity; a column
@@ -250,7 +250,7 @@ class BoxSet:
         return np.ones(rows.shape[0], dtype=bool) if ok is None else ok  # no columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipsoidSet:
     """Sublevel set {x : (x-center)' shape (x-center) <= level} of a quadratic."""
 
@@ -272,7 +272,7 @@ class EllipsoidSet:
         return _quadratic_rows(rows - self.center, self.shape) <= self.level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstacleSet:
     """Circular exclusion zone in two state coordinates: admissible states keep
     (x[a]-c0)^2 + (x[b]-c1)^2 >= radius^2.  The axes a and b are two distinct
@@ -373,7 +373,7 @@ class ConstraintSpec:
         return ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostSpec:
     """Quadratic cost: per-step state/input weights, terminal weight and the
     reference pair subtracted from states and inputs before weighting.  The

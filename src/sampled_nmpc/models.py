@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BoxSet, ConstraintSpec, CostSpec, EllipsoidSet, ObstacleSet, PlantModel,
-                   _floats, _integer, _quadratic_rows)
+                   _floats, _frozen, _integer, _quadratic_rows)
 from .errors import ConfigError, ContractViolationError
 
 __all__ = [
@@ -279,7 +279,7 @@ def calibrate_buck_terminal_level(p: BuckBoostParams = BuckBoostParams(),
 # one builder per plant, and the table make_benchmark reads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Benchmark:
     """Everything an experiment needs for one plant at one horizon."""
 
@@ -376,7 +376,8 @@ def make_benchmark(plant_id: str, horizon: int, overrides: Optional[dict] = None
         raise ConfigError(f"model_overrides must be a JSON object (a dict), got {overrides!r}")
     if plant_id not in PLANT_IDS:  # a tuple: an id that is no string is unknown, not a TypeError
         raise ConfigError(f"unknown plant {plant_id!r}")
-    return Benchmark(plant_id, *_PLANTS[plant_id](dict(overrides or {}), horizon))
+    model, constraints, cost, x0, mode = _PLANTS[plant_id](dict(overrides or {}), horizon)
+    return Benchmark(plant_id, model, constraints, cost, _frozen(x0), mode)
 
 
 def _stages(horizon, model: PlantModel, longest: float = math.inf) -> int:

@@ -77,16 +77,19 @@ class SamplerState:
 
     ``counter`` counts samples emitted so far and is the stream position: two
     states with equal config and counter produce identical output, and a
-    state built with ``counter=c`` continues the stream at sample c.  Halton
-    point c is radical-inverse index c + 1.  The random scheme binds to the
-    first input dimension it draws for and, on first use, jumps its
-    counter-based generator to the counter position in O(1).
+    state built with ``counter=c`` continues the stream at sample c.  So a
+    state is its position: ``==`` compares config and counter, and a
+    ``dataclasses.replace`` copy continues from its own counter with a
+    generator of its own.  Halton point c is radical-inverse index c + 1.
+    The random scheme binds to the first input dimension it draws for and,
+    on first use, jumps its counter-based generator to the counter position
+    in O(1).
     """
 
     config: SamplerConfig
     counter: int = 0
-    _gen: Optional[np.random.Generator] = field(default=None, repr=False)
-    _dim: Optional[int] = field(default=None, repr=False)
+    _gen: Optional[np.random.Generator] = field(default=None, init=False, repr=False, compare=False)
+    _dim: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def _generator_for(self, dim: int) -> np.random.Generator:
         if self._gen is None:

@@ -242,7 +242,7 @@ class SolverConfig:
         return self.samples_per_step  # normalized to a tuple in __post_init__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """One solve's outcome: the improved plan, its predicted (N+1, n)
     trajectory from the solve's state (read-only), its cost, the warm
@@ -261,7 +261,7 @@ class SolveResult:
     budget_hit: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class StepRecord:
     """Per-closed-loop-step log row (state BEFORE applying the input, a
     read-only view of its row of ``RunLog.states``), with its solve's cost
@@ -279,7 +279,7 @@ class StepRecord:
     budget_hit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunLog:
     """Closed-loop record: one StepRecord per applied input, the visited
     states (one more than records) and why the run ended."""
@@ -289,7 +289,7 @@ class RunLog:
     termination: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SteppedPlan(Plan):
     """A plan and the read-only (N+1, n) trajectory ``model`` stepped it along,
     fresh arrays of the package's own: frozen in place, not checked again."""
@@ -636,7 +636,7 @@ def closed_loop(model: PlantModel, constraints: ConstraintSpec, cost: CostSpec,
         else:
             result = improve_plan(x, warm, model, constraints, cost, cfg, sampler_state)
         elapsed = time.perf_counter() - t0
-        u = result.plan.inputs[0].copy()
+        u = _frozen(result.plan.inputs[0].copy())  # its own: a record holds no plan alive
         records.append(StepRecord(k=k, state=x, applied_input=u, j_sub=result.j_sub,
                                   j_warm=result.j_warm, f_evals=result.f_evals,
                                   cost_evals=result.cost_evals, improvements=result.improvements,

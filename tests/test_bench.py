@@ -404,6 +404,29 @@ class TestRunExperiment:
             first = next(csv.DictReader(fh))
         assert float(first["u0"]) == 0.0 and float(first["J_sub"]) == 0.0
 
+    @pytest.mark.parametrize("plant,numpy_valued,plain", [
+        ("cart-spring", {"ts": np.float32(0.4)}, {"ts": float(np.float32(0.4))}),
+        ("wmr", {"ts": np.int64(1)}, {"ts": 1}),
+        ("wmr", {"obstacle": {"center": np.array([0.0, 3.5]), "radius": np.float64(1.0)}},
+         {"obstacle": {"center": [0.0, 3.5], "radius": 1.0}}),
+    ])
+    def test_numpy_overrides_run_as_their_plain_values(self, tmp_path, plant, numpy_valued,
+                                                       plain):
+        def resolved(overrides, out):
+            config = ExperimentConfig(config_id="x", plant=plant, horizon=3, steps=1,
+                                      model_overrides=overrides)
+            artifacts = run_experiment(config, str(out))
+            data = json.loads(artifacts.resolved_config_path.read_text())
+            del data["resolved"]["output_root"]
+            return config, data
+
+        config, got = resolved(numpy_valued, tmp_path / "numpy")
+        plain_config, want = resolved(plain, tmp_path / "plain")
+        assert got == want and config == plain_config
+        json.dumps(config.to_dict())
+        numpy_valued.clear()  # the config holds a dict of its own
+        assert config.model_overrides == plain
+
     def test_summary_reports_complexity_predictions(self, tmp_path):
         config = free_wmr_config(config_id="counters", steps=2)
         artifacts = run_experiment(config, str(tmp_path))

@@ -1156,6 +1156,18 @@ class TestCarriedTrajectories:
         for arr in (oracle.inputs, oracle.states, result.plan.inputs, result.plan.states):
             assert not arr.flags.writeable and arr.base is None
 
+    @pytest.mark.parametrize("plant", ["cart-spring", "buck-boost", "wmr"])
+    def test_make_benchmark_and_a_closed_loop_hand_out_read_only_arrays(self, plant):
+        # A record's input is a copy of its own, so it holds no plan alive.
+        bench = make_benchmark(plant, 5)
+        cfg = SolverConfig(horizon=5, samples_per_step=3,
+                           warm_start_mode=bench.default_warm_start_mode)
+        log = closed_loop(bench.model, bench.constraints, bench.cost, cfg, bench.default_x0, 3)
+        assert not bench.default_x0.flags.writeable and not log.states.flags.writeable
+        for rec in log.records:
+            assert not rec.state.flags.writeable and rec.state.base is log.states
+            assert not rec.applied_input.flags.writeable and rec.applied_input.base is None
+
 
 class TestClosedLoop:
     def test_zero_steps_logs_initial_state_only(self, cart10, cart_x0):
